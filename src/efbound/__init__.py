@@ -27,7 +27,7 @@ from .encodings import (
     qall_separate,
     spectra_vertex_witness,
 )
-from .errors import BudgetError, InputError, check_deadline, set_budget_ms
+from .errors import BudgetError, InputError, VerificationError, check_deadline, set_budget_ms
 from .nnfact import (
     FactorizationCheck,
     NmfConfig,
@@ -60,6 +60,7 @@ from .ratlin import (
     RationalMatrix,
     dot,
     lp_solve,
+    lp_solve_each,
     mat_rank,
     rat,
     rat_str,

@@ -2,7 +2,8 @@
 certificates and reports as stable on-disk artifacts.
 
 Exit codes: 0 verified success, 1 verification failure (with a certificate
-file), 2 input error, 3 budget exhausted.  Identical arguments and seed
+file), 2 input error, 3 budget exhausted, 4 an internal exact check failed
+(a defect in efbound; no result is reported).  Identical arguments and seed
 produce byte-identical output files; every JSON artifact is written with
 sorted keys and no volatile fields.
 """
@@ -30,7 +31,7 @@ from .encodings import (
     qall_separate,
     spectra_vertex_witness,
 )
-from .errors import BudgetError, InputError, set_budget_ms
+from .errors import BudgetError, InputError, VerificationError, set_budget_ms
 from .nnfact import (
     NmfConfig,
     NonnegFactorization,
@@ -700,6 +701,9 @@ def main(argv=None):
     except BudgetError as exc:
         print(f"efbound: budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"efbound: internal check failed: {exc}", file=sys.stderr)
+        return 4
     finally:
         set_budget_ms(None)
 

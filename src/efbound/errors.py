@@ -12,6 +12,14 @@ class InputError(ValueError):
     """Malformed or out-of-contract input."""
 
 
+class VerificationError(RuntimeError):
+    """An exact post-check of a computed result failed.
+
+    The result is withheld; this signals a defect in efbound, not in the
+    input.  Raised instead of ``assert`` so it survives ``python -O``.
+    """
+
+
 class BudgetError(RuntimeError):
     """Enumeration or time budget exhausted.
 

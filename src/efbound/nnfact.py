@@ -245,6 +245,8 @@ def rect_cover_lb(S, max_side=16) -> int:
     cells = [(i, j) for i in range(S.rows) for j in range(S.cols) if S[i, j] != 0]
     if not cells:
         return 0
+    if len({mask for mask in rowmasks if mask}) == 1:
+        return 1  # every nonzero row has the same support: one rectangle
     # work along the smaller side; a cover is transpose-invariant
     if S.cols < S.rows:
         return rect_cover_lb(S.transpose(), max_side=max_side)
@@ -387,8 +389,8 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
     lower = max(linear rank, exact rectangle cover of the support); upper is
     min(rows, cols) unless the NMF heuristic finds a factorization that
     verifies exactly, in which case that rank (witnessed) is reported.  A
-    cover whose enumeration blows the budget degrades to its partial bound
-    rather than failing the whole call.
+    support too large for the exact cover degrades to its partial fooling
+    bound rather than failing the whole call; the deadline still raises.
     """
     if not isinstance(S, RationalMatrix):
         S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
@@ -401,7 +403,9 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
     try:
         cover = rect_cover_lb(S)
     except BudgetError as exc:
-        cover = exc.partial or 1
+        if exc.partial is None:
+            raise  # the deadline, not a support too large to enumerate
+        cover = exc.partial
     lower = max(rank, cover)
     lower_witness = "rectangle-cover" if cover > rank else "rank"
     upper = min(S.rows, S.cols)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .ratlin import ONE, ZERO, RationalMatrix, dot, lp_solve, rat, rat_str
+from .ratlin import ONE, ZERO, RationalMatrix, dot, lp_solve, lp_solve_each, rat, rat_str
 
 
 def _vec(xs, d=None, label="vector"):
@@ -334,8 +334,7 @@ def nonneg_solution(F: RationalMatrix, rhs):
         u = [ZERO] * F.rows
         u[i] = -ONE if rhs[i] > 0 else ONE
         return "no", u
-    neg_i = [[-ONE if j == i else ZERO for j in range(r)] for i in range(r)]
-    res = lp_solve(neg_i, [ZERO] * r, F.tolist(), rhs, [ZERO] * r)
+    res = lp_solve(None, None, F.tolist(), rhs, [ZERO] * r, nonneg=range(r))
     if res.status == "optimal":
         return "ok", res.point
     assert res.status == "infeasible"
@@ -385,16 +384,12 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
     if K.dim != Q.dim:
         raise InputError(f"dimension mismatch: K is {K.dim}-dimensional, Q is {Q.dim}")
     d, r, p = K.dim, K.size, K.nrows
-    nv = d + r
-    # y >= 0 rows in inequality form
-    ineq = [[ZERO] * d + [-ONE if j == i else ZERO for j in range(r)] for i in range(r)]
-    zeros_ineq = [ZERO] * r
     eq_rows = [K.E.row(i) + K.F.row(i) for i in range(p)]
+    objectives = [Q.A.row(i) + [ZERO] * r for i in range(Q.nrows)]
     derivations = []
-    for i in range(Q.nrows):
+    results = lp_solve_each(None, None, eq_rows, K.g, objectives, nonneg=range(d, d + r))
+    for i, res in enumerate(results):
         ai = Q.A.row(i)
-        c_obj = ai + [ZERO] * r
-        res = lp_solve(ineq or None, zeros_ineq or None, eq_rows, K.g, c_obj)
         if res.status == "infeasible":
             u = res.farkas_eq
             et_u = [dot(K.E.col(j), u) for j in range(d)]

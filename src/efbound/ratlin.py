@@ -7,15 +7,25 @@ composes long chains of these operations, and a single rounded entry would
 make every certificate worthless.
 
 The LP solver is a dense two-phase simplex with Bland's rule, so it
-terminates without tolerances or perturbation.  Every answer is re-checked
-as a Fraction identity before it is returned:
+terminates without tolerances or perturbation.  A `nonneg` set of column
+indices marks the variables constrained to be >= 0: each gets one tableau
+column and no bound row, while a free variable is the difference of two
+columns.  `lp_solve_each` optimizes a list of objectives over one region,
+running phase 1 once and starting each phase 2 from the previous optimal
+basis; `lp_solve` is its one-objective case.  The deadline of `errors` is
+polled once per pivot.  Every answer is re-checked as a Fraction identity
+before it is returned, and a failed check raises VerificationError in every
+run mode:
 
-* optimal   -- primal feasibility, dual feasibility, matching objective
-               values, and complementary slackness;
-* infeasible -- a Farkas vector: y_in >= 0 with
-               A^T y_in + Aeq^T y_eq = 0 and b.y_in + beq.y_eq < 0;
-* unbounded -- a feasible point plus a recession direction that strictly
-               improves the objective.
+* optimal   -- primal feasibility, dual feasibility (reduced costs zero on
+               free columns, of the right sign on masked ones), matching
+               objective values, and complementary slackness on rows and
+               masked columns;
+* infeasible -- a Farkas vector: y_in >= 0 with A^T y_in + Aeq^T y_eq zero
+               on free columns and >= 0 on masked ones, and
+               b.y_in + beq.y_eq < 0;
+* unbounded -- a feasible point plus a recession direction, nonnegative on
+               masked columns, that strictly improves the objective.
 
 Ranks come from fraction-free Bareiss elimination on the integer matrix
 obtained by clearing denominators row by row.
@@ -27,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, VerificationError, check_deadline
 
 Rational = Fraction
 ZERO = Fraction(0)
@@ -294,15 +304,16 @@ class LpResult:
 
     status is "optimal", "infeasible" or "unbounded".
 
-    optimal:    point, value, dual_ineq, dual_eq.  The duals satisfy
-                A^T dual_ineq + Aeq^T dual_eq = c and
-                b.dual_ineq + beq.dual_eq = value, with dual_ineq >= 0 when
-                sense is "max" and <= 0 when sense is "min".
+    optimal:    point, value, dual_ineq, dual_eq.  With s = 1 for "max"
+                and -1 for "min", d = s (A^T dual_ineq + Aeq^T dual_eq - c)
+                is zero on free columns and >= 0 on nonneg ones,
+                b.dual_ineq + beq.dual_eq = value, and s dual_ineq >= 0.
     infeasible: farkas_ineq >= 0 and farkas_eq with
-                A^T farkas_ineq + Aeq^T farkas_eq = 0 and
-                b.farkas_ineq + beq.farkas_eq < 0.
+                A^T farkas_ineq + Aeq^T farkas_eq zero on free columns and
+                >= 0 on nonneg ones, and b.farkas_ineq + beq.farkas_eq < 0.
     unbounded:  point is feasible and ray satisfies A ray <= 0,
-                Aeq ray = 0, with c.ray > 0 ("max") or < 0 ("min").
+                Aeq ray = 0, ray >= 0 on nonneg columns, with c.ray > 0
+                ("max") or < 0 ("min").
     """
 
     status: str
@@ -329,124 +340,154 @@ def _norm_system(M, rhs, n, label):
     return rows, rhs
 
 
-def lp_solve(A, b, Aeq, beq, c, sense="max") -> LpResult:
-    """Solve max (or min) c.x subject to A x <= b and Aeq x = beq.
+def _norm_mask(nonneg, n):
+    mask = [False] * n
+    for j in nonneg:
+        if not isinstance(j, int) or not 0 <= j < n:
+            raise InputError(f"nonneg index {j!r} is not a column index below {n}")
+        mask[j] = True
+    return mask
 
-    Variables are free; pass explicit rows for bounds.  A/b or Aeq/beq may
-    be None.  Bland's rule makes the run deterministic, and the returned
-    result has already been verified exactly (see LpResult).
+
+def lp_solve(A, b, Aeq, beq, c, sense="max", nonneg=()) -> LpResult:
+    """Solve max (or min) c.x subject to A x <= b, Aeq x = beq and
+    x_j >= 0 for every column index j in nonneg.
+
+    Columns outside nonneg are free.  Pass sign constraints through nonneg,
+    not as rows: a masked column is one tableau column with no bound row.
+    A/b or Aeq/beq may be None.  This is lp_solve_each with one objective;
+    several objectives over the same region should go there, so that they
+    share one phase 1.  Bland's rule makes the run deterministic, and the
+    returned result has already been verified exactly (see LpResult).
+    """
+    return next(lp_solve_each(A, b, Aeq, beq, [c], sense, nonneg))
+
+
+def lp_solve_each(A, b, Aeq, beq, objectives, sense="max", nonneg=()):
+    """Yield one lp_solve result per objective, all over the same region.
+
+    Phase 1 runs once; each objective's phase 2 starts from the basis where
+    the previous one stopped, which is feasible whatever its outcome.  An
+    empty region yields its Farkas certificate once per objective.  Every
+    result is verified exactly before it is yielded, so a caller may stop
+    at any one of them.
     """
     if sense not in ("max", "min"):
         raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
-    if c is None:
-        raise InputError("objective c is required (use zeros for feasibility checks)")
-    c = [rat(x) for x in c]
-    n = len(c)
+    objs = []
+    for c in objectives:
+        if c is None:
+            raise InputError("objective c is required (use zeros for feasibility checks)")
+        objs.append([rat(x) for x in c])
+    if not objs:
+        return
+    n = len(objs[0])
     if n == 0:
         raise InputError("lp_solve needs at least one variable")
+    if any(len(c) != n for c in objs):
+        raise InputError("objectives differ in length")
     Ar, br = _norm_system(A, b, n, "A")
     Er, er = _norm_system(Aeq, beq, n, "Aeq")
+    mask = _norm_mask(nonneg, n)
 
-    flip = sense == "min"
-    res = _simplex_max(Ar, br, Er, er, [-x for x in c] if flip else c)
-    if flip and res.status == "optimal":
-        res = LpResult("optimal", value=-res.value, point=res.point,
-                       dual_ineq=[-y for y in res.dual_ineq],
-                       dual_eq=[-w for w in res.dual_eq])
-    _verify_lp(Ar, br, Er, er, c, sense, res)
-    return res
+    tab = _Tableau(Ar, br, Er, er, mask)
+    farkas = tab.phase1()
+    sign = ONE if sense == "max" else -ONE
+    for c in objs:
+        if farkas is None:
+            res = tab.phase2(c, sign)
+        else:
+            res = LpResult("infeasible", farkas_ineq=farkas[0][:], farkas_eq=farkas[1][:])
+        _verify_lp(Ar, br, Er, er, c, sense, mask, res)
+        yield res
 
 
-def _simplex_max(A, b, E, e, c):
-    """Two-phase simplex for max c.x, A x <= b, E x = e, x free.
+class _Tableau:
+    """Dense simplex tableau for A x <= b, E x = e, x_j >= 0 on the mask.
 
-    Free variables are split x = u - v; every row is sign-normalized so the
-    rhs is nonnegative; one artificial per row.  The artificial block of the
-    tableau is the running basis inverse, which is what makes exact dual and
-    Farkas extraction a single dot product at the end.
+    Columns: +x_j for every variable, then -x_j for every free one (a free
+    variable is the difference of its two columns), one slack per
+    inequality row, one artificial per row, and the rhs.  Rows are
+    sign-normalized to a nonnegative rhs.  The artificial block is the
+    running basis inverse, so the objective row's entries there are the
+    simplex multipliers: duals and Farkas vectors are read off it directly.
     """
-    n = len(c)
-    mi, me = len(A), len(E)
-    m = mi + me
-    nu = 2 * n
-    art0 = nu + mi
-    ncol = art0 + m
 
-    T = []
-    basis = []
-    sigma = []
-    for i in range(m):
-        row = A[i] if i < mi else E[i - mi]
-        rhs = b[i] if i < mi else e[i - mi]
-        sg = -ONE if rhs < 0 else ONE
-        line = [ZERO] * (ncol + 1)
-        for j in range(n):
-            line[j] = sg * row[j]
-            line[n + j] = -sg * row[j]
-        if i < mi:
-            line[nu + i] = sg
-        line[art0 + i] = ONE
-        line[-1] = sg * rhs
-        T.append(line)
-        basis.append(art0 + i)
-        sigma.append(sg)
+    def __init__(self, A, b, E, e, mask):
+        self.n, self.mi = len(mask), len(A)
+        self.var = [(j, ONE) for j in range(self.n)] + \
+                   [(j, -ONE) for j in range(self.n) if not mask[j]]
+        nx = len(self.var)
+        m = self.mi + len(E)
+        self.art0 = nx + self.mi
+        self.width = self.art0 + m + 1
+        self.sigma = [-ONE if r < 0 else ONE for r in b + e]
+        self.T = []
+        for i, (row, r, sg) in enumerate(zip(A + E, b + e, self.sigma)):
+            line = [sg * s * row[j] for j, s in self.var] + [ZERO] * (self.width - nx)
+            if i < self.mi:
+                line[nx + i] = sg
+            line[self.art0 + i] = ONE
+            line[-1] = sg * r
+            self.T.append(line)
+        self.basis = list(range(self.art0, self.art0 + m))
 
-    # phase 1: minimize the sum of artificials
-    obj = [ZERO] * (ncol + 1)
-    for j in range(art0, art0 + m):
-        obj[j] = ONE
-    for line in T:
-        for j in range(ncol + 1):
-            obj[j] -= line[j]
-    grew = _iterate(T, basis, obj, art0)
-    assert grew is None, "phase 1 objective is bounded below"
-    if -obj[-1] > 0:
-        # infeasible; multipliers from the artificial block give a Farkas vector
-        pi = [sum((T[r][art0 + i] for r in range(m) if basis[r] >= art0), ZERO)
-              for i in range(m)]
-        y = [-sigma[i] * pi[i] for i in range(m)]
-        return LpResult("infeasible", farkas_ineq=y[:mi], farkas_eq=y[mi:])
+    def phase1(self):
+        """Minimize the sum of the artificials.  Returns None when the region
+        is nonempty (leaving a feasible basis), else the Farkas pair (y, w)."""
+        T, art0 = self.T, self.art0
+        obj = [ZERO] * art0 + [ONE] * len(T) + [ZERO]
+        for line in T:
+            for k, v in enumerate(line):
+                obj[k] -= v
+        _require(_iterate(T, self.basis, obj, art0) is None, "phase 1 is bounded below")
+        if obj[-1] < 0:
+            # the multipliers pi_i = 1 - obj[art0+i] price the artificials out
+            y = [sg * (obj[art0 + i] - 1) for i, sg in enumerate(self.sigma)]
+            return y[:self.mi], y[self.mi:]
+        # drive artificials out of the basis; rows where that is impossible
+        # are identically zero and stay inert
+        for i in range(len(T)):
+            if self.basis[i] >= art0:
+                enter = next((j for j in range(art0) if T[i][j] != 0), None)
+                if enter is not None:
+                    _pivot(T, self.basis, obj, i, enter)
+        return None
 
-    # drive artificials out of the basis; rows where that is impossible are
-    # identically zero and stay inert
-    for i in range(m):
-        if basis[i] >= art0:
-            enter = next((j for j in range(art0) if T[i][j] != 0), None)
-            if enter is not None:
-                _pivot(T, basis, obj, i, enter)
-
-    # phase 2: minimize -c.x
-    cost = [ZERO] * (ncol + 1)
-    for j in range(n):
-        cost[j] = -c[j]
-        cost[n + j] = c[j]
-    obj = cost[:]
-    for r, line in enumerate(T):
-        cb = cost[basis[r]]
-        if cb != 0:
-            for j in range(ncol + 1):
-                obj[j] -= cb * line[j]
-
-    grew = _iterate(T, basis, obj, art0)
-    point = _current_point(T, basis, n)
-    if grew is not None:
-        ray = [ZERO] * n
-        _add_direction(ray, grew, ONE, n)
-        for i in range(m):
-            _add_direction(ray, basis[i], -T[i][grew], n)
-        return LpResult("unbounded", point=point, ray=ray)
-
-    value = dot(c, point)
-    pi = [sum((cost[basis[r]] * T[r][art0 + i] for r in range(m)), ZERO)
-          for i in range(m)]
-    y = [-sigma[i] * pi[i] for i in range(m)]
-    return LpResult("optimal", value=value, point=point,
-                    dual_ineq=y[:mi], dual_eq=y[mi:])
+    def phase2(self, c, sign):
+        """Maximize sign * c.x from the current basis, which is left where
+        the objective stopped."""
+        T, basis, art0, nx = self.T, self.basis, self.art0, len(self.var)
+        cost = [-sign * s * c[j] for j, s in self.var] + [ZERO] * (self.width - nx)
+        obj = cost[:]
+        for line, bv in zip(T, basis):
+            cb = cost[bv]
+            if cb != 0:
+                for k, v in enumerate(line):
+                    obj[k] -= cb * v
+        grew = _iterate(T, basis, obj, art0)
+        point = [ZERO] * self.n
+        for line, bv in zip(T, basis):
+            if bv < nx:
+                j, s = self.var[bv]
+                point[j] += s * line[-1]
+        if grew is not None:
+            ray = [ZERO] * self.n
+            for col, coef in [(grew, ONE)] + [(bv, -line[grew]) for line, bv in zip(T, basis)]:
+                if col < nx:
+                    j, s = self.var[col]
+                    ray[j] += s * coef
+            return LpResult("unbounded", point=point, ray=ray)
+        # obj[art0+i] = -pi_i, the multiplier of row i in the normalized system
+        y = [sign * sg * obj[art0 + i] for i, sg in enumerate(self.sigma)]
+        return LpResult("optimal", value=dot(c, point), point=point,
+                        dual_ineq=y[:self.mi], dual_eq=y[self.mi:])
 
 
 def _iterate(T, basis, obj, art0):
     """Run Bland pivots to optimality; return None, or the entering column
-    index if the objective is unbounded (no admissible leaving row)."""
+    index if the objective is unbounded (no admissible leaving row).  The
+    global deadline is polled once per pivot."""
     m = len(T)
     while True:
         enter = -1
@@ -467,6 +508,7 @@ def _iterate(T, basis, obj, art0):
                     leave = i
         if leave < 0:
             return enter
+        check_deadline()
         _pivot(T, basis, obj, leave, enter)
 
 
@@ -475,74 +517,69 @@ def _pivot(T, basis, obj, r, j):
     if p != 1:
         T[r] = [x / p for x in T[r]]
     prow = T[r]
-    for line in T:
-        if line is prow:
-            continue
+    support = [(k, v) for k, v in enumerate(prow) if v != 0]
+    for line in T + [obj]:
         f = line[j]
-        if f != 0:
-            for k in range(len(line)):
-                line[k] -= f * prow[k]
-    f = obj[j]
-    if f != 0:
-        for k in range(len(obj)):
-            obj[k] -= f * prow[k]
+        if f != 0 and line is not prow:
+            for k, v in support:
+                line[k] -= f * v
     basis[r] = j
 
 
-def _current_point(T, basis, n):
-    x = [ZERO] * n
-    for i, bv in enumerate(basis):
-        if bv < n:
-            x[bv] += T[i][-1]
-        elif bv < 2 * n:
-            x[bv - n] -= T[i][-1]
-    return x
+def _require(ok, what):
+    if not ok:
+        raise VerificationError(f"LP result fails its exact check: {what}")
 
 
-def _add_direction(ray, col, coef, n):
-    if coef == 0:
-        return
-    if col < n:
-        ray[col] += coef
-    elif col < 2 * n:
-        ray[col - n] -= coef
+def _verify_lp(A, b, E, e, c, sense, mask, res):
+    """Exact post-check of every lp_solve outcome; a failure here is a bug.
 
+    With s = +1 for "max" and -1 for "min", the reduced cost of column j is
+    s ((A^T y + E^T w)_j - c_j): zero on free columns, nonnegative on masked
+    ones and complementary to x_j there.
+    """
+    n = len(c)
+    s = ONE if sense == "max" else -ONE
+    free = [j for j in range(n) if not mask[j]]
+    masked = [j for j in range(n) if mask[j]]
 
-def _verify_lp(A, b, E, e, c, sense, res):
-    """Exact post-check of every lp_solve outcome; a failure here is a bug."""
+    def combo(y, w):
+        _require(len(y) == len(A) and len(w) == len(E), "multiplier lengths")
+        return [sum((y[i] * A[i][j] for i in range(len(A))), ZERO)
+                + sum((w[k] * E[k][j] for k in range(len(E))), ZERO) for j in range(n)]
+
+    def feasible(x):
+        _require(len(x) == n, "point length")
+        _require(all(dot(row, x) <= bi for row, bi in zip(A, b)), "inequality rows hold")
+        _require(all(dot(row, x) == ei for row, ei in zip(E, e)), "equality rows hold")
+        _require(all(x[j] >= 0 for j in masked), "sign constraints hold")
+
     if res.status == "optimal":
-        x = res.point
-        assert all(dot(row, x) <= bi for row, bi in zip(A, b))
-        assert all(dot(row, x) == ei for row, ei in zip(E, e))
-        assert dot(c, x) == res.value
-        y, w = res.dual_ineq, res.dual_eq
-        if sense == "max":
-            assert all(v >= 0 for v in y)
-        else:
-            assert all(v <= 0 for v in y)
-        for j in range(len(c)):
-            lhs = sum((y[i] * A[i][j] for i in range(len(A))), ZERO) \
-                + sum((w[k] * E[k][j] for k in range(len(E))), ZERO)
-            assert lhs == c[j]
-        assert dot(y, b) + dot(w, e) == res.value
-        assert all(y[i] * (b[i] - dot(A[i], x)) == 0 for i in range(len(A)))
+        x, y, w = res.point, res.dual_ineq, res.dual_eq
+        feasible(x)
+        _require(dot(c, x) == res.value, "objective value")
+        _require(all(s * v >= 0 for v in y), "dual signs")
+        red = [s * (v - cj) for v, cj in zip(combo(y, w), c)]
+        _require(all(red[j] == 0 for j in free), "dual equalities on free columns")
+        _require(all(red[j] >= 0 for j in masked), "dual inequalities on masked columns")
+        _require(dot(y, b) + dot(w, e) == res.value, "strong duality")
+        _require(all(y[i] * (b[i] - dot(A[i], x)) == 0 for i in range(len(A))),
+                 "complementary slackness on rows")
+        _require(all(red[j] * x[j] == 0 for j in masked), "complementary slackness on columns")
     elif res.status == "infeasible":
         y, w = res.farkas_ineq, res.farkas_eq
-        assert all(v >= 0 for v in y)
-        for j in range(len(c)):
-            lhs = sum((y[i] * A[i][j] for i in range(len(A))), ZERO) \
-                + sum((w[k] * E[k][j] for k in range(len(E))), ZERO)
-            assert lhs == 0
-        assert dot(y, b) + dot(w, e) < 0
+        _require(all(v >= 0 for v in y), "Farkas signs")
+        lhs = combo(y, w)
+        _require(all(lhs[j] == 0 for j in free), "Farkas equalities on free columns")
+        _require(all(lhs[j] >= 0 for j in masked), "Farkas inequalities on masked columns")
+        _require(dot(y, b) + dot(w, e) < 0, "Farkas right-hand side")
     elif res.status == "unbounded":
         x, r = res.point, res.ray
-        assert all(dot(row, x) <= bi for row, bi in zip(A, b))
-        assert all(dot(row, x) == ei for row, ei in zip(E, e))
-        assert all(dot(row, r) <= 0 for row in A)
-        assert all(dot(row, r) == 0 for row in E)
-        if sense == "max":
-            assert dot(c, r) > 0
-        else:
-            assert dot(c, r) < 0
+        feasible(x)
+        _require(len(r) == n, "ray length")
+        _require(all(dot(row, r) <= 0 for row in A), "ray keeps the inequality rows")
+        _require(all(dot(row, r) == 0 for row in E), "ray keeps the equality rows")
+        _require(all(r[j] >= 0 for j in masked), "ray keeps the sign constraints")
+        _require(s * dot(c, r) > 0, "ray improves the objective")
     else:
-        raise AssertionError(f"unknown status {res.status!r}")
+        _require(False, f"unknown status {res.status!r}")

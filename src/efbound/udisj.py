@@ -403,7 +403,8 @@ def shift_rank_lb(n, rho, p: CorruptionParams | None = None) -> float:
         r >= (1/rho - eps) * 2^(eps^2 l / (16 ln 2) - C log2 l),  l = (n+1)/4,
 
     clamped below at 1 (a rank is at least 1).  With p = None, eps is set to
-    1/(2 rho) and C to 0."""
+    1/(2 rho) and C to 0.  An n whose bound exceeds the float range is an
+    input error."""
     params = UdisjParams(n)
     rho = rat(rho)
     if rho < 1:
@@ -416,7 +417,11 @@ def shift_rank_lb(n, rho, p: CorruptionParams | None = None) -> float:
     ell = params.ell
     eps = float(p.epsilon)
     exponent = eps * eps * ell / (16 * math.log(2)) - float(p.C) * math.log2(ell)
-    value = float(Fraction(1) / rho - p.epsilon) * 2.0 ** exponent
+    try:
+        value = float(Fraction(1) / rho - p.epsilon) * 2.0 ** exponent
+    except OverflowError as exc:
+        raise InputError(
+            f"n={n}: the bound 2^{exponent:.6g} exceeds the floating-point range") from exc
     return max(1.0, value)
 
 

@@ -329,6 +329,39 @@ class TestExitDiscipline:
                    "--eps", "1/2", "--out", str(tmp_path / "never.json")])
         assert rc == 3
 
+    def test_budget_reaches_lp_pivots(self, tmp_path):
+        hp = build_hard_pair(4)
+        write(tmp_path / "p.json", hp.P.to_json())
+        write(tmp_path / "q.json", hp.Q.to_json())
+        write(tmp_path / "k.json", trivial_ef(hp.Q).to_json())
+        rc = main(["--budget-ms", "1", "verify-sandwich", "--p", str(tmp_path / "p.json"),
+                   "--q", str(tmp_path / "q.json"), "--rho", "1",
+                   "--ef", str(tmp_path / "k.json"), "--out", str(tmp_path / "never.json")])
+        assert rc == 3
+        assert not (tmp_path / "never.json").exists()
+
+    def test_failed_internal_check_exits_four(self, pair_files, monkeypatch, capsys):
+        from efbound import ratlin
+        genuine = ratlin._Tableau.phase2
+
+        def off_by_one(self, c, sign):
+            res = genuine(self, c, sign)
+            if res.status == "optimal":
+                res.value += 1
+            return res
+        monkeypatch.setattr(ratlin._Tableau, "phase2", off_by_one)
+        d = pair_files
+        write(d / "k.json", trivial_ef(build_hard_pair(2).Q).to_json())
+        rc = main(["verify-sandwich", "--p", str(d / "p.json"), "--q", str(d / "q.json"),
+                   "--rho", "1", "--ef", str(d / "k.json"), "--out", str(d / "never.json")])
+        assert rc == 4
+        assert "internal check failed" in capsys.readouterr().err
+        assert not (d / "never.json").exists()
+
+    def test_shift_lb_overflow_is_input_error(self, capsys):
+        assert main(["shift-lb", "--n", "200003", "--rho", "1"]) == 2
+        assert "floating-point range" in capsys.readouterr().err
+
     def test_bad_env_budget(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EFBOUND_BUDGET_MS", "soon")
         assert main(["psd-check", "--n", "2"]) == 2

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -45,6 +45,24 @@ def hard_pair(n):
     rows = [[F((2 * a[i] if i == j else 0) - a[i] * a[j])
              for i in range(n) for j in range(n)] for a in subs]
     return VRep(n * n, pts), HRep(n * n, rows, [F(1)] * len(subs))
+
+
+def exhaustive_cover(rows):
+    """Fewest all-support rectangles covering the support, by trying every
+    family of row-set x column-set rectangles in increasing size."""
+    m, n = len(rows), len(rows[0])
+    cells = {(i, j) for i in range(m) for j in range(n) if rows[i][j] != 0}
+    rects = []
+    for rs in range(1, 1 << m):
+        for cs in range(1, 1 << n):
+            rect = {(i, j) for i in range(m) if rs >> i & 1
+                    for j in range(n) if cs >> j & 1}
+            if rect <= cells:
+                rects.append(rect)
+    for k in range(len(cells) + 1):
+        for family in combinations(rects, k):
+            if set().union(*family) == cells:
+                return k
 
 
 def identity_fac(S):
@@ -207,6 +225,24 @@ class TestRectCover:
             rect_cover_lb(rows, max_side=8)
         assert ei.value.partial >= 1
 
+    def test_one_rectangle_support(self):
+        # support R x C, padded with zero rows and columns: one rectangle
+        rng = random.Random(17)
+        for _ in range(20):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            R = {i for i in range(m) if rng.random() < 0.7} or {0}
+            C = {j for j in range(n) if rng.random() < 0.7} or {0}
+            rows = [[F(rng.randint(1, 5)) if i in R and j in C else F(0)
+                     for j in range(n)] for i in range(m)]
+            assert rect_cover_lb(rows) == exhaustive_cover(rows) == 1
+
+    def test_matches_exhaustive_cover(self):
+        rng = random.Random(18)
+        for _ in range(20):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[F(rng.randint(0, 1)) for _ in range(n)] for _ in range(m)]
+            assert rect_cover_lb(rows) == exhaustive_cover(rows)
+
     def test_cover_below_verified_rank(self):
         # any verified factorization upper-bounds the cover number
         S = RationalMatrix.from_rows([[2, 1], [1, 2]])
@@ -236,6 +272,20 @@ class TestNnegrkBounds:
         assert nb.lower == 7  # max of rank 7 and cover 7, both frozen by oracle
         assert 7 <= nb.upper <= 8
         assert nb.lower >= 7
+
+    def test_deadline_in_cover_is_not_swallowed(self, monkeypatch):
+        def out_of_time(S):
+            raise BudgetError("computation budget exhausted")
+        monkeypatch.setattr("efbound.nnfact.rect_cover_lb", out_of_time)
+        with pytest.raises(BudgetError):
+            nnegrk_bounds(RationalMatrix.identity(3))
+
+    def test_oversized_cover_keeps_partial_bound(self, monkeypatch):
+        def too_large(S):
+            raise BudgetError("support side exceeds enumeration budget", partial=3)
+        monkeypatch.setattr("efbound.nnfact.rect_cover_lb", too_large)
+        nb = nnegrk_bounds(RationalMatrix.from_rows([[1, 1, 1], [1, 2, 3], [1, 3, 6]]))
+        assert nb.lower == 3 and nb.lower_witness == "rank"
 
     def test_zero_matrix(self):
         nb = nnegrk_bounds(RationalMatrix.zeros(2, 3))

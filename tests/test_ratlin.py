@@ -1,10 +1,29 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from efbound import InputError, RationalMatrix, lp_solve, mat_rank, rat, rat_str
-from efbound.ratlin import dot
+import efbound
+from efbound import (
+    BudgetError,
+    InputError,
+    LpResult,
+    RationalMatrix,
+    VerificationError,
+    lp_solve,
+    lp_solve_each,
+    mat_rank,
+    rat,
+    rat_str,
+)
+from efbound.errors import set_budget_ms
+from efbound.ratlin import _verify_lp, dot
 
 
 class TestRat:
@@ -199,3 +218,214 @@ class TestLpSolve:
         runs = [lp_solve(A, b, None, None, [2, 1]) for _ in range(3)]
         assert all(r.point == runs[0].point for r in runs)
         assert all(r.dual_ineq == runs[0].dual_ineq for r in runs)
+
+
+class TestNonnegMask:
+    def test_masked_column_needs_no_bound_row(self):
+        # max x0 + x1 with x0 + x1 <= 3, x0 - x1 = 1, both >= 0
+        r = lp_solve([[1, 1]], [3], [[1, -1]], [1], [1, 1], nonneg=[0, 1])
+        assert r.status == "optimal" and r.value == 3
+        assert r.point == [F(2), F(1)]
+
+    def test_mask_decides_boundedness(self):
+        assert lp_solve(None, None, None, None, [-1]).status == "unbounded"
+        r = lp_solve(None, None, None, None, [-1], nonneg=[0])
+        assert r.status == "optimal" and r.value == 0
+        r = lp_solve(None, None, None, None, [1], nonneg=[0])
+        assert r.status == "unbounded" and r.ray[0] > 0
+
+    def test_farkas_on_masked_columns(self):
+        # y0 + y1 = -1 has no nonnegative solution
+        r = lp_solve(None, None, [[1, 1]], [-1], [0, 0], nonneg=[0, 1])
+        assert r.status == "infeasible"
+        w = r.farkas_eq
+        assert w[0] >= 0 and w[0] * -1 < 0
+
+    def test_min_sense_reduced_costs(self):
+        # min x0 + 2 x1 with x0 + x1 = 1, x >= 0: optimum at x0 = 1
+        r = lp_solve(None, None, [[1, 1]], [1], [1, 2], sense="min", nonneg=[0, 1])
+        assert r.status == "optimal" and r.value == 1 and r.point == [F(1), F(0)]
+        w = r.dual_eq[0]
+        assert [1 - w, 2 - w] == [0, 1]  # zero where x > 0, positive where x = 0
+
+    def test_bad_mask(self):
+        with pytest.raises(InputError):
+            lp_solve([[1]], [1], None, None, [1], nonneg=[1])
+        with pytest.raises(InputError):
+            lp_solve([[1]], [1], None, None, [1], nonneg=[-1])
+
+    def test_each_matches_cold_solves(self):
+        A, b = [[1, 1], [1, -1]], [4, 2]
+        objs = [[1, 0], [0, 1], [-1, 0], [1, 1], [0, 0]]
+        warm = list(lp_solve_each(A, b, None, None, objs, nonneg=[1]))
+        cold = [lp_solve(A, b, None, None, c, nonneg=[1]) for c in objs]
+        assert [r.status for r in warm] == [r.status for r in cold]
+        assert [r.value for r in warm] == [r.value for r in cold]
+        # later objectives start from where an unbounded one stopped
+        assert [r.status for r in warm] == ["optimal", "unbounded", "unbounded",
+                                            "optimal", "optimal"]
+
+    def test_each_infeasible_region(self):
+        out = list(lp_solve_each([[1], [-1]], [-1, 0], None, None, [[1], [0]]))
+        assert [r.status for r in out] == ["infeasible", "infeasible"]
+        assert out[0].farkas_ineq is not out[1].farkas_ineq
+        assert list(lp_solve_each([[1]], [1], None, None, [])) == []
+        with pytest.raises(InputError):
+            list(lp_solve_each([[1, 0]], [1], None, None, [[1, 0], [1]]))
+
+
+class TestLpBudget:
+    def test_deadline_polled_per_pivot(self):
+        set_budget_ms(0)
+        try:
+            with pytest.raises(BudgetError):
+                lp_solve([[1, 1], [1, -1]], [4, 2], None, None, [2, 1], nonneg=[0, 1])
+        finally:
+            set_budget_ms(None)
+
+
+def _checked_lp():
+    """A solved LP with every certificate field in use: max x0 + x1,
+    x0 + 2 x1 <= 4, x0 - x1 = 1, x1 >= 0."""
+    A, b, E, e, c = [[F(1), F(2)]], [F(4)], [[F(1), F(-1)]], [F(1)], [F(1), F(1)]
+    mask = [False, True]
+    res = lp_solve(A, b, E, e, c, nonneg=[1])
+    return (A, b, E, e, c, "max", mask), res
+
+
+TAMPERS = {
+    "value": lambda r: LpResult("optimal", r.value + 1, r.point, r.dual_ineq, r.dual_eq),
+    "point": lambda r: LpResult("optimal", r.value, [r.point[0] + 1, r.point[1]],
+                                r.dual_ineq, r.dual_eq),
+    "dual": lambda r: LpResult("optimal", r.value, r.point,
+                               [r.dual_ineq[0] + 1], r.dual_eq),
+    "masked-sign": lambda r: LpResult("optimal", F(-1), [F(-2), F(-1)], [F(0)], [F(1)]),
+    "farkas": lambda r: LpResult("infeasible", farkas_ineq=[F(1)], farkas_eq=[F(-1)]),
+    "ray": lambda r: LpResult("unbounded", point=r.point, ray=[F(-1), F(-1)]),
+    "status": lambda r: LpResult("maybe"),
+}
+
+
+class TestVerifyLp:
+    def test_genuine_result_passes(self):
+        args, res = _checked_lp()
+        assert res.status == "optimal"
+        _verify_lp(*args, res)
+
+    @pytest.mark.parametrize("kind", sorted(TAMPERS))
+    def test_tampered_result_rejected(self, kind):
+        args, res = _checked_lp()
+        with pytest.raises(VerificationError):
+            _verify_lp(*args, TAMPERS[kind](res))
+
+    def test_rejected_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(efbound.__file__)))
+        code = (
+            "import sys\n"
+            "from fractions import Fraction as F\n"
+            "from efbound import LpResult, VerificationError, lp_solve\n"
+            "from efbound.ratlin import _verify_lp\n"
+            "assert False, 'asserts are live'\n"
+            "r = lp_solve([[1, 2]], [4], [[1, -1]], [1], [1, 1], nonneg=[1])\n"
+            "bad = LpResult('optimal', r.value + 1, r.point, r.dual_ineq, r.dual_eq)\n"
+            "try:\n"
+            "    _verify_lp([[F(1), F(2)]], [F(4)], [[F(1), F(-1)]], [F(1)],\n"
+            "               [F(1), F(1)], 'max', [False, True], bad)\n"
+            "except VerificationError:\n"
+            "    print('rejected', sys.flags.optimize)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["rejected", "1"]
+
+
+# --- brute force for the property tests: vertices of the LP cut by a box ---
+
+def _unique_solution(rows, rhs, n):
+    """The unique solution of rows x = rhs by Fraction Gauss elimination,
+    or None when the system is inconsistent or underdetermined."""
+    M = [list(r) + [v] for r, v in zip(rows, rhs)]
+    for col in range(n):
+        p = next((i for i in range(col, len(M)) if M[i][col] != 0), None)
+        if p is None:
+            return None
+        M[col], M[p] = M[p], M[col]
+        M[col] = [v / M[col][col] for v in M[col]]
+        for i, row in enumerate(M):
+            if i != col and row[col] != 0:
+                M[i] = [a - row[col] * bb for a, bb in zip(row, M[col])]
+    if any(row[n] != 0 for row in M[n:]):
+        return None
+    return [M[i][n] for i in range(n)]
+
+
+def _box_max(A, b, E, e, c, mask, box):
+    """max c.x over the LP intersected with |x_j| <= box, by enumerating
+    vertices; None when that polytope is empty."""
+    n = len(c)
+    unit = [[F(int(k == j)) for k in range(n)] for j in range(n)]
+    ineq = list(zip(A, b)) + [([-v for v in unit[j]], F(0)) for j in mask]
+    ineq += [(unit[j], F(box)) for j in range(n)] + [([-v for v in unit[j]], F(box))
+                                                      for j in range(n)]
+    best = None
+    for size in range(n + 1):
+        for sub in itertools.combinations(ineq, size):
+            x = _unique_solution(E + [r for r, _ in sub], e + [v for _, v in sub], n)
+            if x is None or any(dot(r, x) > v for r, v in ineq):
+                continue
+            val = dot(c, x)
+            best = val if best is None else max(best, val)
+    return best
+
+
+def _brute_force(A, b, E, e, c, sense, mask):
+    """(status, value) of the LP.  Data of absolute value <= 3 in at most
+    three variables put a feasible point, and an optimal one when the LP is
+    bounded, inside the box 162 (Cramer's rule), and the boxed optimum is
+    concave in the box size: it grows from box 1000 to 2000 iff the LP is
+    unbounded."""
+    s = 1 if sense == "max" else -1
+    c = [s * v for v in c]
+    lo = _box_max(A, b, E, e, c, mask, 1000)
+    if lo is None:
+        return "infeasible", None
+    if _box_max(A, b, E, e, c, mask, 2000) > lo:
+        return "unbounded", None
+    return "optimal", s * lo
+
+
+@st.composite
+def tiny_lps(draw):
+    n = draw(st.integers(1, 3))
+    coef = st.integers(-3, 3).map(F)
+    rows = lambda m: draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                                   min_size=m, max_size=m))
+    mi, me = draw(st.integers(0, 3)), draw(st.integers(0, 1))
+    A, E = rows(mi), rows(me)
+    b = draw(st.lists(coef, min_size=mi, max_size=mi))
+    e = draw(st.lists(coef, min_size=me, max_size=me))
+    mask = sorted(draw(st.sets(st.integers(0, n - 1))))
+    objs = rows(draw(st.integers(1, 4)))
+    return A, b, E, e, mask, objs
+
+
+class TestLpProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_lps(), st.sampled_from(["max", "min"]))
+    def test_matches_vertex_enumeration(self, lp, sense):
+        A, b, E, e, mask, objs = lp
+        c = objs[0]
+        r = lp_solve(A or None, b or None, E or None, e or None, c, sense, mask)
+        status, value = _brute_force(A, b, E, e, c, sense, mask)
+        assert r.status == status
+        assert r.value == value
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_lps(), st.sampled_from(["max", "min"]))
+    def test_each_matches_cold(self, lp, sense):
+        A, b, E, e, mask, objs = lp
+        system = (A or None, b or None, E or None, e or None)
+        warm = list(lp_solve_each(*system, objs, sense, mask))
+        cold = [lp_solve(*system, c, sense, mask) for c in objs]
+        assert [(r.status, r.value) for r in warm] == [(r.status, r.value) for r in cold]

@@ -335,6 +335,10 @@ class TestShiftRankLb:
                 for rho in (1, Fraction(3, 2), 2, 3, 4, 6)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
+    def test_bound_beyond_float_range(self):
+        with pytest.raises(InputError):
+            shift_rank_lb(200003, 1)
+
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             shift_rank_lb(14, 1)
