@@ -95,7 +95,7 @@ def _dump(data, path=None):
 
 
 def _dump_csv(rows, path=None):
-    text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+    text = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

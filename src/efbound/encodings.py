@@ -11,6 +11,7 @@ Fraction world.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -289,7 +290,6 @@ def qall_separate(x: RationalMatrix, mode="exhaustive", seed=0, count=200,
         return SeparationReport("inside")
 
     if mode == "sample":
-        import random
         rng = random.Random(seed)
         for _ in range(count):
             check_deadline()

@@ -20,6 +20,12 @@ class VerificationError(RuntimeError):
     """
 
 
+def require(ok, what):
+    """Raise VerificationError naming the failed check ``what`` unless ok."""
+    if not ok:
+        raise VerificationError(what)
+
+
 class BudgetError(RuntimeError):
     """Enumeration or time budget exhausted.
 

@@ -351,6 +351,7 @@ def _nmf_attempt(S: RationalMatrix, r, cfg: NmfConfig):
     m, n = S.rows, S.cols
     V = np.array([[float(S[i, j]) for j in range(n)] for i in range(m)])
     for attempt in range(cfg.restarts):
+        check_deadline()
         rng = np.random.default_rng(cfg.seed + 1009 * attempt + 9176 * r)
         Wf = rng.uniform(0.1, 1.0, (m, r))
         Hf = rng.uniform(0.1, 1.0, (r, n))

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, VerificationError, check_deadline
+from .errors import InputError, check_deadline, require
 
 Rational = Fraction
 ZERO = Fraction(0)
@@ -440,7 +440,7 @@ class _Tableau:
         for line in T:
             for k, v in enumerate(line):
                 obj[k] -= v
-        _require(_iterate(T, self.basis, obj, art0) is None, "phase 1 is bounded below")
+        require(_iterate(T, self.basis, obj, art0) is None, "phase 1 is bounded below")
         if obj[-1] < 0:
             # the multipliers pi_i = 1 - obj[art0+i] price the artificials out
             y = [sg * (obj[art0 + i] - 1) for i, sg in enumerate(self.sigma)]
@@ -526,11 +526,6 @@ def _pivot(T, basis, obj, r, j):
     basis[r] = j
 
 
-def _require(ok, what):
-    if not ok:
-        raise VerificationError(f"LP result fails its exact check: {what}")
-
-
 def _verify_lp(A, b, E, e, c, sense, mask, res):
     """Exact post-check of every lp_solve outcome; a failure here is a bug.
 
@@ -544,42 +539,42 @@ def _verify_lp(A, b, E, e, c, sense, mask, res):
     masked = [j for j in range(n) if mask[j]]
 
     def combo(y, w):
-        _require(len(y) == len(A) and len(w) == len(E), "multiplier lengths")
+        require(len(y) == len(A) and len(w) == len(E), "multiplier lengths")
         return [sum((y[i] * A[i][j] for i in range(len(A))), ZERO)
                 + sum((w[k] * E[k][j] for k in range(len(E))), ZERO) for j in range(n)]
 
     def feasible(x):
-        _require(len(x) == n, "point length")
-        _require(all(dot(row, x) <= bi for row, bi in zip(A, b)), "inequality rows hold")
-        _require(all(dot(row, x) == ei for row, ei in zip(E, e)), "equality rows hold")
-        _require(all(x[j] >= 0 for j in masked), "sign constraints hold")
+        require(len(x) == n, "point length")
+        require(all(dot(row, x) <= bi for row, bi in zip(A, b)), "inequality rows hold")
+        require(all(dot(row, x) == ei for row, ei in zip(E, e)), "equality rows hold")
+        require(all(x[j] >= 0 for j in masked), "sign constraints hold")
 
     if res.status == "optimal":
         x, y, w = res.point, res.dual_ineq, res.dual_eq
         feasible(x)
-        _require(dot(c, x) == res.value, "objective value")
-        _require(all(s * v >= 0 for v in y), "dual signs")
+        require(dot(c, x) == res.value, "objective value")
+        require(all(s * v >= 0 for v in y), "dual signs")
         red = [s * (v - cj) for v, cj in zip(combo(y, w), c)]
-        _require(all(red[j] == 0 for j in free), "dual equalities on free columns")
-        _require(all(red[j] >= 0 for j in masked), "dual inequalities on masked columns")
-        _require(dot(y, b) + dot(w, e) == res.value, "strong duality")
-        _require(all(y[i] * (b[i] - dot(A[i], x)) == 0 for i in range(len(A))),
-                 "complementary slackness on rows")
-        _require(all(red[j] * x[j] == 0 for j in masked), "complementary slackness on columns")
+        require(all(red[j] == 0 for j in free), "dual equalities on free columns")
+        require(all(red[j] >= 0 for j in masked), "dual inequalities on masked columns")
+        require(dot(y, b) + dot(w, e) == res.value, "strong duality")
+        require(all(y[i] * (b[i] - dot(A[i], x)) == 0 for i in range(len(A))),
+                "complementary slackness on rows")
+        require(all(red[j] * x[j] == 0 for j in masked), "complementary slackness on columns")
     elif res.status == "infeasible":
         y, w = res.farkas_ineq, res.farkas_eq
-        _require(all(v >= 0 for v in y), "Farkas signs")
+        require(all(v >= 0 for v in y), "Farkas signs")
         lhs = combo(y, w)
-        _require(all(lhs[j] == 0 for j in free), "Farkas equalities on free columns")
-        _require(all(lhs[j] >= 0 for j in masked), "Farkas inequalities on masked columns")
-        _require(dot(y, b) + dot(w, e) < 0, "Farkas right-hand side")
+        require(all(lhs[j] == 0 for j in free), "Farkas equalities on free columns")
+        require(all(lhs[j] >= 0 for j in masked), "Farkas inequalities on masked columns")
+        require(dot(y, b) + dot(w, e) < 0, "Farkas right-hand side")
     elif res.status == "unbounded":
         x, r = res.point, res.ray
         feasible(x)
-        _require(len(r) == n, "ray length")
-        _require(all(dot(row, r) <= 0 for row in A), "ray keeps the inequality rows")
-        _require(all(dot(row, r) == 0 for row in E), "ray keeps the equality rows")
-        _require(all(r[j] >= 0 for j in masked), "ray keeps the sign constraints")
-        _require(s * dot(c, r) > 0, "ray improves the objective")
+        require(len(r) == n, "ray length")
+        require(all(dot(row, r) <= 0 for row in A), "ray keeps the inequality rows")
+        require(all(dot(row, r) == 0 for row in E), "ray keeps the equality rows")
+        require(all(r[j] >= 0 for j in masked), "ray keeps the sign constraints")
+        require(s * dot(c, r) > 0, "ray improves the objective")
     else:
-        _require(False, f"unknown status {res.status!r}")
+        require(False, f"unknown status {res.status!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetError, InputError, check_deadline
+from .errors import BudgetError, InputError, check_deadline, require
 from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
 
 
@@ -64,8 +64,7 @@ def _bits(mask):
 
 def ksubsets(universe_mask, k):
     """All k-element submasks of universe_mask."""
-    for combo in combinations(_bits(universe_mask), k):
-        yield sum(1 << c for c in combo)
+    return map(sum, combinations([1 << c for c in _bits(universe_mask)], k))
 
 
 class FunctionTable:
@@ -205,22 +204,18 @@ def build_shift(spec: ShiftSpec, max_n=14) -> RationalMatrix:
     """
     if spec.n > max_n:
         raise BudgetError(f"n={spec.n} exceeds the enumeration limit {max_n}")
+    rho = spec.rho
+    # one entry value per intersection size |a & b| = 0..n
+    by_size = [rho, rho - 1] + [
+        Fraction((1 - k) ** 2) + rho - 1 if spec.fill == "hardpair" else spec.fill_value
+        for k in range(2, spec.n + 1)]
     size = 1 << spec.n
-    M = RationalMatrix(size, size)
+    entries = []
     for a in range(size):
         if a % 64 == 0:
             check_deadline()
-        for b in range(size):
-            inter = (a & b).bit_count()
-            if inter == 0:
-                M[a, b] = spec.rho
-            elif inter == 1:
-                M[a, b] = spec.rho - 1
-            elif spec.fill == "hardpair":
-                M[a, b] = Fraction((1 - inter) ** 2) + spec.rho - 1
-            else:
-                M[a, b] = spec.fill_value
-    return M
+        entries.extend([by_size[(a & b).bit_count()] for b in range(size)])
+    return RationalMatrix(size, size, entries)
 
 
 def enum_classes(params: UdisjParams):
@@ -250,8 +245,9 @@ def partitions(params: UdisjParams):
 def mu_class_probabilities(params: UdisjParams):
     """(P(A), P(B)) under mu, by exhausting the (T, a, b) construction.
 
-    Also asserts what the construction promises: the support is exactly
-    A union B and pairs within one class are equiprobable.
+    Also checks what the construction promises: the support is exactly
+    A union B and pairs within one class are equiprobable.  A failed check
+    raises VerificationError.
     """
     ell = params.ell
     counts = {}
@@ -267,12 +263,27 @@ def mu_class_probabilities(params: UdisjParams):
                 total += 1
     A, B = enum_classes(params)
     aset, bset = set(A), set(B)
-    assert set(counts) == aset | bset, "mu support must be exactly A union B"
+    require(set(counts) == aset | bset, "mu support is exactly A union B")
     acounts = {counts[p] for p in aset}
     bcounts = {counts[p] for p in bset}
-    assert len(acounts) == 1 and len(bcounts) == 1, "pairs within a class are equiprobable"
+    require(len(acounts) == 1 and len(bcounts) == 1,
+            "mu pairs within a class are equiprobable")
     pa = Fraction(sum(counts[p] for p in aset), total)
     return pa, 1 - pa
+
+
+def _scaled(fn: FunctionTable):
+    """(integer numerators, common denominator) of the values of fn."""
+    den = math.lcm(*(v.denominator for v in fn.values))
+    return [v.numerator * (den // v.denominator) for v in fn.values], den
+
+
+def _class_sum(F, G, pairs):
+    """Sum of F(a) G(b) over pairs, grouped as sum_a F(a) sum_b G(b)."""
+    inner = {}
+    for a, b in pairs:
+        inner[a] = inner.get(a, 0) + G[b]
+    return sum(F[a] * s for a, s in inner.items())
 
 
 def cond_expect(f: FunctionTable, g: FunctionTable, params: UdisjParams):
@@ -282,15 +293,21 @@ def cond_expect(f: FunctionTable, g: FunctionTable, params: UdisjParams):
             raise InputError(f"{name} is a table over n={fn.n}, expected {params.n}")
         if not fn.is_nonneg():
             raise InputError(f"{name} must be nonnegative")
+    (F, df), (G, dg) = _scaled(f), _scaled(g)
     A, B = enum_classes(params)
-    ea = sum((f(a) * g(b) for a, b in A), ZERO) / len(A)
-    eb = sum((f(a) * g(b) for a, b in B), ZERO) / len(B)
-    return ea, eb
+    return (Fraction(_class_sum(F, G, A), len(A) * df * dg),
+            Fraction(_class_sum(F, G, B), len(B) * df * dg))
 
 
-def _avg(fn, masks, extra=0):
-    vals = [fn(m | extra) for m in masks]
-    return sum(vals, ZERO) / len(vals)
+def _row_col_sums(fv, gv, T: PartitionT, ell):
+    """Sums of fv over the l-subsets of T1 and over {i} plus the
+    (l-1)-subsets of T1, then the same for gv over T2: the numerators of
+    Row0, Row1, Col0 and Col1 over C(2l-1, l) and C(2l-1, l-1)."""
+    ibit = 1 << (T.i - 1)
+    return (sum(fv[m] for m in ksubsets(T.t1, ell)),
+            sum(fv[m | ibit] for m in ksubsets(T.t1, ell - 1)),
+            sum(gv[m] for m in ksubsets(T.t2, ell)),
+            sum(gv[m | ibit] for m in ksubsets(T.t2, ell - 1)))
 
 
 def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
@@ -311,12 +328,9 @@ def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
         raise InputError("T1, T2, {i} must partition the ground set")
     if T.t1.bit_count() != tsize or T.t2.bit_count() != tsize:
         raise InputError(f"T1 and T2 must each have {tsize} elements")
-    return RowColStats(
-        row0=_avg(f, list(ksubsets(T.t1, ell))),
-        row1=_avg(f, list(ksubsets(T.t1, ell - 1)), extra=ibit),
-        col0=_avg(g, list(ksubsets(T.t2, ell))),
-        col1=_avg(g, list(ksubsets(T.t2, ell - 1)), extra=ibit),
-    )
+    k0, k1 = math.comb(tsize, ell), math.comb(tsize, ell - 1)
+    r0, r1, c0, c1 = _row_col_sums(f.values, g.values, T, ell)
+    return RowColStats(row0=r0 / k0, row1=r1 / k1, col0=c0 / k0, col1=c1 / k1)
 
 
 @dataclass
@@ -355,23 +369,28 @@ def razborov_identities(f: FunctionTable, g: FunctionTable, params: UdisjParams,
     if params.n > max_n:
         raise BudgetError(f"n={params.n} exceeds the enumeration limit {max_n}")
     lhs_a, lhs_b = cond_expect(f, g, params)
-    sum_a = sum_b = ZERO
-    count = 0
+    # integer numerators throughout; Row0, Col0 sit over k0 = C(2l-1, l)
+    # times the table denominators, Row1, Col1 over k1 = C(2l-1, l-1)
+    (F, df), (G, dg) = _scaled(f), _scaled(g)
+    ell = params.ell
+    k0, k1 = math.comb(2 * ell - 1, ell), math.comb(2 * ell - 1, ell - 1)
+    sum_a = sum_b = count = 0
     per_t2 = {}
     for T in partitions(params):
         check_deadline()
-        st = row_col_stats(f, g, T, params)
-        sum_a += st.row0 * st.col0
-        sum_b += st.row1 * st.col1
+        r0, r1, c0, c1 = _row_col_sums(F, G, T, ell)
+        sum_a += r0 * c0
+        sum_b += r1 * c1
         count += 1
-        acc = per_t2.setdefault(T.t2, [ZERO, ZERO, 0])
-        acc[0] += st.row0
-        acc[1] += st.row1
+        acc = per_t2.setdefault(T.t2, [0, 0, 0])
+        acc[0] += r0
+        acc[1] += r1
         acc[2] += 1
-    marginals = [(t2, s0 / k, s1 / k) for t2, (s0, s1, k) in sorted(per_t2.items())]
+    marginals = [(t2, Fraction(s0, k * k0 * df), Fraction(s1, k * k1 * df))
+                 for t2, (s0, s1, k) in sorted(per_t2.items())]
     return RazborovReport(
-        expectation_a=(lhs_a, sum_a / count),
-        expectation_b=(lhs_b, sum_b / count),
+        expectation_a=(lhs_a, Fraction(sum_a, count * k0 * k0 * df * dg)),
+        expectation_b=(lhs_b, Fraction(sum_b, count * k1 * k1 * df * dg)),
         marginals=marginals)
 
 
@@ -457,8 +476,54 @@ class ScanReport:
 
     def csv_rows(self):
         yield ("rectangle-id", "p_a", "p_b", "value")
+        # a scan shares one (p_a, p_b, value) triple of objects among all
+        # records with the same counts; render each shared triple once
+        rendered = {}
         for rid, pa, pb, val in self.records:
-            yield (rid, rat_str(pa), rat_str(pb), rat_str(val))
+            key = (id(pa), id(pb), id(val))
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = (rat_str(pa), rat_str(pb), rat_str(val))
+            yield (rid,) + text
+
+
+def _exhaustive_counts(A, B, size):
+    """(rows, cols, |R & A|, |R & B|) for every rectangle R of the lattice
+    over `size` subset indices, rows-major."""
+    lattice = range(1 << size)
+    # incidence masks: which pairs survive a given row / column set
+    arow = [sum(1 << k for k, (a, _) in enumerate(A) if (rs >> a) & 1) for rs in lattice]
+    acol = [sum(1 << k for k, (_, b) in enumerate(A) if (cs >> b) & 1) for cs in lattice]
+    brow = [sum(1 << k for k, (a, _) in enumerate(B) if (rs >> a) & 1) for rs in lattice]
+    bcol = [sum(1 << k for k, (_, b) in enumerate(B) if (cs >> b) & 1) for cs in lattice]
+    cols = list(enumerate(zip(acol, bcol)))
+    for rs in lattice:
+        if rs % 64 == 0:
+            check_deadline()
+        ar, br = arow[rs], brow[rs]
+        for cs, (ac, bc) in cols:
+            yield rs, cs, (ar & ac).bit_count(), (br & bc).bit_count()
+
+
+def _sampled_counts(A, B, size, seed, count):
+    """(rows, cols, |R & A|, |R & B|) for `count` uniform rectangles."""
+    # per row index a: masks of the column indices b with (a, b) in A, in B
+    nbrs = {}
+    for k, pairs in enumerate((A, B)):
+        for a, b in pairs:
+            nbrs.setdefault(a, [0, 0])[k] |= 1 << b
+    rows = list(nbrs.items())
+    rng = random.Random(seed)
+    for _ in range(count):
+        check_deadline()
+        rs = rng.getrandbits(size)
+        cs = rng.getrandbits(size)
+        ca = cb = 0
+        for a, (amask, bmask) in rows:
+            if (rs >> a) & 1:
+                ca += (cs & amask).bit_count()
+                cb += (cs & bmask).bit_count()
+        yield rs, cs, ca, cb
 
 
 def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
@@ -469,72 +534,57 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     and is therefore only allowed at n = 3 (65536 rectangles); it also
     reports max{P(R|A) : P(R|B) = 0}.  Sample mode draws `count` uniform
     rectangles from the same lattice with the given seed.
+
+    A rectangle enters only through its integer counts ca = |R & A| and
+    cb = |R & B|.  With eps = p/q its value is N / D with the integer
+    N = (q-p) |B| ca - q |A| cb over the fixed D = q |A| |B|, so rectangles
+    are compared by N, and Fractions are built only for reported values
+    (once per distinct (ca, cb) for records).  Ties go to the first
+    rectangle in (rows, cols) order, for the best value and for the zero-B
+    witness (the largest ca with cb = 0) alike.
     """
     eps = rat(eps)
     if not 0 <= eps < 1:
         raise InputError(f"epsilon must lie in [0,1), got {eps}")
+    if mode not in ("exhaustive", "sample"):
+        raise InputError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+    if mode == "exhaustive" and params.n != 3:
+        raise BudgetError(
+            f"exhaustive scan over 2^(2^{params.n}) rectangles exceeds the "
+            "budget; only n=3 is enumerable")
+    if mode == "sample" and count < 1:
+        raise InputError(f"sample count must be positive, got {count}")
     A, B = enum_classes(params)
+    na, nb = len(A), len(B)
     size = 1 << params.n
+    q = eps.denominator
+    wa, wb, den = (q - eps.numerator) * nb, q * na, q * na * nb
+    if mode == "exhaustive":
+        rects = _exhaustive_counts(A, B, size)
+    else:
+        rects = _sampled_counts(A, B, size, seed, count)
 
-    def probs(rows, cols):
-        ca = sum(1 for a, b in A if (rows >> a) & 1 and (cols >> b) & 1)
-        cb = sum(1 for a, b in B if (rows >> a) & 1 and (cols >> b) & 1)
-        return Fraction(ca, len(A)), Fraction(cb, len(B))
-
-    best_value = None
-    best_rect = None
-    zero_max = None
-    zero_rect = None
+    best_num, best_rect = -den - 1, None  # below every N, so R_0 wins
+    zero_ca, zero_rect = -1, None
+    shared = {}
     records = []
     scanned = 0
-
-    if mode == "exhaustive":
-        if params.n != 3:
-            raise BudgetError(
-                f"exhaustive scan over 2^(2^{params.n}) rectangles exceeds the "
-                "budget; only n=3 is enumerable")
-        # incidence masks: which pairs survive a given row / column set
-        arow = [sum(1 << k for k, (a, _) in enumerate(A) if (rs >> a) & 1)
-                for rs in range(1 << size)]
-        acol = [sum(1 << k for k, (_, b) in enumerate(A) if (cs >> b) & 1)
-                for cs in range(1 << size)]
-        brow = [sum(1 << k for k, (a, _) in enumerate(B) if (rs >> a) & 1)
-                for rs in range(1 << size)]
-        bcol = [sum(1 << k for k, (_, b) in enumerate(B) if (cs >> b) & 1)
-                for cs in range(1 << size)]
-        na, nb = len(A), len(B)
-        for rs in range(1 << size):
-            if rs % 64 == 0:
-                check_deadline()
-            for cs in range(1 << size):
-                pa = Fraction((arow[rs] & acol[cs]).bit_count(), na)
-                pb = Fraction((brow[rs] & bcol[cs]).bit_count(), nb)
-                val = (1 - eps) * pa - pb
-                scanned += 1
-                if best_value is None or val > best_value:
-                    best_value, best_rect = val, (rs, cs)
-                if pb == 0 and (zero_max is None or pa > zero_max):
-                    zero_max, zero_rect = pa, (rs, cs)
-                if keep_records:
-                    records.append((f"r{rs:x}.c{cs:x}", pa, pb, val))
-        return ScanReport("exhaustive", eps, scanned, best_value, best_rect,
-                          zero_b_max=zero_max, zero_b_rect=zero_rect,
-                          records=records)
-
+    for rs, cs, ca, cb in rects:
+        scanned += 1
+        num = wa * ca - wb * cb
+        if num > best_num:
+            best_num, best_rect = num, (rs, cs)
+        if cb == 0 and ca > zero_ca:
+            zero_ca, zero_rect = ca, (rs, cs)
+        if keep_records:
+            triple = shared.get((ca, cb))
+            if triple is None:
+                triple = shared[ca, cb] = (Fraction(ca, na), Fraction(cb, nb),
+                                           Fraction(num, den))
+            records.append((f"r{rs:x}.c{cs:x}",) + triple)
     if mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(count):
-            check_deadline()
-            rs = rng.getrandbits(size)
-            cs = rng.getrandbits(size)
-            pa, pb = probs(rs, cs)
-            val = (1 - eps) * pa - pb
-            scanned += 1
-            if best_value is None or val > best_value:
-                best_value, best_rect = val, (rs, cs)
-            if keep_records:
-                records.append((f"r{rs:x}.c{cs:x}", pa, pb, val))
-        return ScanReport("sample", eps, scanned, best_value, best_rect,
+        return ScanReport("sample", eps, scanned, Fraction(best_num, den), best_rect,
                           records=records)
-
-    raise InputError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+    return ScanReport("exhaustive", eps, scanned, Fraction(best_num, den), best_rect,
+                      zero_b_max=Fraction(zero_ca, na), zero_b_rect=zero_rect,
+                      records=records)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -340,6 +342,30 @@ class TestExitDiscipline:
         assert rc == 3
         assert not (tmp_path / "never.json").exists()
 
+    def test_budget_reaches_sampled_scan(self, tmp_path):
+        rc = main(["--budget-ms", "1", "corruption-scan", "--n", "11", "--eps", "1/2",
+                   "--mode", "sample", "--count", "150", "--out", str(tmp_path / "never.json")])
+        assert rc == 3
+        assert not (tmp_path / "never.json").exists()
+
+    def test_budget_reaches_nmf_restarts(self, tmp_path, monkeypatch):
+        # rank 2 < 3 = upper, so the NMF loop runs; every exact completion
+        # outlasts the budget without polling it and none verifies, so only
+        # the poll at the next NMF restart can stop the run
+        from efbound import nnfact
+
+        def slow_completion(T, rhs):
+            time.sleep(0.3)
+            return "no", None
+        monkeypatch.setattr(nnfact, "nonneg_solution", slow_completion)
+        monkeypatch.setattr(nnfact, "verify_factorization", lambda S, fac: False)
+        write(tmp_path / "m.json",
+              RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]).to_json())
+        rc = main(["--budget-ms", "200", "nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
+                   "--restarts", "3", "--out", str(tmp_path / "never.json")])
+        assert rc == 3
+        assert not (tmp_path / "never.json").exists()
+
     def test_failed_internal_check_exits_four(self, pair_files, monkeypatch, capsys):
         from efbound import ratlin
         genuine = ratlin._Tableau.phase2
@@ -410,6 +436,49 @@ class TestDeterminism:
             assert main(["hardpair-slack", "--n", "3", "--rho", "3/2",
                          "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# sha256 of udisj artifacts as written by the Fraction-per-element
+# implementation; the integer kernels must reproduce them byte for byte
+_SCAN3 = ["corruption-scan", "--n", "3"]
+_SAMPLE7 = ["corruption-scan", "--n", "7", "--eps", "5/16", "--mode", "sample",
+            "--seed", "4", "--count", "200"]
+_SHIFT4 = ["udisj-shift", "--n", "4", "--rho", "217/97"]
+PINNED_UDISJ = [
+    (_SCAN3 + ["--eps", "0"],
+     "71683a8231bf4909adb9aabe13d5ccc9ec2ebe40b97e76a6ee24264c8a28f7ae"),
+    (_SCAN3 + ["--eps", "1/2"],
+     "1d212e91a5ee3d7e30317ca5e1305b65d037cdec89faf48e35bc199738e31f62"),
+    (_SCAN3 + ["--eps", "517/1024"],
+     "8f54c13019582011372bf9bc37c2cfd5cc3502311df23652fff6653a0899406d"),
+    (_SCAN3 + ["--eps", "3/4"],
+     "c0a4f958b020c9cd5ef32c4d5a228158b5139b0615058f293a00686e48fe1ace"),
+    (_SCAN3 + ["--eps", "517/1024", "--format", "csv"],
+     "ace707f78f9f6f9a1882842937c95610f11bd0cb984d1895cae0599ede1d95c0"),
+    (_SAMPLE7,
+     "1700eb9a89a8a736e582ceb5ea1745802112ca33e9bc9ead428de9f9aebe9062"),
+    (_SAMPLE7 + ["--format", "csv"],
+     "a20a832b0fadfb850d02c3d0dcac68192714d03bdb5809d6789999440f0bef0c"),
+    (["corruption-scan", "--n", "11", "--eps", "17/64", "--mode", "sample",
+      "--seed", "3", "--count", "40"],
+     "cec8b3c1d72d2358471c5bbde1b335e5c3cf7130c3527653fc53f86cc0b5b5ed"),
+    (["razborov-check", "--n", "7", "--trials", "3", "--seed", "7"],
+     "f7f812f0eec62898eecca3fb11032d36514cf32d10a7cb6538d2f2b230b83624"),
+    (["razborov-check", "--n", "11", "--f", "contains:3", "--g", "avoids:5"],
+     "dd111e06665606046bebddf8dae9561dcf34e6f5a769f6880ba37dce30ae6029"),
+    (_SHIFT4,
+     "225ab136bad89f0ca5eaa390b0430eef830e300a62d5c2a1983a6960b7d16212"),
+    (_SHIFT4 + ["--fill", "constant", "--fill-value", "5/3"],
+     "48f21a05a6a8c218a2db8b0ebc2c62aa2bf01d8dfc8b19be308e8f6ab66f858e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_UDISJ,
+                         ids=[" ".join(argv) for argv, _ in PINNED_UDISJ])
+def test_udisj_artifacts_pinned(tmp_path, argv, digest):
+    out = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestEntryPoint:

@@ -1,10 +1,18 @@
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from efbound.errors import BudgetError, InputError
+from efbound import udisj
+from efbound.errors import BudgetError, InputError, VerificationError
 from efbound.udisj import (
     CorruptionParams,
     FunctionTable,
@@ -141,7 +149,7 @@ class TestEnumClasses:
 class TestMu:
     @pytest.mark.parametrize("n", [3, 7])
     def test_class_masses(self, n):
-        # internal asserts also check support = A u B and equiprobability
+        # internal checks also cover support = A u B and equiprobability
         assert mu_class_probabilities(UdisjParams(n)) == (Fraction(3, 4), Fraction(1, 4))
 
 
@@ -399,6 +407,8 @@ class TestRectangleScan:
             rectangle_corruption_scan(p, Fraction(1, 2), mode="walk")
         with pytest.raises(InputError):
             rectangle_corruption_scan(p, Fraction(3, 2))
+        with pytest.raises(InputError):
+            rectangle_corruption_scan(p, Fraction(1, 2), mode="sample", count=0)
 
     def test_csv_rows(self):
         p = UdisjParams(3)
@@ -407,3 +417,175 @@ class TestRectangleScan:
         rows = list(rep.csv_rows())
         assert rows[0] == ("rectangle-id", "p_a", "p_b", "value")
         assert len(rows) == 6
+
+
+class TestMuChecks:
+    def _corrupt_classes(self, monkeypatch):
+        # drop one disjoint pair: mu's support is then no longer A union B
+        genuine = udisj.enum_classes
+
+        def short_a(params):
+            A, B = genuine(params)
+            return A[1:], B
+        monkeypatch.setattr(udisj, "enum_classes", short_a)
+
+    def test_support_mismatch_raises(self, monkeypatch):
+        self._corrupt_classes(monkeypatch)
+        with pytest.raises(VerificationError):
+            mu_class_probabilities(UdisjParams(3))
+
+    def test_raises_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(udisj.__file__)))
+        code = (
+            "import sys\n"
+            "from efbound import VerificationError, udisj\n"
+            "assert False, 'asserts are live'\n"
+            "genuine = udisj.enum_classes\n"
+            "udisj.enum_classes = lambda p: (genuine(p)[0][1:], genuine(p)[1])\n"
+            "try:\n"
+            "    udisj.mu_class_probabilities(udisj.UdisjParams(3))\n"
+            "except VerificationError:\n"
+            "    print('rejected', sys.flags.optimize)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["rejected", "1"]
+
+
+# --- direct Fraction definitions for the property tests ---
+
+def _mask(elements):
+    return sum(1 << e for e in elements)
+
+
+def _direct_probs(A, B, rs, cs):
+    """(P(R|A), P(R|B)) by counting the pairs of each class inside R."""
+    return tuple(Fraction(sum(1 for a, b in pairs if (rs >> a) & 1 and (cs >> b) & 1),
+                          len(pairs)) for pairs in (A, B))
+
+
+@functools.cache
+def _n3_rectangles():
+    """(rows, cols, |R & A|, |R & B|) of all n=3 rectangles, rows-major."""
+    A, B = enum_classes(UdisjParams(3))
+    return [(rs, cs) + tuple(sum(1 for a, b in pairs if (rs >> a) & 1 and (cs >> b) & 1)
+                             for pairs in (A, B))
+            for rs in range(256) for cs in range(256)]
+
+
+def _best(rects, eps):
+    """First maximizer in scan order, by Fraction comparison."""
+    best = None
+    for rs, cs, pa, pb in rects:
+        val = (1 - eps) * pa - pb
+        if best is None or val > best[0]:
+            best = (val, (rs, cs))
+    return best
+
+
+epsilons = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(1, 1 << 20).flatmap(
+        lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))))
+
+
+def _fraction_table(n, rng):
+    # mixed denominators, zeros included, as the CLI's --trials tables
+    return FunctionTable(
+        n, [Fraction(rng.randrange(0, 30), rng.randrange(1, 40)) for _ in range(1 << n)])
+
+
+def _direct_razborov(f, g, n):
+    """Both right-hand sides and the per-T2 marginals by plain Fraction
+    averages over an independent enumeration of the partitions."""
+    ell = (n + 1) // 4
+
+    def mean(vals):
+        vals = list(vals)
+        return sum(vals, Fraction(0)) / len(vals)
+
+    sum_a, sum_b, per_t2 = [], [], {}
+    for i in range(n):
+        rest = [e for e in range(n) if e != i]
+        for t1 in combinations(rest, 2 * ell - 1):
+            t2 = [e for e in rest if e not in t1]
+            row0 = mean(f(_mask(a)) for a in combinations(t1, ell))
+            row1 = mean(f(_mask(a) | 1 << i) for a in combinations(t1, ell - 1))
+            col0 = mean(g(_mask(b)) for b in combinations(t2, ell))
+            col1 = mean(g(_mask(b) | 1 << i) for b in combinations(t2, ell - 1))
+            sum_a.append(row0 * col0)
+            sum_b.append(row1 * col1)
+            per_t2.setdefault(_mask(t2), []).append((row0, row1))
+    marginals = [(t2, mean(r0 for r0, _ in rows), mean(r1 for _, r1 in rows))
+                 for t2, rows in sorted(per_t2.items())]
+    return mean(sum_a), mean(sum_b), marginals
+
+
+class TestProperties:
+    @settings(max_examples=10, deadline=None)
+    @given(epsilons, st.booleans())
+    def test_exhaustive_scan_against_direct_count(self, eps, keep):
+        # the 65536 rectangles take 6 x 3 count pairs; each pair's Fractions
+        # come from the definition, the maximizers from a plain scan
+        rects = _n3_rectangles()
+        defined = {(ca, cb): (Fraction(ca, 6), Fraction(cb, 3),
+                              (1 - eps) * Fraction(ca, 6) - Fraction(cb, 3))
+                   for ca in range(7) for cb in range(4)}
+        rep = rectangle_corruption_scan(UdisjParams(3), eps, keep_records=keep)
+        best = max(defined[ca, cb][2] for _, _, ca, cb in rects)
+        first = next((rs, cs) for rs, cs, ca, cb in rects if defined[ca, cb][2] == best)
+        assert (rep.best_value, rep.best_rect) == (best, first)
+        zero = max(ca for _, _, ca, cb in rects if cb == 0)
+        first = next((rs, cs) for rs, cs, ca, cb in rects if (ca, cb) == (zero, 0))
+        assert (rep.zero_b_max, rep.zero_b_rect) == (Fraction(zero, 6), first)
+        if keep:
+            assert rep.records == [(f"r{rs:x}.c{cs:x}",) + defined[ca, cb]
+                                   for rs, cs, ca, cb in rects]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 7, 11]), epsilons, st.integers(0, 10 ** 6),
+           st.integers(1, 12), st.booleans())
+    def test_sampled_scan_against_direct_count(self, n, eps, seed, count, keep):
+        p = UdisjParams(n)
+        A, B = enum_classes(p)
+        rng = random.Random(seed)
+        rects = []
+        for _ in range(count):
+            rs = rng.getrandbits(1 << n)
+            cs = rng.getrandbits(1 << n)
+            rects.append((rs, cs) + _direct_probs(A, B, rs, cs))
+        rep = rectangle_corruption_scan(p, eps, mode="sample", seed=seed, count=count,
+                                        keep_records=keep)
+        assert rep.scanned == count
+        assert (rep.best_value, rep.best_rect) == _best(rects, eps)
+        assert rep.zero_b_max is None and rep.zero_b_rect is None
+        assert rep.records == ([(f"r{rs:x}.c{cs:x}", pa, pb, (1 - eps) * pa - pb)
+                                for rs, cs, pa, pb in rects] if keep else [])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([3, 7]), st.integers(0, 10 ** 6))
+    def test_razborov_against_fraction_definition(self, n, seed):
+        rng = random.Random(seed)
+        f, g = _fraction_table(n, rng), _fraction_table(n, rng)
+        p = UdisjParams(n)
+        A, B = enum_classes(p)
+        direct_a = sum((f(a) * g(b) for a, b in A), Fraction(0)) / len(A)
+        direct_b = sum((f(a) * g(b) for a, b in B), Fraction(0)) / len(B)
+        assert cond_expect(f, g, p) == (direct_a, direct_b)
+        rhs_a, rhs_b, marginals = _direct_razborov(f, g, n)
+        rep = razborov_identities(f, g, p)
+        assert rep.expectation_a == (direct_a, rhs_a)
+        assert rep.expectation_b == (direct_b, rhs_b)
+        assert rep.marginals == marginals
+        assert rep.ok
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5),
+           st.fractions(min_value=1, max_value=50, max_denominator=1000),
+           st.fractions(min_value=-50, max_value=50, max_denominator=1000))
+    def test_constant_fill_shift_closed_form(self, n, rho, fill):
+        M = build_shift(ShiftSpec(n, rho, fill="constant", fill_value=fill))
+        closed = {0: rho, 1: rho - 1}
+        assert M.tolist() == [[closed.get((a & b).bit_count(), fill)
+                               for b in range(1 << n)] for a in range(1 << n)]
