@@ -16,6 +16,12 @@ rank and from an exact minimum rectangle cover of the support, upper bounds
 only ever drop below min(m, n) when a candidate factorization verifies as an
 exact rational identity.  Floating-point appears solely inside the NMF
 heuristic, and anything it produces is either made exact or thrown away.
+
+The rectangle cover is a branch and bound over the maximal rectangles of
+the support, whose column sets are found as the intersection closure of the
+row supports.  It prunes a node by three bounds valid for a minimum cover
+(rectangles left, the largest residual gains, a greedy fooling set) and
+skips each branch whose newly covered cells another branch also covers.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, InputError, check_deadline
+from .errors import BudgetError, InputError, check_deadline, require
 from .polyhedra import (
     ExtendedFormulation,
     HRep,
@@ -92,7 +98,11 @@ class FactorizationCheck:
 
 
 def verify_factorization(S, fac: NonnegFactorization) -> FactorizationCheck:
-    """Exact check that fac is a nonnegative factorization of S."""
+    """Exact check that fac is a nonnegative factorization of S.
+
+    Product entries are formed row by row and the check stops at the first
+    mismatch, so a failing candidate costs no full product.
+    """
     if not isinstance(S, RationalMatrix):
         S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
     if fac.T.rows != S.rows or fac.U.cols != S.cols:
@@ -105,12 +115,14 @@ def verify_factorization(S, fac: NonnegFactorization) -> FactorizationCheck:
                 if M[i, j] < 0:
                     return FactorizationCheck(
                         False, f"negative entry {M[i, j]} in {name}", (name, i, j))
-    P = fac.T @ fac.U
+    ucols = [fac.U.col(j) for j in range(S.cols)]
     for i in range(S.rows):
-        for j in range(S.cols):
-            if P[i, j] != S[i, j]:
+        ti = fac.T.row(i)
+        for j, uj in enumerate(ucols):
+            p = dot(ti, uj)
+            if p != S[i, j]:
                 return FactorizationCheck(
-                    False, f"product entry ({i},{j}) is {P[i, j]}, expected {S[i, j]}",
+                    False, f"product entry ({i},{j}) is {p}, expected {S[i, j]}",
                     ("product", i, j))
     return FactorizationCheck(True)
 
@@ -142,9 +154,11 @@ def _tight_derivation(K: ExtendedFormulation, ai, bi):
     if res.status != "optimal":
         return None
     t = res.point
-    assert [dot(K.E.col(j), t) for j in range(K.dim)] == list(ai)
-    assert all(dot(K.F.col(j), t) >= 0 for j in range(r))
-    assert dot(t, K.g) == bi
+    require([dot(K.E.col(j), t) for j in range(K.dim)] == list(ai),
+            "tight derivation: t E = a_i")
+    require(all(dot(K.F.col(j), t) >= 0 for j in range(r)),
+            "tight derivation: t F >= 0")
+    require(dot(t, K.g) == bi, "tight derivation: t g = b_i")
     return t
 
 
@@ -204,8 +218,8 @@ def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFacto
         bottom = RationalMatrix(1, npts + nrays, [ONE] * npts + [ZERO] * nrays)
         right = RationalMatrix.vstack([RationalMatrix.hstack([W, Z]), bottom])
     fac = NonnegFactorization(left, right)
-    S = build_slack(P, Q).full()
-    assert verify_factorization(S, fac)
+    check = verify_factorization(build_slack(P, Q).full(), fac)
+    require(check, f"factorization from the EF verifies ({check.reason})")
     return fac
 
 
@@ -213,18 +227,26 @@ def _support_masks(S: RationalMatrix):
     return [sum(1 << j for j in range(S.cols) if S[i, j] != 0) for i in range(S.rows)]
 
 
-def _fooling_lb(rowmasks, cells):
-    """Greedy set of pairwise rectangle-incompatible support cells.
+def _compatible(rowmasks, a, b):
+    """Support cells a and b fit in one all-support rectangle iff both
+    opposite corners are support cells."""
+    (i, j), (k, l) = a, b
+    return bool((rowmasks[i] >> l) & 1 and (rowmasks[k] >> j) & 1)
 
-    Two cells fit in a common all-support rectangle iff both opposite
-    corners are support cells; any such antichain lower-bounds the cover.
+
+def _greedy_fooling(avail, compat, limit):
+    """Size of a greedy fooling set (pairwise incompatible cells) in avail.
+
+    Cells are bits; the lowest one left is taken and every cell compatible
+    with it, itself included, is dropped (compat(k) is that mask).  No
+    rectangle holds two fooling cells, so the size lower-bounds the cover.
+    Counting stops once the size exceeds limit.
     """
-    kept = []
-    for (i, j) in cells:
-        if all(not ((rowmasks[i] >> l) & 1 and (rowmasks[k] >> j) & 1)
-               for (k, l) in kept):
-            kept.append((i, j))
-    return max(1, len(kept))
+    size = 0
+    while avail and size <= limit:
+        avail &= ~compat((avail & -avail).bit_length() - 1)
+        size += 1
+    return size
 
 
 def rect_cover_lb(S, max_side=16) -> int:
@@ -232,12 +254,23 @@ def rect_cover_lb(S, max_side=16) -> int:
     the support of S.
 
     Each rank-1 nonnegative term of a factorization has rectangular support,
-    so this is a sound lower bound on the nonnegative rank.  Candidate
-    rectangles are the maximal ones (closures of column sets of row
-    subsets); the minimum cover over them is found by branch and bound.
+    so this is a sound lower bound on the nonnegative rank.  Some minimum
+    cover uses maximal rectangles only.  Their column sets are the
+    nonempty intersections of row supports; they are closed under
+    intersection, so they are built by adding each row support r and every
+    c & r to the family found so far.
+
+    The minimum cover over them is found by branch and bound, started from
+    a greedy cover.  With k rectangles left for a strictly better cover, a
+    node is pruned when k <= 0, when the k largest residual gains (cells of
+    a rectangle still uncovered) sum to less than the uncovered cells, or
+    when a greedy fooling set of uncovered cells exceeds k; at k = 1 one
+    rectangle must hold every uncovered cell.  The search branches on the
+    uncovered cell with the fewest candidate rectangles and skips each
+    candidate whose residual lies inside another candidate's residual.
 
     A support side exceeding max_side raises a budget error carrying the
-    best cheap bound found (a greedy fooling set).
+    best cheap bound found (a greedy fooling set, row-major).
     """
     if not isinstance(S, RationalMatrix):
         S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
@@ -250,71 +283,78 @@ def rect_cover_lb(S, max_side=16) -> int:
     # work along the smaller side; a cover is transpose-invariant
     if S.cols < S.rows:
         return rect_cover_lb(S.transpose(), max_side=max_side)
-    m, n = S.rows, S.cols
+    m = S.rows
     if m > max_side:
+        def compat_row_major(k):
+            return sum(1 << l for l, b in enumerate(cells)
+                       if _compatible(rowmasks, cells[k], b))
         raise BudgetError(
             f"support side {m} exceeds enumeration budget {max_side}",
-            partial=_fooling_lb(rowmasks, cells))
+            partial=_greedy_fooling((1 << len(cells)) - 1, compat_row_major, len(cells)))
 
-    maximal = set()
-    nonzero_rows = [i for i in range(m) if rowmasks[i]]
-    for sub in range(1, 1 << len(nonzero_rows)):
-        if sub % 1024 == 0:
-            check_deadline()
-        colmask = -1
-        for idx, i in enumerate(nonzero_rows):
-            if (sub >> idx) & 1:
-                colmask &= rowmasks[i]
-        if colmask == 0:
-            continue
-        rowmask = sum(1 << i for i in range(m) if rowmasks[i] & colmask == colmask)
-        maximal.add((rowmask, colmask))
+    # number the cells by fewest compatible cells, the greedy fooling order
+    compatible = {a: [b for b in cells if _compatible(rowmasks, a, b)] for a in cells}
+    cells.sort(key=lambda a: len(compatible[a]))
+    bit = {c: 1 << k for k, c in enumerate(cells)}
+    compat = [sum(bit[b] for b in compatible[a]) for a in cells]
 
-    cell_index = {c: k for k, c in enumerate(cells)}
-    rects = []
-    for rowmask, colmask in maximal:
-        mask = 0
-        for i in range(m):
-            if (rowmask >> i) & 1:
-                for j in range(n):
-                    if (colmask >> j) & 1 and S[i, j] != 0:
-                        mask |= 1 << cell_index[(i, j)]
-        rects.append(mask)
-    rects = sorted(set(rects), key=lambda x: -x.bit_count())
-
-    full = (1 << len(cells)) - 1
-    covers_cell = [[] for _ in cells]
-    for ri, rmask in enumerate(rects):
-        for k in range(len(cells)):
-            if (rmask >> k) & 1:
-                covers_cell[k].append(ri)
+    colsets = set()
+    for r in set(rowmasks) - {0}:
+        check_deadline()
+        colsets |= {c & r for c in colsets}
+        colsets.add(r)
+    colsets.discard(0)
+    rects = set()
+    for colmask in colsets:
+        rows = [i for i in range(m) if rowmasks[i] & colmask == colmask]
+        rects.add(sum(bit[(i, j)] for i in rows for j in range(S.cols)
+                      if (colmask >> j) & 1))
+    rects = sorted(rects, key=lambda x: -x.bit_count())
+    covers_cell = [[r for r in rects if r & bit[c]] for c in cells]
+    branch_order = sorted(range(len(cells)), key=lambda k: len(covers_cell[k]))
 
     # greedy start for the upper bound
-    covered, greedy = 0, 0
+    full = (1 << len(cells)) - 1
+    covered, best = 0, 0
     while covered != full:
-        bestr = max(rects, key=lambda rm: (rm & ~covered).bit_count())
-        covered |= bestr
-        greedy += 1
-    best = [greedy]
-    maxsize = max(r.bit_count() for r in rects)
+        covered |= max(rects, key=lambda r: (r & ~covered).bit_count())
+        best += 1
 
-    def bnb(covered, depth):
-        if covered == full:
-            best[0] = min(best[0], depth)
-            return
-        remaining = (full & ~covered).bit_count()
-        if depth + (remaining + maxsize - 1) // maxsize >= best[0]:
-            return
+    def pruned(unc, k):
+        """No cover of the uncovered cells unc with at most k rectangles."""
+        if k <= 0:
+            return True
+        if k == 1:
+            return not any(r & unc == unc
+                           for r in covers_cell[(unc & -unc).bit_length() - 1])
+        if _greedy_fooling(unc, compat.__getitem__, k) > k:
+            return True
+        gains = sorted(map(int.bit_count, map(unc.__and__, rects)), reverse=True)
+        return sum(gains[:k]) < unc.bit_count()
+
+    def search(unc, depth):
+        nonlocal best
         check_deadline()
-        # branch on the uncovered cell with fewest candidate rectangles
-        cell = min((k for k in range(len(cells)) if not (covered >> k) & 1),
-                   key=lambda k: len(covers_cell[k]))
-        for ri in sorted(covers_cell[cell],
-                         key=lambda ri: -(rects[ri] & ~covered).bit_count()):
-            bnb(covered | rects[ri], depth + 1)
+        cell = next(q for q in branch_order if (unc >> q) & 1)
+        kept = []
+        for res in sorted({r & unc for r in covers_cell[cell]},
+                          key=lambda x: -x.bit_count()):
+            if all(res & ~other for other in kept):
+                kept.append(res)
+        for res in kept:
+            k = best - depth - 2  # rectangles left after res for a better cover
+            if k < 0:
+                return
+            rest = unc & ~res
+            if not rest:
+                best = depth + 1
+                return
+            if not pruned(rest, k):
+                search(rest, depth + 1)
 
-    bnb(0, 0)
-    return best[0]
+    if not pruned(full, best - 1):
+        search(full, 0)
+    return best
 
 
 @dataclass
@@ -417,5 +457,5 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
             upper = r
             upper_witness = fac
             break
-    assert lower <= upper
+    require(lower <= upper, "lower bound <= upper bound")
     return NnegrkBounds(lower, upper, lower_witness, upper_witness)

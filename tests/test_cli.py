@@ -203,6 +203,15 @@ class TestFactorizationCommands:
         rep = json.loads((tmp_path / "nb.json").read_text())
         assert rep["lower"] >= 1
 
+    def test_nnegrk_hardpair_n4_rho1_cover(self, tmp_path):
+        s = tmp_path / "s.json"
+        assert main(["hardpair-slack", "--n", "4", "--rho", "1", "--out", str(s)]) == 0
+        assert main(["--budget-ms", "20000", "nnegrk-bounds", "--matrix", str(s),
+                     "--out", str(tmp_path / "nb.json")]) == 0
+        rep = json.loads((tmp_path / "nb.json").read_text())
+        assert rep["lower"] == 13
+        assert "lower=13 via rectangle-cover" in rep["provenance"]
+
     def test_nnegrk_bounds_report(self, pair_files):
         d = pair_files
         hp = build_hard_pair(2)

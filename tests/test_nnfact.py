@@ -1,25 +1,37 @@
+import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efbound import (
     BudgetError,
     HRep,
     InputError,
     RationalMatrix,
+    VerificationError,
     VRep,
     build_slack,
     dilate,
+    hardpair_slack,
     shift_slack,
     trivial_ef,
     verify_sandwich,
 )
+from efbound import nnfact
+from efbound.errors import set_budget_ms
 from efbound.nnfact import (
+    FactorizationCheck,
     NmfConfig,
     NonnegFactorization,
     PreconditionError,
+    _tight_derivation,
     ef_to_factorization,
     factorization_to_ef,
     nnegrk_bounds,
@@ -48,21 +60,94 @@ def hard_pair(n):
 
 
 def exhaustive_cover(rows):
-    """Fewest all-support rectangles covering the support, by trying every
-    family of row-set x column-set rectangles in increasing size."""
+    """Fewest all-support rectangles covering the support.
+
+    Every row-set x column-set rectangle inside the support that no further
+    row or column extends is a candidate: any cover can be widened to such
+    rectangles.  Some member of any cover holds the first cell still
+    uncovered, so trying each candidate holding it in turn misses no cover.
+    """
     m, n = len(rows), len(rows[0])
-    cells = {(i, j) for i in range(m) for j in range(n) if rows[i][j] != 0}
-    rects = []
+    rowsupp = [sum(1 << j for j in range(n) if rows[i][j] != 0) for i in range(m)]
+
+    def inside(rs, cs):
+        return all(rowsupp[i] & cs == cs for i in range(m) if rs >> i & 1)
+
+    rects = set()
     for rs in range(1, 1 << m):
         for cs in range(1, 1 << n):
-            rect = {(i, j) for i in range(m) if rs >> i & 1
-                    for j in range(n) if cs >> j & 1}
-            if rect <= cells:
-                rects.append(rect)
-    for k in range(len(cells) + 1):
-        for family in combinations(rects, k):
-            if set().union(*family) == cells:
-                return k
+            if (inside(rs, cs)
+                    and not any(inside(rs | 1 << i, cs) for i in range(m) if not rs >> i & 1)
+                    and not any(inside(rs, cs | 1 << j) for j in range(n) if not cs >> j & 1)):
+                rects.add(sum(1 << (i * n + j) for i in range(m) if rs >> i & 1
+                              for j in range(n) if cs >> j & 1))
+
+    @functools.cache
+    def fewest(left):
+        if not left:
+            return 0
+        first = left & -left
+        return 1 + min(fewest(left & ~rect) for rect in rects if rect & first)
+    return fewest(sum(1 << (i * n + j) for i in range(m) for j in range(n) if rows[i][j] != 0))
+
+
+# vertices (counterclockwise) of the polygons of the rank-bounds benchmark
+POLYGONS = (
+    ((32, 17), (4, 36), (-24, 27), (-35, -8), (-17, -32), (23, -28)),
+    ((38, 18), (14, 40), (-26, 33), (-40, 12), (-19, -38), (20, -37), (33, -26)),
+    ((44, 19), (25, 41), (-7, 47), (-42, 23), (-48, -7), (-21, -43), (17, -45), (42, -24)),
+    ((49, 22), (39, 37), (-9, 53), (-30, 45), (-53, 8), (-51, -19), (-24, -49), (28, -46),
+     (45, -29)),
+)
+
+
+def polygon_slack(vertices, offset):
+    """Slack of a polygon against its own facets, listed from facet offset on;
+    facet i runs from vertex i to vertex i+1."""
+    facets = []
+    for i, (x1, y1) in enumerate(vertices):
+        x2, y2 = vertices[(i + 1) % len(vertices)]
+        facets.append(([y2 - y1, x1 - x2], (y2 - y1) * x1 + (x1 - x2) * y1))
+    facets = facets[offset:] + facets[:offset]
+    return build_slack(VRep(2, [list(v) for v in vertices]),
+                       HRep(2, [a for a, _ in facets], [b for _, b in facets])).full()
+
+
+supports = st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                       min_size=m, max_size=m)))
+
+
+@st.composite
+def planted_factorizations(draw):
+    """(S, T, U) with S = T U, then up to four entries of S, T or U moved."""
+    m, r, n = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = st.builds(F, st.integers(0, 4), st.integers(1, 3))
+    T = [[draw(entry) for _ in range(r)] for _ in range(m)]
+    U = [[draw(entry) for _ in range(n)] for _ in range(r)]
+    S = [[sum((T[i][k] * U[k][j] for k in range(r)), F(0)) for j in range(n)]
+         for i in range(m)]
+    for _ in range(draw(st.integers(0, 4))):
+        M = draw(st.sampled_from([S, S, S, T, U]))
+        i, j = draw(st.integers(0, len(M) - 1)), draw(st.integers(0, len(M[0]) - 1))
+        M[i][j] += draw(st.sampled_from([F(-5), F(-1, 2), F(1, 3), F(1)]))
+    return S, T, U
+
+
+def full_product_check(S, T, U):
+    """(ok, reason, where) of a check that forms the whole product T @ U first."""
+    for name, M in (("T", T), ("U", U)):
+        for i, row in enumerate(M):
+            for j, x in enumerate(row):
+                if x < 0:
+                    return False, f"negative entry {x} in {name}", (name, i, j)
+    P = (RationalMatrix.from_rows(T) @ RationalMatrix.from_rows(U)).tolist()
+    for i, row in enumerate(P):
+        for j, x in enumerate(row):
+            if x != S[i][j]:
+                return (False, f"product entry ({i},{j}) is {x}, expected {S[i][j]}",
+                        ("product", i, j))
+    return True, "", None
 
 
 def identity_fac(S):
@@ -95,6 +180,12 @@ class TestVerifyFactorization:
         chk = verify_factorization(S, NonnegFactorization(ones, RationalMatrix.identity(2)))
         assert not chk and chk.where[0] == "product"
 
+    def test_first_mismatch_in_row_major_order(self):
+        S = RationalMatrix.from_rows([[1, 5], [7, 1]])
+        chk = verify_factorization(S, identity_fac(RationalMatrix.identity(2)))
+        assert (chk.reason, chk.where) == ("product entry (0,1) is 0, expected 5",
+                                           ("product", 0, 1))
+
     def test_dim_mismatch(self):
         with pytest.raises(InputError):
             verify_factorization(RationalMatrix.identity(3),
@@ -107,6 +198,14 @@ class TestVerifyFactorization:
         fac = identity_fac(RationalMatrix.from_rows([[0, 1], [1, 0]]))
         fac2 = NonnegFactorization.from_json(fac.to_json())
         assert fac2.T == fac.T and fac2.U == fac.U
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_factorizations())
+    def test_matches_full_product(self, planted):
+        S, T, U = planted
+        chk = verify_factorization(
+            S, NonnegFactorization(RationalMatrix.from_rows(T), RationalMatrix.from_rows(U)))
+        assert (chk.ok, chk.reason, chk.where) == full_product_check(S, T, U)
 
 
 class TestFactorizationToEf:
@@ -243,6 +342,39 @@ class TestRectCover:
             rows = [[F(rng.randint(0, 1)) for _ in range(n)] for _ in range(m)]
             assert rect_cover_lb(rows) == exhaustive_cover(rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(supports, st.data())
+    def test_matches_exhaustive_cover_property(self, rows, data):
+        cover = exhaustive_cover(rows)
+        assert rect_cover_lb(rows) == cover
+        assert rect_cover_lb(RationalMatrix.from_rows(rows).transpose()) == cover
+        dup = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
+        assert rect_cover_lb(rows + [rows[i] for i in dup]) == cover
+
+    @pytest.mark.parametrize("vertices, cover", zip(POLYGONS, (5, 6, 6, 6)))
+    def test_polygon_slacks_every_offset(self, vertices, cover):
+        for offset in range(len(vertices)):
+            assert rect_cover_lb(polygon_slack(vertices, offset)) == cover
+
+    def test_hard_pair_n4_rho1_within_deadline(self):
+        set_budget_ms(20000)
+        try:
+            assert rect_cover_lb(hardpair_slack(4, 1).full()) == 13
+        finally:
+            set_budget_ms(None)
+
+    @pytest.mark.parametrize("seed, m, n, density, max_side, partial", [
+        (1, 18, 18, 0.5, 8, 10), (2, 20, 17, 0.7, 16, 6),
+        (3, 17, 19, 0.85, 16, 4), (4, 17, 17, 0.9, 16, 3)])
+    def test_budget_partial_pinned(self, seed, m, n, density, max_side, partial):
+        # values of the row-major greedy fooling set, recorded before the
+        # search was rewritten; another cell order gives other values here
+        rng = random.Random(seed)
+        rows = [[F(int(rng.random() < density)) for _ in range(n)] for _ in range(m)]
+        with pytest.raises(BudgetError) as ei:
+            rect_cover_lb(rows, max_side=max_side)
+        assert ei.value.partial == partial
+
     def test_cover_below_verified_rank(self):
         # any verified factorization upper-bounds the cover number
         S = RationalMatrix.from_rows([[2, 1], [1, 2]])
@@ -250,6 +382,50 @@ class TestRectCover:
             RationalMatrix.from_rows([[2, 1], [1, 2]]), RationalMatrix.identity(2))
         assert verify_factorization(S, fac)
         assert rect_cover_lb(S) <= fac.rank
+
+
+class TestInternalChecks:
+    """Exact post-checks raise VerificationError (exit 4), also under -O."""
+
+    def test_tight_derivation_point_is_checked(self, monkeypatch):
+        _, Q = segment()
+        K = trivial_ef(Q)
+
+        class Planted:
+            status = "optimal"
+            point = [F(7)] * K.nrows
+        monkeypatch.setattr(nnfact, "lp_solve", lambda *args: Planted)
+        with pytest.raises(VerificationError, match="t E = a_i"):
+            _tight_derivation(K, Q.A.row(0), Q.b[0])
+
+    def test_ef_to_factorization_result_is_checked(self, monkeypatch):
+        P, Q = segment()
+        monkeypatch.setattr(nnfact, "verify_factorization",
+                            lambda S, fac: FactorizationCheck(False, "planted"))
+        with pytest.raises(VerificationError, match="planted"):
+            ef_to_factorization(trivial_ef(Q), P, Q)
+
+    def test_bounds_order_is_checked(self, monkeypatch):
+        monkeypatch.setattr(nnfact, "mat_rank", lambda S: 10)
+        with pytest.raises(VerificationError):
+            nnegrk_bounds(RationalMatrix.identity(3))
+
+    def test_bounds_order_checked_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nnfact.__file__)))
+        code = (
+            "import sys\n"
+            "from efbound import RationalMatrix, VerificationError, nnfact\n"
+            "assert False, 'asserts are live'\n"
+            "nnfact.mat_rank = lambda S: 10\n"
+            "try:\n"
+            "    nnfact.nnegrk_bounds(RationalMatrix.identity(3))\n"
+            "except VerificationError:\n"
+            "    print('rejected', sys.flags.optimize)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["rejected", "1"]
 
 
 class TestNnegrkBounds:
