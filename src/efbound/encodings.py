@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetError, InputError, check_deadline
+from .errors import BudgetError, InputError, check_deadline, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
 from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
 
@@ -468,8 +468,7 @@ def psd_factors(n, max_n=10) -> PsdFactorPair:
     # <v v^T, w w^T> = (v.w)^2; all magnitudes <= (n+1)^2, exact in int64
     inner = V @ W.T
     dots = bits @ bits.T
-    if not np.array_equal(inner ** 2, (1 - dots) ** 2):
-        raise AssertionError("rank-one factor identity failed")
+    require(np.array_equal(inner ** 2, (1 - dots) ** 2), "rank-one factor identity")
     T = [_outer([-1] + list(map(int, bits[m]))) for m in range(size)]
     U = [_outer([1] + list(map(int, bits[m]))) for m in range(size)]
     rng = np.random.default_rng(0)
@@ -478,7 +477,7 @@ def psd_factors(n, max_n=10) -> PsdFactorPair:
         b = int(rng.integers(size))
         frob = sum((T[a][i, j] * U[b][i, j]
                     for i in range(n + 1) for j in range(n + 1)), ZERO)
-        assert frob == (1 - (a & b).bit_count()) ** 2
+        require(frob == (1 - (a & b).bit_count()) ** 2, "sampled <T_a, U^b> = (1 - a.b)^2")
     return PsdFactorPair(n, T, U)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, require
 from .ratlin import ONE, ZERO, RationalMatrix, dot, lp_solve, lp_solve_each, rat, rat_str
 
 
@@ -337,7 +337,7 @@ def nonneg_solution(F: RationalMatrix, rhs):
     res = lp_solve(None, None, F.tolist(), rhs, [ZERO] * r, nonneg=range(r))
     if res.status == "optimal":
         return "ok", res.point
-    assert res.status == "infeasible"
+    require(res.status == "infeasible", "a feasibility LP is optimal or infeasible")
     return "no", res.farkas_eq
 
 
@@ -359,13 +359,15 @@ def ef_contains_points(P: VRep, K: ExtendedFormulation) -> ContainsReport:
             else [-x for x in ev]
         status, w = nonneg_solution(K.F, rhs)
         if status == "ok":
-            assert all(x >= 0 for x in w)
-            assert [dot(K.F.row(i), w) for i in range(K.nrows)] == rhs
+            require(all(x >= 0 for x in w), "containment witness w >= 0")
+            require([dot(K.F.row(i), w) for i in range(K.nrows)] == rhs,
+                    "containment witness F w = rhs")
             witnesses.append((kind, j, w))
         else:
             u = w
             ftu = [dot(K.F.col(jj), u) for jj in range(K.size)]
-            assert all(x >= 0 for x in ftu) and dot(u, rhs) < 0
+            require(all(x >= 0 for x in ftu) and dot(u, rhs) < 0,
+                    "containment refutation F^T u >= 0, u . rhs < 0")
             return ContainsReport(ok=False, failing={
                 "kind": kind, "index": j, "generator": vec, "certificate": u})
     return ContainsReport(ok=True, witnesses=witnesses)
@@ -394,18 +396,19 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
             u = res.farkas_eq
             et_u = [dot(K.E.col(j), u) for j in range(d)]
             ft_u = [dot(K.F.col(j), u) for j in range(r)]
-            assert all(x == 0 for x in et_u) and all(x >= 0 for x in ft_u)
-            assert dot(u, K.g) < 0
+            require(all(x == 0 for x in et_u) and all(x >= 0 for x in ft_u),
+                    "emptiness certificate E^T u = 0, F^T u >= 0")
+            require(dot(u, K.g) < 0, "emptiness certificate u . g < 0")
             return InsideReport(ok=True, empty=True, empty_certificate=u)
         if res.status == "unbounded":
             x0 = res.point[:d]
             rx = res.ray[:d]
             gain = dot(ai, rx)
-            assert gain > 0
+            require(gain > 0, "unbounded direction raises A_i x")
             t = max(ONE, (Q.b[i] - dot(ai, x0) + 1) / gain)
             x_bad = [x0[k] + t * rx[k] for k in range(d)]
             val = dot(ai, x_bad)
-            assert val > Q.b[i]
+            require(val > Q.b[i], "violating point exceeds b_i")
             return InsideReport(ok=False, failing={
                 "row": i, "point": x_bad, "value": val, "bound": Q.b[i]})
         val = res.value
@@ -414,9 +417,9 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
                 "row": i, "point": res.point[:d], "value": val, "bound": Q.b[i]})
         t = res.dual_eq
         ci = Q.b[i] - val
-        assert [dot(K.E.col(j), t) for j in range(d)] == ai
-        assert all(dot(K.F.col(j), t) >= 0 for j in range(r))
-        assert dot(t, K.g) + ci == Q.b[i] and ci >= 0
+        require([dot(K.E.col(j), t) for j in range(d)] == ai, "derivation t E = A_i")
+        require(all(dot(K.F.col(j), t) >= 0 for j in range(r)), "derivation t F >= 0")
+        require(dot(t, K.g) + ci == Q.b[i] and ci >= 0, "derivation t g + c_i = b_i, c_i >= 0")
         derivations.append((i, t, ci))
     return InsideReport(ok=True, derivations=derivations)
 

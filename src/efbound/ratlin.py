@@ -1,21 +1,27 @@
 """Exact rational linear algebra and a certificate-producing LP solver.
 
-Everything here computes over arbitrary-precision rationals
-(`fractions.Fraction`).  There is deliberately no floating point: downstream
-verification (slack matrices, factorization identities, containment proofs)
-composes long chains of these operations, and a single rounded entry would
-make every certificate worthless.
+Everything here computes over arbitrary-precision rationals: values come in
+and go out as `fractions.Fraction`, and the inner loops run on Python ints.
+There is deliberately no floating point: downstream verification (slack
+matrices, factorization identities, containment proofs) composes long chains
+of these operations, and a single rounded entry would make every
+certificate worthless.
 
 The LP solver is a dense two-phase simplex with Bland's rule, so it
-terminates without tolerances or perturbation.  A `nonneg` set of column
+terminates without tolerances or perturbation.  Each tableau row is a list
+of int numerators over one positive row denominator, reduced by one gcd per
+update; Bland's entering test reads an integer's sign and the ratio test
+cross-multiplies, so the pivots are those of a Fraction tableau, and
+Fractions are built only for the values returned.  A `nonneg` set of column
 indices marks the variables constrained to be >= 0: each gets one tableau
 column and no bound row, while a free variable is the difference of two
 columns.  `lp_solve_each` optimizes a list of objectives over one region,
 running phase 1 once and starting each phase 2 from the previous optimal
 basis; `lp_solve` is its one-objective case.  The deadline of `errors` is
-polled once per pivot.  Every answer is re-checked as a Fraction identity
-before it is returned, and a failed check raises VerificationError in every
-run mode:
+polled once per pivot.  Every answer is re-checked as an exact identity,
+on the rows cleared to ints once per call and each certificate vector put
+over one denominator, before it is returned; a failed check raises
+VerificationError in every run mode:
 
 * optimal   -- primal feasibility, dual feasibility (reduced costs zero on
                free columns, of the right sign on masked ones), matching
@@ -36,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, check_deadline, require
 
@@ -74,13 +81,30 @@ def rat_str(q) -> str:
 
 
 def dot(u, v) -> Fraction:
+    """Exact u . v of rationals (Fractions or ints).
+
+    The numerator and the least common denominator accumulate as ints, and
+    one Fraction is built at the end instead of one per term.
+    """
     if len(u) != len(v):
         raise InputError(f"dot: length mismatch {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        if a and b:
+            d = a.denominator * b.denominator
+            if d == den:
+                num += a.numerator * b.numerator
+            else:
+                g = math.gcd(den, d)
+                num = num * (d // g) + a.numerator * b.numerator * (den // g)
+                den = den // g * d
+    return Fraction(num, den)
 
 
-def mat_vec(rows, x):
-    return [dot(r, x) for r in rows]
+def _over(v):
+    """(numerators, d): the rationals v as ints over one positive d."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 class RationalMatrix:
@@ -271,10 +295,7 @@ def mat_rank(M) -> int:
     the elimination runs on integers and the exact divisions stay exact.
     """
     rows, m, n = _as_row_lists(M)
-    irows = []
-    for r in rows:
-        den = math.lcm(*(x.denominator for x in r)) if r else 1
-        irows.append([int(x * den) for x in r])
+    irows = [_over(r)[0] for r in rows]
     prev = 1
     rank = 0
     for col in range(n):
@@ -390,16 +411,29 @@ def lp_solve_each(A, b, Aeq, beq, objectives, sense="max", nonneg=()):
     Er, er = _norm_system(Aeq, beq, n, "Aeq")
     mask = _norm_mask(nonneg, n)
 
-    tab = _Tableau(Ar, br, Er, er, mask)
+    ineq, eq = _cleared(Ar, br), _cleared(Er, er)
+    tab = _Tableau(ineq + eq, len(ineq), mask)
     farkas = tab.phase1()
-    sign = ONE if sense == "max" else -ONE
+    sign = 1 if sense == "max" else -1
     for c in objs:
         if farkas is None:
             res = tab.phase2(c, sign)
         else:
             res = LpResult("infeasible", farkas_ineq=farkas[0][:], farkas_eq=farkas[1][:])
-        _verify_lp(Ar, br, Er, er, c, sense, mask, res)
+        _check_lp(ineq, eq, c, sense, mask, res)
         yield res
+
+
+def _cleared(rows, rhs):
+    """Each row with its rhs appended, as ints over the row's own positive
+    denominator: (ints, d) with ints / d = row + [rhs]."""
+    return [_over(row + [r]) for row, r in zip(rows, rhs)]
+
+
+def _reduced(line):
+    """line divided by the gcd of its entries (its denominator included)."""
+    g = math.gcd(*line)
+    return [x // g for x in line] if g > 1 else line
 
 
 class _Tableau:
@@ -411,24 +445,28 @@ class _Tableau:
     sign-normalized to a nonnegative rhs.  The artificial block is the
     running basis inverse, so the objective row's entries there are the
     simplex multipliers: duals and Farkas vectors are read off it directly.
+
+    Every row, the objective row included, is a list of ints: the
+    numerators of its entries, then one positive denominator, with no
+    common factor left.  Fractions are built only for the values returned.
     """
 
-    def __init__(self, A, b, E, e, mask):
-        self.n, self.mi = len(mask), len(A)
-        self.var = [(j, ONE) for j in range(self.n)] + \
-                   [(j, -ONE) for j in range(self.n) if not mask[j]]
+    def __init__(self, rows, mi, mask):
+        self.n, self.mi = len(mask), mi
+        self.var = [(j, 1) for j in range(self.n)] + \
+                   [(j, -1) for j in range(self.n) if not mask[j]]
         nx = len(self.var)
-        m = self.mi + len(E)
-        self.art0 = nx + self.mi
+        m = len(rows)
+        self.art0 = nx + mi
         self.width = self.art0 + m + 1
-        self.sigma = [-ONE if r < 0 else ONE for r in b + e]
+        self.sigma = [-1 if ints[-1] < 0 else 1 for ints, _ in rows]
         self.T = []
-        for i, (row, r, sg) in enumerate(zip(A + E, b + e, self.sigma)):
-            line = [sg * s * row[j] for j, s in self.var] + [ZERO] * (self.width - nx)
-            if i < self.mi:
-                line[nx + i] = sg
-            line[self.art0 + i] = ONE
-            line[-1] = sg * r
+        for i, ((ints, d), sg) in enumerate(zip(rows, self.sigma)):
+            line = [sg * s * ints[j] for j, s in self.var] + [0] * (self.width - nx) + [d]
+            if i < mi:
+                line[nx + i] = sg * d
+            line[self.art0 + i] = d
+            line[-2] = sg * ints[-1]
             self.T.append(line)
         self.basis = list(range(self.art0, self.art0 + m))
 
@@ -436,14 +474,12 @@ class _Tableau:
         """Minimize the sum of the artificials.  Returns None when the region
         is nonempty (leaving a feasible basis), else the Farkas pair (y, w)."""
         T, art0 = self.T, self.art0
-        obj = [ZERO] * art0 + [ONE] * len(T) + [ZERO]
-        for line in T:
-            for k, v in enumerate(line):
-                obj[k] -= v
+        obj = _priced([0] * art0 + [1] * len(T) + [0], 1, T, self.basis)
         require(_iterate(T, self.basis, obj, art0) is None, "phase 1 is bounded below")
-        if obj[-1] < 0:
+        if obj[-2] < 0:
             # the multipliers pi_i = 1 - obj[art0+i] price the artificials out
-            y = [sg * (obj[art0 + i] - 1) for i, sg in enumerate(self.sigma)]
+            d = obj[-1]
+            y = [Fraction(sg * (obj[art0 + i] - d), d) for i, sg in enumerate(self.sigma)]
             return y[:self.mi], y[self.mi:]
         # drive artificials out of the basis; rows where that is impossible
         # are identically zero and stay inert
@@ -458,37 +494,49 @@ class _Tableau:
         """Maximize sign * c.x from the current basis, which is left where
         the objective stopped."""
         T, basis, art0, nx = self.T, self.basis, self.art0, len(self.var)
-        cost = [-sign * s * c[j] for j, s in self.var] + [ZERO] * (self.width - nx)
-        obj = cost[:]
-        for line, bv in zip(T, basis):
-            cb = cost[bv]
-            if cb != 0:
-                for k, v in enumerate(line):
-                    obj[k] -= cb * v
+        num, dc = _over(c)
+        cost = [-sign * s * num[j] for j, s in self.var] + [0] * (self.width - nx)
+        obj = _priced(cost, dc, T, basis)
         grew = _iterate(T, basis, obj, art0)
         point = [ZERO] * self.n
         for line, bv in zip(T, basis):
             if bv < nx:
                 j, s = self.var[bv]
-                point[j] += s * line[-1]
+                point[j] += Fraction(s * line[-2], line[-1])
         if grew is not None:
             ray = [ZERO] * self.n
-            for col, coef in [(grew, ONE)] + [(bv, -line[grew]) for line, bv in zip(T, basis)]:
-                if col < nx:
-                    j, s = self.var[col]
-                    ray[j] += s * coef
+            if grew < nx:
+                j, s = self.var[grew]
+                ray[j] += s
+            for line, bv in zip(T, basis):
+                if bv < nx and line[grew]:
+                    j, s = self.var[bv]
+                    ray[j] -= Fraction(s * line[grew], line[-1])
             return LpResult("unbounded", point=point, ray=ray)
         # obj[art0+i] = -pi_i, the multiplier of row i in the normalized system
-        y = [sign * sg * obj[art0 + i] for i, sg in enumerate(self.sigma)]
+        y = [Fraction(sign * sg * obj[art0 + i], obj[-1]) for i, sg in enumerate(self.sigma)]
         return LpResult("optimal", value=dot(c, point), point=point,
                         dual_ineq=y[:self.mi], dual_eq=y[self.mi:])
+
+
+def _priced(cost, dc, T, basis):
+    """The objective row of the costs cost / dc: cost / dc minus
+    cost[basis_i] / dc times row i, as ints over one positive denominator."""
+    d = math.lcm(*(line[-1] for line, bv in zip(T, basis) if cost[bv]))
+    obj = [d * v for v in cost]
+    for line, bv in zip(T, basis):
+        if cost[bv]:
+            f = cost[bv] * (d // line[-1])
+            obj = [a - f * v for a, v in zip(obj, line)]
+    return _reduced(obj + [dc * d])
 
 
 def _iterate(T, basis, obj, art0):
     """Run Bland pivots to optimality; return None, or the entering column
     index if the objective is unbounded (no admissible leaving row).  The
-    global deadline is polled once per pivot."""
-    m = len(T)
+    ratio test compares rhs_a / a_aj with rhs_b / a_bj by cross-multiplying,
+    since the row denominators cancel.  The global deadline is polled once
+    per pivot."""
     while True:
         enter = -1
         for j in range(art0):
@@ -498,14 +546,13 @@ def _iterate(T, basis, obj, art0):
         if enter < 0:
             return None
         leave = -1
-        best = None
-        for i in range(m):
-            aij = T[i][enter]
-            if aij > 0:
-                ratio = T[i][-1] / aij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, line in enumerate(T):
+            a = line[enter]
+            if a > 0:
+                rhs = line[-2]
+                if leave < 0 or rhs * best_a < best_rhs * a or (
+                        rhs * best_a == best_rhs * a and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, rhs, a
         if leave < 0:
             return enter
         check_deadline()
@@ -513,17 +560,26 @@ def _iterate(T, basis, obj, art0):
 
 
 def _pivot(T, basis, obj, r, j):
+    # dividing the pivot row by its entry j cancels the row's denominator
     p = T[r][j]
-    if p != 1:
-        T[r] = [x / p for x in T[r]]
-    prow = T[r]
-    support = [(k, v) for k, v in enumerate(prow) if v != 0]
-    for line in T + [obj]:
-        f = line[j]
-        if f != 0 and line is not prow:
-            for k, v in support:
-                line[k] -= f * v
+    prow = T[r][:-1] + [p]
+    if p < 0:
+        prow = [-x for x in prow]
+    T[r] = prow = _reduced(prow)
+    for i, line in enumerate(T):
+        if line[j] and i != r:
+            T[i] = _eliminate(line, prow, j)
+    if obj[j]:
+        obj[:] = _eliminate(obj, prow, j)
     basis[r] = j
+
+
+def _eliminate(line, prow, j):
+    """line - line[j] * prow, both as numerators over their denominators."""
+    f, p, d = line[j], prow[-1], line[-1]
+    new = [a * p - f * b for a, b in zip(line, prow)]
+    new[-1] = d * p
+    return _reduced(new)
 
 
 def _verify_lp(A, b, E, e, c, sense, mask, res):
@@ -533,48 +589,76 @@ def _verify_lp(A, b, E, e, c, sense, mask, res):
     s ((A^T y + E^T w)_j - c_j): zero on free columns, nonnegative on masked
     ones and complementary to x_j there.
     """
+    _check_lp(_cleared(A, b), _cleared(E, e), c, sense, mask, res)
+
+
+def _check_lp(ineq, eq, c, sense, mask, res):
+    """_verify_lp on rows cleared to ints (see _cleared).  A row scaled by
+    its positive denominator d_i holds the same inequality, and its
+    multiplier becomes y_i / d_i; each vector is put over one denominator,
+    so every identity is tested on ints."""
     n = len(c)
-    s = ONE if sense == "max" else -ONE
+    s = 1 if sense == "max" else -1
     free = [j for j in range(n) if not mask[j]]
     masked = [j for j in range(n) if mask[j]]
+    cnum, dc = _over(c)
 
     def combo(y, w):
-        require(len(y) == len(A) and len(w) == len(E), "multiplier lengths")
-        return [sum((y[i] * A[i][j] for i in range(len(A))), ZERO)
-                + sum((w[k] * E[k][j] for k in range(len(E))), ZERO) for j in range(n)]
+        """A^T y + E^T w and, at index n, b.y + e.w: numerators over one
+        denominator, which is returned with them."""
+        require(len(y) == len(ineq) and len(w) == len(eq), "multiplier lengths")
+        z = [(t.numerator, t.denominator * d) for t, (_, d) in zip(y + w, ineq + eq)]
+        dz = math.lcm(*(q for _, q in z))
+        acc = [0] * (n + 1)
+        for (p, q), (ints, _) in zip(z, ineq + eq):
+            if p:
+                f = p * (dz // q)
+                acc = [a + f * v for a, v in zip(acc, ints)]
+        return acc, dz
 
     def feasible(x):
+        """x as (numerators, denominator) after checking it; also the
+        inequality rows' slacks, scaled by positive factors."""
         require(len(x) == n, "point length")
-        require(all(dot(row, x) <= bi for row, bi in zip(A, b)), "inequality rows hold")
-        require(all(dot(row, x) == ei for row, ei in zip(E, e)), "equality rows hold")
-        require(all(x[j] >= 0 for j in masked), "sign constraints hold")
+        num, dx = _over(x)
+        slack = [ints[-1] * dx - sum(map(mul, ints, num)) for ints, _ in ineq]
+        require(all(v >= 0 for v in slack), "inequality rows hold")
+        require(all(ints[-1] * dx == sum(map(mul, ints, num)) for ints, _ in eq),
+                "equality rows hold")
+        require(all(num[j] >= 0 for j in masked), "sign constraints hold")
+        return num, dx, slack
 
     if res.status == "optimal":
         x, y, w = res.point, res.dual_ineq, res.dual_eq
-        feasible(x)
-        require(dot(c, x) == res.value, "objective value")
+        num, dx, slack = feasible(x)
+        require(Fraction(sum(map(mul, cnum, num)), dc * dx) == res.value, "objective value")
         require(all(s * v >= 0 for v in y), "dual signs")
-        red = [s * (v - cj) for v, cj in zip(combo(y, w), c)]
+        acc, dz = combo(y, w)
+        red = [s * (a * dc - cj * dz) for a, cj in zip(acc, cnum)]
         require(all(red[j] == 0 for j in free), "dual equalities on free columns")
         require(all(red[j] >= 0 for j in masked), "dual inequalities on masked columns")
-        require(dot(y, b) + dot(w, e) == res.value, "strong duality")
-        require(all(y[i] * (b[i] - dot(A[i], x)) == 0 for i in range(len(A))),
+        require(Fraction(acc[n], dz) == res.value, "strong duality")
+        require(all(v == 0 or sl == 0 for v, sl in zip(y, slack)),
                 "complementary slackness on rows")
-        require(all(red[j] * x[j] == 0 for j in masked), "complementary slackness on columns")
+        require(all(red[j] == 0 or num[j] == 0 for j in masked),
+                "complementary slackness on columns")
     elif res.status == "infeasible":
         y, w = res.farkas_ineq, res.farkas_eq
         require(all(v >= 0 for v in y), "Farkas signs")
-        lhs = combo(y, w)
-        require(all(lhs[j] == 0 for j in free), "Farkas equalities on free columns")
-        require(all(lhs[j] >= 0 for j in masked), "Farkas inequalities on masked columns")
-        require(dot(y, b) + dot(w, e) < 0, "Farkas right-hand side")
+        acc, _ = combo(y, w)
+        require(all(acc[j] == 0 for j in free), "Farkas equalities on free columns")
+        require(all(acc[j] >= 0 for j in masked), "Farkas inequalities on masked columns")
+        require(acc[n] < 0, "Farkas right-hand side")
     elif res.status == "unbounded":
         x, r = res.point, res.ray
         feasible(x)
         require(len(r) == n, "ray length")
-        require(all(dot(row, r) <= 0 for row in A), "ray keeps the inequality rows")
-        require(all(dot(row, r) == 0 for row in E), "ray keeps the equality rows")
-        require(all(r[j] >= 0 for j in masked), "ray keeps the sign constraints")
-        require(s * dot(c, r) > 0, "ray improves the objective")
+        rnum, _ = _over(r)
+        require(all(sum(map(mul, ints, rnum)) <= 0 for ints, _ in ineq),
+                "ray keeps the inequality rows")
+        require(all(sum(map(mul, ints, rnum)) == 0 for ints, _ in eq),
+                "ray keeps the equality rows")
+        require(all(rnum[j] >= 0 for j in masked), "ray keeps the sign constraints")
+        require(s * sum(map(mul, cnum, rnum)) > 0, "ray improves the objective")
     else:
         require(False, f"unknown status {res.status!r}")

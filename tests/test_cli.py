@@ -490,6 +490,58 @@ def test_udisj_artifacts_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.fixture(scope="module")
+def lp_artifacts(tmp_path_factory):
+    """The LP-layer artifacts of the hard pairs n=3, 4 with their trivial
+    EFs and of the box EF n=3, written through the CLI into one directory."""
+    d = tmp_path_factory.mktemp("lp")
+
+    def f(name):
+        return str(d / name)
+    for n in (3, 4):
+        hp = build_hard_pair(n)
+        write(d / f"p{n}.json", hp.P.to_json())
+        write(d / f"q{n}.json", hp.Q.to_json())
+        write(d / f"k{n}.json", trivial_ef(hp.Q).to_json())
+    assert main(["box-ef", "--n", "3", "--out", f("box3.json")]) == 0
+    assert main(["hardpair-slack", "--n", "3", "--rho", "3/2", "--out", f("hs3.json")]) == 0
+    runs = [
+        (0, ["verify-sandwich", "--p", f("p3.json"), "--q", f("q3.json"), "--rho", "1",
+             "--ef", f("k3.json"), "--out", f("vs3.json")]),
+        (0, ["verify-sandwich", "--p", f("p4.json"), "--q", f("q4.json"), "--rho", "1",
+             "--ef", f("k4.json"), "--out", f("vs4.json")]),
+        (1, ["verify-sandwich", "--p", f("p3.json"), "--q", f("q3.json"), "--rho", "2",
+             "--ef", f("box3.json"), "--out", f("box_vs.json"), "--cert", f("box_cert.json")]),
+        (0, ["check-cert", "--cert", f("box_cert.json"), "--out", f("box_cc.json")]),
+        (0, ["ef2fac", "--ef", f("k3.json"), "--p", f("p3.json"), "--q", f("q3.json"),
+             "--out", f("fac3.json")]),
+        (0, ["fac2ef", "--q", f("q3.json"), "--fac", f("fac3.json"), "--out", f("ef3.json")]),
+        (0, ["nnegrk-bounds", "--matrix", f("hs3.json"), "--out", f("nb3.json")]),
+    ]
+    for rc, argv in runs:
+        assert main(argv) == rc, argv
+    return d
+
+
+# sha256 of the LP-layer artifacts as written by the Fraction tableau; the
+# integer tableau must reproduce them byte for byte
+PINNED_LP = {
+    "box_cc.json": "603aa9d09c3a26b7b812176ec823485ec7a6fadfd813eb485aa0b8f5f2000b5e",
+    "box_cert.json": "a8fd7c8866ae94210b254c1a57d52c65df354e91a56c16bd00ab53e253b09c8f",
+    "box_vs.json": "a488c05a48137c7f8aebc4e44e3cf19f0fed590d55c5156fd10c800bbd145cd1",
+    "ef3.json": "45a7e7d32e1081d13990fb4fe7e7b20117f43a9e5d2d95545f6c97cf989a6d5d",
+    "fac3.json": "8c8339fa79c7637c1c8cf0831f3e7ebe7baa3cff4268b81e9c25b5172886b5bf",
+    "nb3.json": "3aa8c58c76d472eef1d22423ec3c304a99f307eec21c7f110b3dd071e42047bb",
+    "vs3.json": "78bb9919ee6d8cd7238c41aaba5f02281d4f9b544f73fcffbffa071cc8358ed9",
+    "vs4.json": "ef8646e328b23c510647572d9455e1c69f706f8a436be948fae5c287234d4879",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LP))
+def test_lp_artifacts_pinned(lp_artifacts, name):
+    assert hashlib.sha256((lp_artifacts / name).read_bytes()).hexdigest() == PINNED_LP[name]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "s.json"

@@ -1,14 +1,24 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import efbound
 from efbound import (
     ExtendedFormulation,
     HRep,
     InputError,
+    LpResult,
     RationalMatrix,
+    VerificationError,
     VRep,
+    box_ef,
+    build_hard_pair,
     build_slack,
     dilate,
     ef_contains_points,
@@ -18,7 +28,8 @@ from efbound import (
     trivial_ef,
     verify_sandwich,
 )
-from efbound.polyhedra import recession_fulldim
+from efbound import encodings, polyhedra, ratlin
+from efbound.polyhedra import nonneg_solution, recession_fulldim
 
 
 def segment():
@@ -242,6 +253,33 @@ class TestVerifySandwich:
             assert S.is_nonneg() == rep.ok
 
 
+class TestPivotCounts:
+    """Bland's rule fixes the pivot sequence, so these counts pin it."""
+
+    @pytest.fixture
+    def pivots(self, monkeypatch):
+        count = [0]
+        genuine = ratlin._pivot
+
+        def counting(*args):
+            count[0] += 1
+            return genuine(*args)
+        monkeypatch.setattr(ratlin, "_pivot", counting)
+        return count
+
+    @pytest.mark.parametrize("n,expected", [(3, 94), (4, 345)])
+    def test_hard_pair_trivial_ef(self, pivots, n, expected):
+        hp = build_hard_pair(n)
+        assert verify_sandwich(hp.P, hp.Q, 1, trivial_ef(hp.Q)).ok
+        assert pivots[0] == expected
+
+    @pytest.mark.parametrize("rho,ok", [(2, False), (3, True)])
+    def test_box_ef(self, pivots, rho, ok):
+        hp = build_hard_pair(3)
+        assert verify_sandwich(hp.P, hp.Q, rho, box_ef(3)).ok is ok
+        assert pivots[0] == 184
+
+
 class TestHomogenize:
     def test_segment_becomes_halfline(self):
         _, Q = segment()
@@ -298,3 +336,112 @@ class TestJsonRoundTrips:
             VRep.from_json({"dim": 1})
         with pytest.raises(InputError):
             HRep.from_json({"dim": 1, "A": {"rows": 1, "cols": 1, "entries": ["1"]}})
+
+
+# --- certificate checks fed wrong intermediate results ---
+
+def _yield(res):
+    return lambda *args, **kwargs: iter([res])
+
+
+def _dot_failing_third_call():
+    """polyhedra.dot, except that its third call returns -100: in the
+    unbounded branch of ef_inside_hrep that is the violating point's value."""
+    calls = []
+
+    def dot(u, v):
+        calls.append(None)
+        return F(-100) if len(calls) == 3 else ratlin.dot(u, v)
+    return dot
+
+
+def _tampered_checks():
+    """(check, {(module, attribute): replacement}, call): each call reaches
+    the certificate check named check after the replacements plant a wrong
+    result.  On the segment [0, 1] with its trivial EF, the LP for row 0
+    (-x <= 0) has the columns x, y0, y1, and E = (-1; 1), F = I, g = (0, 1)."""
+    P, Q = segment()
+    K = trivial_ef(Q)
+    zeros = [F(0)] * 3
+
+    def inside():
+        ef_inside_hrep(K, Q)
+
+    def contains():
+        ef_contains_points(P, K)
+
+    def psd():
+        encodings.psd_factors(2)
+
+    def solutions(status, vec):
+        return {(polyhedra, "nonneg_solution"): lambda M, rhs: (status, [F(vec)] * M.cols)}
+
+    def lp(status, **fields):
+        return {(polyhedra, "lp_solve_each"): _yield(LpResult(status, **fields))}
+
+    def optimal(value, t):
+        return lp("optimal", value=F(value), point=zeros, dual_ineq=[],
+                  dual_eq=[F(x) for x in t])
+
+    no_equal = type("NoEqual", (), {"array_equal": staticmethod(lambda a, b: False),
+                                    "__getattr__": lambda self, name: getattr(np, name)})
+    return [
+        ("a feasibility LP is optimal or infeasible",
+         {(polyhedra, "lp_solve"): lambda *args, **kwargs: LpResult("unbounded")},
+         lambda: nonneg_solution(RationalMatrix.identity(1), [F(1)])),
+        ("containment witness w >= 0", solutions("ok", -1), contains),
+        ("containment witness F w = rhs", solutions("ok", 0), contains),
+        ("containment refutation F^T u >= 0, u . rhs < 0", solutions("no", 0), contains),
+        ("emptiness certificate E^T u = 0, F^T u >= 0",
+         lp("infeasible", farkas_ineq=[], farkas_eq=[F(1), F(0)]), inside),
+        ("emptiness certificate u . g < 0",
+         lp("infeasible", farkas_ineq=[], farkas_eq=[F(0), F(0)]), inside),
+        ("unbounded direction raises A_i x", lp("unbounded", point=zeros, ray=zeros), inside),
+        ("violating point exceeds b_i",
+         {**lp("unbounded", point=zeros, ray=[F(-1), F(0), F(0)]),
+          (polyhedra, "dot"): _dot_failing_third_call()}, inside),
+        ("derivation t E = A_i", optimal(0, [0, 0]), inside),
+        ("derivation t F >= 0", optimal(0, [0, -1]), inside),
+        ("derivation t g + c_i = b_i, c_i >= 0", optimal(-1, [1, 0]), inside),
+        ("rank-one factor identity", {(encodings, "np"): no_equal()}, psd),
+        ("sampled <T_a, U^b> = (1 - a.b)^2",
+         {(encodings, "_outer"): lambda vec: RationalMatrix(len(vec), len(vec))}, psd),
+    ]
+
+
+def rejected_tampers():
+    """The VerificationError message of each tampered call, or None."""
+    out = []
+    for _, patches, call in _tampered_checks():
+        saved = {key: getattr(*key) for key in patches}
+        for (mod, attr), value in patches.items():
+            setattr(mod, attr, value)
+        try:
+            call()
+            out.append(None)
+        except VerificationError as exc:
+            out.append(str(exc))
+        finally:
+            for (mod, attr), value in saved.items():
+                setattr(mod, attr, value)
+    return out
+
+
+class TestCertificateChecks:
+    def test_every_check_rejects(self):
+        checks = [check for check, _, _ in _tampered_checks()]
+        assert rejected_tampers() == checks
+
+    def test_rejected_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(efbound.__file__)))
+        here = os.path.dirname(os.path.abspath(__file__))
+        code = ("import json, sys\n"
+                "assert False, 'asserts are live'\n"
+                "from test_polyhedra import rejected_tampers\n"
+                "print(json.dumps([sys.flags.optimize, rejected_tampers()]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        checks = [check for check, _, _ in _tampered_checks()]
+        assert json.loads(proc.stdout) == [1, checks]

@@ -21,6 +21,7 @@ from efbound import (
     mat_rank,
     rat,
     rat_str,
+    ratlin,
 )
 from efbound.errors import set_budget_ms
 from efbound.ratlin import _verify_lp, dot
@@ -429,3 +430,164 @@ class TestLpProperties:
         warm = list(lp_solve_each(*system, objs, sense, mask))
         cold = [lp_solve(*system, c, sense, mask) for c in objs]
         assert [(r.status, r.value) for r in warm] == [(r.status, r.value) for r in cold]
+
+
+# --- reference: the Fraction tableau that the integer one replaced ---
+
+class RefTableau:
+    """Dense Fraction simplex tableau, kept as the reference for the integer
+    tableau of ratlin: same columns, sign normalization, phases and Bland's
+    rule, with every entry a Fraction.  Pivots are logged as (row, column)."""
+
+    def __init__(self, A, b, E, e, mask):
+        self.n, self.mi = len(mask), len(A)
+        self.var = [(j, F(1)) for j in range(self.n)] + \
+                   [(j, F(-1)) for j in range(self.n) if not mask[j]]
+        nx = len(self.var)
+        m = self.mi + len(E)
+        self.art0 = nx + self.mi
+        self.width = self.art0 + m + 1
+        self.sigma = [F(-1) if r < 0 else F(1) for r in b + e]
+        self.T = []
+        for i, (row, r, sg) in enumerate(zip(A + E, b + e, self.sigma)):
+            line = [sg * s * row[j] for j, s in self.var] + [F(0)] * (self.width - nx)
+            if i < self.mi:
+                line[nx + i] = sg
+            line[self.art0 + i] = F(1)
+            line[-1] = sg * r
+            self.T.append(line)
+        self.basis = list(range(self.art0, self.art0 + m))
+        self.pivots = []
+
+    def phase1(self):
+        T, art0 = self.T, self.art0
+        obj = [F(0)] * art0 + [F(1)] * len(T) + [F(0)]
+        for line in T:
+            for k, v in enumerate(line):
+                obj[k] -= v
+        assert self.iterate(obj) is None
+        if obj[-1] < 0:
+            y = [sg * (obj[art0 + i] - 1) for i, sg in enumerate(self.sigma)]
+            return y[:self.mi], y[self.mi:]
+        for i in range(len(T)):
+            if self.basis[i] >= art0:
+                enter = next((j for j in range(art0) if T[i][j] != 0), None)
+                if enter is not None:
+                    self.pivot(obj, i, enter)
+        return None
+
+    def phase2(self, c, sign):
+        T, basis, nx = self.T, self.basis, len(self.var)
+        cost = [-sign * s * c[j] for j, s in self.var] + [F(0)] * (self.width - nx)
+        obj = cost[:]
+        for line, bv in zip(T, basis):
+            for k, v in enumerate(line):
+                obj[k] -= cost[bv] * v
+        grew = self.iterate(obj)
+        point = [F(0)] * self.n
+        for line, bv in zip(T, basis):
+            if bv < nx:
+                j, s = self.var[bv]
+                point[j] += s * line[-1]
+        if grew is not None:
+            ray = [F(0)] * self.n
+            for col, coef in [(grew, F(1))] + [(bv, -line[grew]) for line, bv in zip(T, basis)]:
+                if col < nx:
+                    j, s = self.var[col]
+                    ray[j] += s * coef
+            return LpResult("unbounded", point=point, ray=ray)
+        y = [sign * sg * obj[self.art0 + i] for i, sg in enumerate(self.sigma)]
+        return LpResult("optimal", value=dot(c, point), point=point,
+                        dual_ineq=y[:self.mi], dual_eq=y[self.mi:])
+
+    def iterate(self, obj):
+        T, basis = self.T, self.basis
+        while True:
+            enter = next((j for j in range(self.art0) if obj[j] < 0), None)
+            if enter is None:
+                return None
+            leave, best = None, None
+            for i, line in enumerate(T):
+                if line[enter] > 0:
+                    ratio = line[-1] / line[enter]
+                    if best is None or ratio < best or (
+                            ratio == best and basis[i] < basis[leave]):
+                        leave, best = i, ratio
+            if leave is None:
+                return enter
+            self.pivot(obj, leave, enter)
+
+    def pivot(self, obj, r, j):
+        self.pivots.append((r, j))
+        T = self.T
+        T[r] = [x / T[r][j] for x in T[r]]
+        for line in T + [obj]:
+            f = line[j]
+            if f != 0 and line is not T[r]:
+                for k, v in enumerate(T[r]):
+                    line[k] -= f * v
+        self.basis[r] = j
+
+
+def reference_each(A, b, E, e, objs, sense, nonneg):
+    """lp_solve_each on the reference tableau: (results, pivots)."""
+    mask = [j in nonneg for j in range(len(objs[0]))]
+    tab = RefTableau(A, b, E, e, mask)
+    farkas = tab.phase1()
+    sign = F(1) if sense == "max" else F(-1)
+    out = []
+    for c in objs:
+        if farkas is None:
+            out.append(tab.phase2(c, sign))
+        else:
+            out.append(LpResult("infeasible", farkas_ineq=farkas[0], farkas_eq=farkas[1]))
+    return out, tab.pivots
+
+
+def logged_each(*args):
+    """lp_solve_each with its pivots logged: (results, pivots)."""
+    pivots = []
+    genuine = ratlin._pivot
+
+    def logged(T, basis, obj, r, j):
+        pivots.append((r, j))
+        genuine(T, basis, obj, r, j)
+    ratlin._pivot = logged
+    try:
+        return list(lp_solve_each(*args)), pivots
+    finally:
+        ratlin._pivot = genuine
+
+
+@st.composite
+def small_lps(draw):
+    """LPs in up to four variables with rational data and several
+    objectives.  Equalities with zero right-hand sides and a redundant
+    multiple of the first equality make degenerate phase-1 ends, where
+    artificials are driven out by pivots of either sign."""
+    n = draw(st.integers(1, 4))
+    coef = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 5]))
+    rows = lambda m: draw(st.lists(st.lists(coef, min_size=n, max_size=n),  # noqa: E731
+                                   min_size=m, max_size=m))
+    mi, me = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    A, E = rows(mi), rows(me)
+    b = draw(st.lists(coef, min_size=mi, max_size=mi))
+    e = draw(st.lists(st.just(F(0)) | coef, min_size=me, max_size=me))
+    if E and draw(st.booleans()):
+        k = draw(st.sampled_from([F(-2), F(1), F(3, 2)]))
+        E.append([k * x for x in E[0]])
+        e.append(k * e[0])
+    mask = sorted(draw(st.sets(st.integers(0, n - 1))))
+    objs = rows(draw(st.integers(1, 4)))
+    return A, b, E, e, mask, objs
+
+
+class TestReferenceSimplex:
+    @settings(max_examples=300, deadline=None)
+    @given(small_lps(), st.sampled_from(["max", "min"]))
+    def test_matches_reference(self, lp, sense):
+        A, b, E, e, mask, objs = lp
+        ref, ref_pivots = reference_each(A, b, E, e, objs, sense, mask)
+        got, pivots = logged_each(A or None, b or None, E or None, e or None, objs, sense, mask)
+        assert got == ref
+        assert pivots == ref_pivots
