@@ -11,6 +11,7 @@ sorted keys and no volatile fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -52,7 +53,7 @@ from .polyhedra import (
     shift_slack,
     verify_sandwich,
 )
-from .ratlin import RationalMatrix, dot, rat, rat_str
+from .ratlin import RationalMatrix, _vec_json, dot, rat, rat_str
 from .udisj import (
     CorruptionParams,
     FunctionTable,
@@ -85,22 +86,16 @@ def _load_matrix(path):
     return RationalMatrix.from_json(data)
 
 
+def _write(text, path=None):
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _dump(data, path=None):
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _dump_csv(rows, path=None):
-    text = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", path)
 
 
 def _check_paths(ins, outs):
@@ -116,10 +111,6 @@ def _cert_path(args):
         return args.cert
     out = getattr(args, "out", None)
     return (out + ".cert.json") if out else "certificate.json"
-
-
-def _vec_json(v):
-    return [rat_str(x) for x in v]
 
 
 def _vec_load(v):
@@ -309,8 +300,8 @@ def cmd_razborov_check(args):
     for f, g in pairs:
         rep = razborov_identities(f, g, params)
         checks.append({"ok": rep.ok,
-                       "expectation_a": [rat_str(x) for x in rep.expectation_a],
-                       "expectation_b": [rat_str(x) for x in rep.expectation_b]})
+                       "expectation_a": _vec_json(rep.expectation_a),
+                       "expectation_b": _vec_json(rep.expectation_b)})
         if not rep.ok and first_bad is None:
             first_bad = (f, g)
     ok = all(c["ok"] for c in checks)
@@ -331,7 +322,7 @@ def cmd_corruption_scan(args):
                                     seed=args.seed, count=args.count,
                                     keep_records=(args.format == "csv"))
     if args.format == "csv":
-        _dump_csv(rep.csv_rows(), args.out)
+        _write("\n".join(rep.csv_lines()) + "\n", args.out)
     else:
         _dump(rep.to_json(), args.out)
     return 0
@@ -496,14 +487,15 @@ def _positive_int(text):
     return v
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and reused by every
+    later `main` call in the process (parse_args returns a fresh namespace
+    each time and leaves the parser unchanged)."""
     top = argparse.ArgumentParser(
         prog="efbound",
         description="Extended-formulation bounds toolkit: exact constructions, "
                     "verifications and certificates.")
-    top.add_argument("--threads", type=_positive_int, default=1,
-                     help="cap on internal parallelism (execution is sequential; "
-                          "the flag is validated and reserved)")
     top.add_argument("--budget-ms", type=_positive_int, default=None,
                      help="global time budget in milliseconds "
                           "(overrides EFBOUND_BUDGET_MS)")

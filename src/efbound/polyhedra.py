@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, require
-from .ratlin import ONE, ZERO, RationalMatrix, dot, lp_solve, lp_solve_each, rat, rat_str
+from .ratlin import (ONE, ZERO, RationalMatrix, _vec_json, dot, lp_solve, lp_solve_each, rat,
+                     rat_str)
 
 
 def _vec(xs, d=None, label="vector"):
@@ -30,10 +31,6 @@ def _vec(xs, d=None, label="vector"):
     if d is not None and len(v) != d:
         raise InputError(f"{label} has length {len(v)}, expected {d}")
     return v
-
-
-def _vec_json(v):
-    return [rat_str(x) for x in v]
 
 
 class VRep:

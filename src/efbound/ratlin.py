@@ -80,6 +80,24 @@ def rat_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _vec_json(v) -> list:
+    """[rat_str(x) for x in v], rendering each distinct entry object once.
+
+    Large matrices share a few Fraction objects among many entries (the
+    n=8 UDISJ shift has 65536 entries and 9 objects).  The memo is keyed by
+    id(): v is a list or tuple, so every entry stays alive during the call
+    and no id can be reused.
+    """
+    text = {}
+    out = []
+    for x in v:
+        s = text.get(id(x))
+        if s is None:
+            s = text[id(x)] = rat_str(x)
+        out.append(s)
+    return out
+
+
 def dot(u, v) -> Fraction:
     """Exact u . v of rationals (Fractions or ints).
 
@@ -258,8 +276,7 @@ class RationalMatrix:
         return out
 
     def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [rat_str(x) for x in self._e]}
+        return {"rows": self.rows, "cols": self.cols, "entries": _vec_json(self._e)}
 
     @classmethod
     def from_json(cls, d) -> "RationalMatrix":

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, InputError, check_deadline, require
-from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
+from .ratlin import ONE, ZERO, RationalMatrix, _vec_json, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class FunctionTable:
         return cls(n, [ZERO if m & bit else ONE for m in range(1 << n)])
 
     def to_json(self):
-        return {"n": self.n, "values": [rat_str(v) for v in self.values]}
+        return {"n": self.n, "values": _vec_json(self.values)}
 
     @classmethod
     def from_json(cls, d):
@@ -350,8 +350,8 @@ class RazborovReport:
 
     def to_json(self):
         return {"op": "razborov_identities", "ok": self.ok,
-                "expectation_a": [rat_str(x) for x in self.expectation_a],
-                "expectation_b": [rat_str(x) for x in self.expectation_b],
+                "expectation_a": _vec_json(self.expectation_a),
+                "expectation_b": _vec_json(self.expectation_b),
                 "marginals": [{"t2": t2, "row0": rat_str(l), "row1": rat_str(r)}
                               for t2, l, r in self.marginals]}
 
@@ -449,8 +449,12 @@ class ScanReport:
     """Best corrupted rectangle found by a scan.
 
     Rectangles are pairs (row set, column set) of subsets of the full subset
-    lattice, encoded as bitmasks over the 2^n subset indices.  records holds
-    (rectangle id, P(R|A), P(R|B), value) rows when requested.
+    lattice, encoded as bitmasks over the 2^n subset indices.  When requested,
+    counts holds one (rows, cols, ca, cb) of ints per scanned rectangle, in
+    scan order, with ca = |R & A| and cb = |R & B| out of sizes = (|A|, |B|).
+    `records` and `csv_lines` render them: P(R|A) = ca/|A|, P(R|B) = cb/|B|
+    and the value (1-eps) P(R|A) - P(R|B) take a Fraction, or a string, once
+    per distinct (ca, cb).
     """
 
     mode: str
@@ -458,9 +462,10 @@ class ScanReport:
     scanned: int
     best_value: Fraction
     best_rect: tuple
+    sizes: tuple
     zero_b_max: Fraction | None = None
     zero_b_rect: tuple | None = None
-    records: list = field(default_factory=list)
+    counts: list = field(default_factory=list)
 
     def to_json(self):
         out = {"op": "rectangle_corruption_scan", "mode": self.mode,
@@ -474,17 +479,41 @@ class ScanReport:
                                   "cols": f"{self.zero_b_rect[1]:x}"}
         return out
 
+    def _fractions(self, ca, cb):
+        na, nb = self.sizes
+        pa, pb = Fraction(ca, na), Fraction(cb, nb)
+        return pa, pb, (1 - self.epsilon) * pa - pb
+
+    @property
+    def records(self):
+        """(rectangle id "r<rows hex>.c<cols hex>", P(R|A), P(R|B), value)
+        per counted rectangle; equal counts share one Fraction triple."""
+        shared = {}
+        out = []
+        for rs, cs, ca, cb in self.counts:
+            triple = shared.get((ca, cb))
+            if triple is None:
+                triple = shared[ca, cb] = self._fractions(ca, cb)
+            out.append((f"r{rs:x}.c{cs:x}",) + triple)
+        return out
+
+    def csv_lines(self):
+        """The CSV header, then one "id,p_a,p_b,value" line per record."""
+        yield "rectangle-id,p_a,p_b,value"
+        tails = {}
+        prev = None
+        for rs, cs, ca, cb in self.counts:
+            if rs != prev:
+                prev, head = rs, f"r{rs:x}.c"
+            tail = tails.get((ca, cb))
+            if tail is None:
+                tail = tails[ca, cb] = "".join(
+                    "," + rat_str(x) for x in self._fractions(ca, cb))
+            yield f"{head}{cs:x}{tail}"
+
     def csv_rows(self):
-        yield ("rectangle-id", "p_a", "p_b", "value")
-        # a scan shares one (p_a, p_b, value) triple of objects among all
-        # records with the same counts; render each shared triple once
-        rendered = {}
-        for rid, pa, pb, val in self.records:
-            key = (id(pa), id(pb), id(val))
-            text = rendered.get(key)
-            if text is None:
-                text = rendered[key] = (rat_str(pa), rat_str(pb), rat_str(val))
-            yield (rid,) + text
+        """csv_lines split into (id, p_a, p_b, value) string tuples."""
+        return (tuple(line.split(",")) for line in self.csv_lines())
 
 
 def _exhaustive_counts(A, B, size):
@@ -538,10 +567,10 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     A rectangle enters only through its integer counts ca = |R & A| and
     cb = |R & B|.  With eps = p/q its value is N / D with the integer
     N = (q-p) |B| ca - q |A| cb over the fixed D = q |A| |B|, so rectangles
-    are compared by N, and Fractions are built only for reported values
-    (once per distinct (ca, cb) for records).  Ties go to the first
-    rectangle in (rows, cols) order, for the best value and for the zero-B
-    witness (the largest ca with cb = 0) alike.
+    are compared by N, and Fractions are built only for reported values;
+    keep_records keeps every rectangle's counts as ints (see ScanReport).
+    Ties go to the first rectangle in (rows, cols) order, for the best value
+    and for the zero-B witness (the largest ca with cb = 0) alike.
     """
     eps = rat(eps)
     if not 0 <= eps < 1:
@@ -566,10 +595,10 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
 
     best_num, best_rect = -den - 1, None  # below every N, so R_0 wins
     zero_ca, zero_rect = -1, None
-    shared = {}
-    records = []
+    counts = []
     scanned = 0
-    for rs, cs, ca, cb in rects:
+    for rect in rects:
+        rs, cs, ca, cb = rect
         scanned += 1
         num = wa * ca - wb * cb
         if num > best_num:
@@ -577,14 +606,9 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
         if cb == 0 and ca > zero_ca:
             zero_ca, zero_rect = ca, (rs, cs)
         if keep_records:
-            triple = shared.get((ca, cb))
-            if triple is None:
-                triple = shared[ca, cb] = (Fraction(ca, na), Fraction(cb, nb),
-                                           Fraction(num, den))
-            records.append((f"r{rs:x}.c{cs:x}",) + triple)
-    if mode == "sample":
-        return ScanReport("sample", eps, scanned, Fraction(best_num, den), best_rect,
-                          records=records)
-    return ScanReport("exhaustive", eps, scanned, Fraction(best_num, den), best_rect,
-                      zero_b_max=Fraction(zero_ca, na), zero_b_rect=zero_rect,
-                      records=records)
+            counts.append(rect)
+    rep = ScanReport(mode, eps, scanned, Fraction(best_num, den), best_rect, (na, nb),
+                     counts=counts)
+    if mode == "exhaustive":
+        rep.zero_b_max, rep.zero_b_rect = Fraction(zero_ca, na), zero_rect
+    return rep

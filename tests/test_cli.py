@@ -20,6 +20,7 @@ from efbound import (
     hardpair_slack,
     trivial_ef,
 )
+from efbound import cli
 from efbound.cli import main
 from efbound.udisj import ShiftSpec
 
@@ -411,13 +412,6 @@ class TestExitDiscipline:
             main(["frobnicate"])
         assert err.value.code == 2
 
-    def test_threads_flag_validated(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["--threads", "0", "psd-check", "--n", "2"])
-        assert err.value.code == 2
-        assert main(["--threads", "4", "psd-check", "--n", "2"]) == 0
-        capsys.readouterr()
-
     def test_invalid_cert_kind(self, tmp_path):
         write(tmp_path / "c.json", {"kind": "mystery"})
         assert main(["check-cert", "--cert", str(tmp_path / "c.json")]) == 2
@@ -479,6 +473,9 @@ PINNED_UDISJ = [
      "225ab136bad89f0ca5eaa390b0430eef830e300a62d5c2a1983a6960b7d16212"),
     (_SHIFT4 + ["--fill", "constant", "--fill-value", "5/3"],
      "48f21a05a6a8c218a2db8b0ebc2c62aa2bf01d8dfc8b19be308e8f6ab66f858e"),
+    # the benchmark's size, as written by one rat_str call per entry
+    (["udisj-shift", "--n", "8", "--rho", "211/97"],
+     "319f193b57f155ef2157b17d27f12c64abc23c23c9cdd0e74083548252dde150"),
 ]
 
 
@@ -488,6 +485,13 @@ def test_udisj_artifacts_pinned(tmp_path, argv, digest):
     out = tmp_path / "artifact"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_csv_scan_to_stdout_pinned(capsys):
+    # as written from a list of (id, Fraction triple) records, without --out
+    assert main(_SCAN3 + ["--eps", "523/1024", "--format", "csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "f5e5f7df2987042207fdcfe31ca650ab7da34eb374bdb2279c86598a3dc9d487"
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +544,37 @@ PINNED_LP = {
 @pytest.mark.parametrize("name", sorted(PINNED_LP))
 def test_lp_artifacts_pinned(lp_artifacts, name):
     assert hashlib.sha256((lp_artifacts / name).read_bytes()).hexdigest() == PINNED_LP[name]
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    def test_options_do_not_carry_over(self, tmp_path):
+        # rank 2 < 3 = upper: the NMF runs, and 7 iterations find no witness
+        # where the default 400 do
+        d = tmp_path
+        write(d / "m.json",
+              RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]).to_json())
+        default = ["nnegrk-bounds", "--matrix", str(d / "m.json")]
+        cli._build_parser.cache_clear()
+        assert main(default + ["--out", str(d / "alone.json")]) == 0
+        assert main(default + ["--seed", "5", "--iterations", "7",
+                               "--out", str(d / "tuned.json")]) == 0
+        assert main(default + ["--out", str(d / "after.json")]) == 0
+        assert (d / "tuned.json").read_bytes() != (d / "alone.json").read_bytes()
+        assert (d / "after.json").read_bytes() == (d / "alone.json").read_bytes()
+
+    def test_valid_call_after_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["frobnicate"])
+        assert err.value.code == 2
+        assert main(["psd-check", "--n", "2"]) == 0
+        capsys.readouterr()
+
+    def test_budget_does_not_carry_over(self, tmp_path):
+        argv = ["corruption-scan", "--n", "3", "--eps", "1/2", "--out", str(tmp_path / "s.json")]
+        assert main(["--budget-ms", "1"] + argv) == 3
+        assert main(argv) == 0
 
 
 class TestEntryPoint:

@@ -60,6 +60,21 @@ class TestRationalMatrix:
         assert d == {"rows": 2, "cols": 2, "entries": ["1/2", "3", "-1", "7/5"]}
         assert RationalMatrix.from_json(d) == M
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 50)), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["shared", "copy", "int"])),
+                    min_size=1, max_size=40))
+    def test_to_json_renders_each_entry(self, pool, picks):
+        # shared Fraction objects beside equal but distinct ones, and ints
+        # (each a new Fraction): the id-keyed memo must match rat_str per entry
+        pool = [F(p, q) for p, q in pool]
+        make = {"shared": lambda x: x,
+                "copy": lambda x: F(x.numerator, x.denominator),
+                "int": lambda x: x.numerator}
+        entries = [make[how](pool[i % len(pool)]) for i, how in picks]
+        M = RationalMatrix(1, len(entries), entries)
+        assert M.to_json()["entries"] == [rat_str(x) for x in entries]
+
     def test_json_validation(self):
         with pytest.raises(InputError):
             RationalMatrix.from_json({"rows": 2, "cols": 2, "entries": ["1"]})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from efbound import udisj
 from efbound.errors import BudgetError, InputError, VerificationError
+from efbound.ratlin import rat_str
 from efbound.udisj import (
     CorruptionParams,
     FunctionTable,
@@ -562,6 +563,17 @@ class TestProperties:
         assert rep.zero_b_max is None and rep.zero_b_rect is None
         assert rep.records == ([(f"r{rs:x}.c{cs:x}", pa, pb, (1 - eps) * pa - pb)
                                 for rs, cs, pa, pb in rects] if keep else [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 7, 11]), epsilons, st.integers(0, 10 ** 6), st.integers(1, 60))
+    def test_csv_rows_match_records(self, n, eps, seed, count):
+        # the CSV renders int counts with one cached tail per (ca, cb); the
+        # records are the Fractions those counts define
+        rep = rectangle_corruption_scan(UdisjParams(n), eps, mode="sample", seed=seed,
+                                        count=count, keep_records=True)
+        assert list(rep.csv_rows()) == [("rectangle-id", "p_a", "p_b", "value")] + [
+            (rid, rat_str(pa), rat_str(pb), rat_str(val)) for rid, pa, pb, val in rep.records]
+        assert len(rep.records) == count
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from([3, 7]), st.integers(0, 10 ** 6))
