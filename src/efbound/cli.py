@@ -6,6 +6,10 @@ file), 2 input error, 3 budget exhausted, 4 an internal exact check failed
 (a defect in efbound; no result is reported).  Identical arguments and seed
 produce byte-identical output files; every JSON artifact is written with
 sorted keys and no volatile fields.
+
+Every subcommand is one entry of `_COMMANDS`; `_run` checks its paths,
+loads its inputs, calls its handler and only then writes, so a run that
+fails before the writes leaves no file behind.
 """
 
 from __future__ import annotations
@@ -17,55 +21,20 @@ import os
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .encodings import (
-    Graph,
-    box_approx_report,
-    box_ef,
-    build_cut_family,
-    build_hard_pair,
-    clique_number,
-    clique_weight,
-    covariance_map,
-    hardpair_slack,
-    psd_factors,
-    qall_separate,
-    spectra_vertex_witness,
-)
-from .errors import BudgetError, InputError, VerificationError, set_budget_ms
-from .nnfact import (
-    NmfConfig,
-    NonnegFactorization,
-    PreconditionError,
-    ef_to_factorization,
-    factorization_to_ef,
-    nnegrk_bounds,
-    verify_factorization,
-)
-from .polyhedra import (
-    ExtendedFormulation,
-    HRep,
-    SlackMatrix,
-    VRep,
-    build_slack,
-    dilate,
-    nonneg_solution,
-    shift_slack,
-    verify_sandwich,
-)
+from .encodings import (Graph, _as_mask, box_approx_report, box_ef, build_cut_family,
+                        build_hard_pair, clique_number, clique_weight, covariance_map,
+                        hardpair_slack, psd_factors, qall_separate, spectra_vertex_witness)
+from .errors import BudgetError, InputError, VerificationError, decoding, set_budget_ms
+from .nnfact import (NmfConfig, NonnegFactorization, PreconditionError, ef_to_factorization,
+                     factorization_to_ef, nnegrk_bounds, verify_factorization)
+from .polyhedra import (ExtendedFormulation, HRep, SlackMatrix, VRep, build_slack, dilate,
+                        nonneg_solution, shift_slack, verify_sandwich)
 from .ratlin import RationalMatrix, _vec_json, dot, rat, rat_str
-from .udisj import (
-    CorruptionParams,
-    FunctionTable,
-    ShiftSpec,
-    UdisjParams,
-    build_shift,
-    corruption_rhs,
-    parse_function,
-    razborov_identities,
-    rectangle_corruption_scan,
-    shift_rank_lb,
-)
+from .udisj import (CorruptionParams, FunctionTable, ShiftSpec, UdisjParams, build_shift,
+                    corruption_rhs, parse_function, razborov_identities,
+                    rectangle_corruption_scan, shift_rank_lb)
 
 
 def _load_json(path):
@@ -78,20 +47,39 @@ def _load_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_matrix(path):
+def _load_matrix(data):
     """Plain matrix JSON, or a slack artifact (then the full block matrix)."""
-    data = _load_json(path)
     if isinstance(data, dict) and "vertex_block" in data:
         return SlackMatrix.from_json(data).full()
     return RationalMatrix.from_json(data)
 
 
+def _json_object(data):
+    if not isinstance(data, dict):
+        raise InputError("a certificate file must hold a JSON object")
+    return data
+
+
+def _vec_load(v):
+    if not isinstance(v, list):
+        raise TypeError("expected a JSON list of rationals")
+    return [rat(x) for x in v]
+
+
+def _vec_file(data):
+    with decoding("--vec file must hold a JSON list of rationals"):
+        return _vec_load(data)
+
+
 def _write(text, path=None):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _dump(data, path=None):
@@ -99,22 +87,20 @@ def _dump(data, path=None):
 
 
 def _check_paths(ins, outs):
-    ins = {os.path.abspath(p) for p in ins if p}
-    outs = {os.path.abspath(p) for p in outs if p}
-    clash = ins & outs
+    ins = {os.path.realpath(p) for p in ins if p}
+    outs = [os.path.realpath(p) for p in outs if p]
+    clash = ins.intersection(outs)
     if clash:
         raise InputError(f"input and output paths must differ: {sorted(clash)}")
+    twice = {p for p in outs if outs.count(p) > 1}
+    if twice:
+        raise InputError(f"output paths must differ: {sorted(twice)}")
 
 
 def _cert_path(args):
-    if getattr(args, "cert", None):
+    if args.cert:
         return args.cert
-    out = getattr(args, "out", None)
-    return (out + ".cert.json") if out else "certificate.json"
-
-
-def _vec_load(v):
-    return [rat(x) for x in v]
+    return (args.out + ".cert.json") if args.out else "certificate.json"
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +119,16 @@ def _sandwich_cert(report, K: ExtendedFormulation, Q: HRep):
             "point": _vec_json(f["point"])}
 
 
+# Each checker reads its fields under `decoding`, so a certificate with a
+# field missing or of the wrong type exits 2 (input error), not 1.
+
 def _verify_contains_failure(d):
-    K = ExtendedFormulation.from_json(d["ef"])
-    target = _vec_load(d["target"])
-    u = _vec_load(d["u"])
+    with decoding("contains-failure certificate needs ef, target_kind "
+                  "(point or ray), target, u"):
+        K = ExtendedFormulation.from_json(d["ef"])
+        target, u = _vec_load(d["target"]), _vec_load(d["u"])
+        if d["target_kind"] not in ("point", "ray"):
+            raise ValueError("target_kind")
     ev = [dot(K.E.row(i), target) for i in range(K.nrows)]
     if d["target_kind"] == "point":
         rhs = [gi - e for gi, e in zip(K.g, ev)]
@@ -147,10 +139,9 @@ def _verify_contains_failure(d):
 
 
 def _verify_row_violation(d):
-    K = ExtendedFormulation.from_json(d["ef"])
-    row = _vec_load(d["row"])
-    bound = rat(d["bound"])
-    point = _vec_load(d["point"])
+    with decoding("row-violation certificate needs ef, row, bound, point"):
+        K = ExtendedFormulation.from_json(d["ef"])
+        row, bound, point = _vec_load(d["row"]), rat(d["bound"]), _vec_load(d["point"])
     if dot(row, point) <= bound:
         return False
     rhs = [gi - dot(K.E.row(i), point) for i, gi in enumerate(K.g)]
@@ -159,12 +150,22 @@ def _verify_row_violation(d):
 
 
 def _verify_qall_violation(d):
-    x = RationalMatrix.from_json(d["x"])
-    c = d["constraint"]
+    with decoding("qall-violation certificate needs a square x and a constraint "
+                  "of kind sign (with entry) or graph (with graph on its ground set)"):
+        x = RationalMatrix.from_json(d["x"])
+        c = d["constraint"]
+        if x.rows != x.cols:
+            raise ValueError("x is not square")
+        if c["kind"] == "sign":
+            i, j = c["entry"]
+            if not all(type(v) is int and 1 <= v <= x.rows for v in (i, j)):
+                raise ValueError("entry outside x")
+        else:
+            G = Graph.from_json(c["graph"])
+            if G.n != x.rows:
+                raise ValueError("graph ground set")
     if c["kind"] == "sign":
-        i, j = c["entry"]
         return i != j and x[i - 1, j - 1] < 0
-    G = Graph.from_json(c["graph"])
     w = clique_weight(G)
     lhs = sum((w[i, j] * x[i, j] for i in range(x.rows) for j in range(x.cols)),
               Fraction(0))
@@ -172,20 +173,29 @@ def _verify_qall_violation(d):
 
 
 def _verify_factorization_invalid(d):
-    S = RationalMatrix.from_json(d["matrix"])
-    fac = NonnegFactorization.from_json(d["fac"])
+    with decoding("factorization-invalid certificate needs matrix, fac"):
+        S = RationalMatrix.from_json(d["matrix"])
+        fac = NonnegFactorization.from_json(d["fac"])
     return not verify_factorization(S, fac).ok
 
 
 def _verify_spectra_failure(d):
-    Y = RationalMatrix.from_json(d["y"]) if d.get("y") else None
-    return not spectra_vertex_witness(d["b"], d["n"], Y=Y)
+    with decoding("spectra-failure certificate needs a positive integer n, b "
+                  "(mask or 0/1 list) and an optional y"):
+        n, b = d["n"], d["b"]
+        if type(n) is not int or n < 1 or not isinstance(b, (int, list)):
+            raise TypeError("n or b")
+        Y = RationalMatrix.from_json(d["y"]) if d.get("y") else None
+    return not spectra_vertex_witness(b, n, Y=Y)
 
 
 def _verify_razborov_failure(d):
-    params = UdisjParams(d["n"])
-    f = FunctionTable.from_json(d["f"])
-    g = FunctionTable.from_json(d["g"])
+    with decoding("razborov-failure certificate needs an integer n, f, g"):
+        if type(d["n"]) is not int:
+            raise TypeError("n")
+        params = UdisjParams(d["n"])
+        f = FunctionTable.from_json(d["f"])
+        g = FunctionTable.from_json(d["g"])
     return not razborov_identities(f, g, params).ok
 
 
@@ -200,101 +210,53 @@ _CERT_CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# sub-commands
+# handlers: each takes the parsed arguments, input files already loaded, and
+# returns (artifacts by output dest, failure); failure is None on success, a
+# certificate to write, or True for a failure without one.  They call library
+# functions through this module's globals, so a wrapper installed on those
+# names (perfbench/tracing.py) sees every call.
 
-def cmd_slack(args):
-    _check_paths([args.p, args.q], [args.out])
-    P = VRep.from_json(_load_json(args.p))
-    Q = HRep.from_json(_load_json(args.q))
-    _dump(build_slack(P, Q).to_json(), args.out)
-    return 0
-
-
-def cmd_dilate(args):
-    _check_paths([args.q], [args.out])
-    Q = HRep.from_json(_load_json(args.q))
-    _dump(dilate(Q, args.rho).to_json(), args.out)
-    return 0
-
-
-def cmd_shift_slack(args):
-    _check_paths([args.slack], [args.out])
-    S = SlackMatrix.from_json(_load_json(args.slack))
-    _dump(shift_slack(S, args.rho).to_json(), args.out)
-    return 0
-
-
-def cmd_fac2ef(args):
-    _check_paths([args.q, args.fac, args.slack], [args.out, args.cert])
-    Q = HRep.from_json(_load_json(args.q))
-    fac = NonnegFactorization.from_json(_load_json(args.fac))
-    if args.slack:
-        S = _load_matrix(args.slack)
-        check = verify_factorization(S, fac)
+def _fac2ef(a):
+    if a.slack is not None:
+        check = verify_factorization(a.slack, a.fac)
         if not check.ok:
-            cert = {"kind": "factorization-invalid", "matrix": S.to_json(),
-                    "fac": fac.to_json(), "reason": check.reason,
-                    "where": list(check.where) if check.where else None}
-            _dump(cert, _cert_path(args))
-            return 1
-    _dump(factorization_to_ef(Q, fac).to_json(), args.out)
-    return 0
+            return {}, {"kind": "factorization-invalid", "matrix": a.slack.to_json(),
+                        "fac": a.fac.to_json(), "reason": check.reason,
+                        "where": list(check.where) if check.where else None}
+    return {"out": factorization_to_ef(a.q, a.fac).to_json()}, None
 
 
-def cmd_ef2fac(args):
-    _check_paths([args.ef, args.p, args.q], [args.out, args.cert])
-    K = ExtendedFormulation.from_json(_load_json(args.ef))
-    P = VRep.from_json(_load_json(args.p))
-    Q = HRep.from_json(_load_json(args.q))
+def _ef2fac(a):
     try:
-        fac = ef_to_factorization(K, P, Q)
+        return {"out": ef_to_factorization(a.ef, a.p, a.q).to_json()}, None
     except PreconditionError as exc:
-        _dump(_sandwich_cert(exc.report, K, Q), _cert_path(args))
-        return 1
-    _dump(fac.to_json(), args.out)
-    return 0
+        return {}, _sandwich_cert(exc.report, a.ef, a.q)
 
 
-def cmd_nnegrk_bounds(args):
-    _check_paths([args.matrix], [args.out])
-    S = _load_matrix(args.matrix)
-    cfg = NmfConfig(seed=args.seed, iterations=args.iterations,
-                    restarts=args.restarts, max_denominator=args.max_denominator)
-    bounds = nnegrk_bounds(S, cfg)
+def _nnegrk_bounds(a):
+    cfg = NmfConfig(seed=a.seed, iterations=a.iterations,
+                    restarts=a.restarts, max_denominator=a.max_denominator)
+    bounds = nnegrk_bounds(a.matrix, cfg)
     out = {"op": "nnegrk_bounds", "lower": bounds.lower, "upper": bounds.upper,
            "provenance": bounds.provenance()}
     if isinstance(bounds.upper_witness, NonnegFactorization):
         out["upper_witness"] = bounds.upper_witness.to_json()
-    _dump(out, args.out)
-    return 0
+    return {"out": out}, None
 
 
-def cmd_udisj_shift(args):
-    _check_paths([], [args.out])
-    spec = ShiftSpec(args.n, args.rho, fill=args.fill, fill_value=args.fill_value)
-    _dump(build_shift(spec).to_json(), args.out)
-    return 0
-
-
-def cmd_razborov_check(args):
-    _check_paths([], [args.out, args.cert])
-    params = UdisjParams(args.n)
-    pairs = []
-    if args.f or args.g:
-        if not (args.f and args.g):
+def _razborov_check(a):
+    params = UdisjParams(a.n)
+    if a.f or a.g:
+        if not (a.f and a.g):
             raise InputError("--f and --g must be given together")
-        pairs.append((parse_function(args.f, args.n), parse_function(args.g, args.n)))
+        pairs = [(parse_function(a.f, a.n), parse_function(a.g, a.n))]
     else:
-        rng = random.Random(args.seed)
-        size = 1 << args.n
-        for _ in range(args.trials):
-            f = FunctionTable(args.n, [Fraction(rng.randrange(0, 5),
-                                                rng.randrange(1, 4))
-                                       for _ in range(size)])
-            g = FunctionTable(args.n, [Fraction(rng.randrange(0, 5),
-                                                rng.randrange(1, 4))
-                                       for _ in range(size)])
-            pairs.append((f, g))
+        rng = random.Random(a.seed)
+
+        def table():
+            return FunctionTable(a.n, [Fraction(rng.randrange(0, 5), rng.randrange(1, 4))
+                                       for _ in range(1 << a.n)])
+        pairs = [(table(), table()) for _ in range(a.trials)]
     checks = []
     first_bad = None
     for f, g in pairs:
@@ -304,126 +266,64 @@ def cmd_razborov_check(args):
                        "expectation_b": _vec_json(rep.expectation_b)})
         if not rep.ok and first_bad is None:
             first_bad = (f, g)
-    ok = all(c["ok"] for c in checks)
-    _dump({"op": "razborov_check", "n": args.n, "trials": len(pairs),
-           "ok": ok, "checks": checks}, args.out)
-    if not ok:
-        _dump({"kind": "razborov-failure", "n": args.n,
-               "f": first_bad[0].to_json(), "g": first_bad[1].to_json()},
-              _cert_path(args))
-        return 1
-    return 0
+    ok = first_bad is None
+    out = {"out": {"op": "razborov_check", "n": a.n, "trials": len(pairs),
+                   "ok": ok, "checks": checks}}
+    if ok:
+        return out, None
+    return out, {"kind": "razborov-failure", "n": a.n,
+                 "f": first_bad[0].to_json(), "g": first_bad[1].to_json()}
 
 
-def cmd_corruption_scan(args):
-    _check_paths([], [args.out])
-    params = UdisjParams(args.n)
-    rep = rectangle_corruption_scan(params, args.eps, mode=args.mode,
-                                    seed=args.seed, count=args.count,
-                                    keep_records=(args.format == "csv"))
-    if args.format == "csv":
-        _write("\n".join(rep.csv_lines()) + "\n", args.out)
-    else:
-        _dump(rep.to_json(), args.out)
-    return 0
+def _corruption_scan(a):
+    csv = a.format == "csv"
+    rep = rectangle_corruption_scan(UdisjParams(a.n), a.eps, mode=a.mode, seed=a.seed,
+                                    count=a.count, keep_records=csv)
+    return {"out": "\n".join(rep.csv_lines()) + "\n" if csv else rep.to_json()}, None
 
 
-def cmd_corruption_bound(args):
-    _check_paths([], [args.out])
-    p = CorruptionParams(args.eps, C=args.C)
-    _dump({"op": "corruption_rhs", "epsilon": rat_str(p.epsilon),
-           "C": rat_str(p.C), "ell": args.ell,
-           "value": corruption_rhs(p, args.ell)}, args.out)
-    return 0
+def _corruption_bound(a):
+    p = CorruptionParams(a.eps, C=a.C)
+    return {"out": {"op": "corruption_rhs", "epsilon": rat_str(p.epsilon),
+                    "C": rat_str(p.C), "ell": a.ell,
+                    "value": corruption_rhs(p, a.ell)}}, None
 
 
-def cmd_shift_lb(args):
-    _check_paths([], [args.out])
-    p = CorruptionParams(args.eps, C=args.C) if args.eps is not None else None
-    value = shift_rank_lb(args.n, args.rho, p)
-    out = {"op": "shift_rank_lb", "n": args.n, "rho": rat_str(args.rho),
-           "C": rat_str(args.C), "value": value}
-    out["epsilon"] = rat_str(args.eps if args.eps is not None
-                             else Fraction(1, 2) / args.rho)
-    _dump(out, args.out)
-    return 0
+def _shift_lb(a):
+    p = CorruptionParams(a.eps, C=a.C) if a.eps is not None else None
+    value = shift_rank_lb(a.n, a.rho, p)
+    eps = a.eps if a.eps is not None else Fraction(1, 2) / a.rho
+    return {"out": {"op": "shift_rank_lb", "n": a.n, "rho": rat_str(a.rho),
+                    "C": rat_str(a.C), "value": value, "epsilon": rat_str(eps)}}, None
 
 
-def cmd_hardpair(args):
-    _check_paths([], [args.out_p, args.out_q])
-    hp = build_hard_pair(args.n)
-    _dump(hp.P.to_json(), args.out_p)
-    _dump(hp.Q.to_json(), args.out_q)
-    return 0
+def _hardpair(a):
+    hp = build_hard_pair(a.n)
+    return {"out_p": hp.P.to_json(), "out_q": hp.Q.to_json()}, None
 
 
-def cmd_hardpair_slack(args):
-    _check_paths([], [args.out])
-    _dump(hardpair_slack(args.n, args.rho).to_json(), args.out)
-    return 0
+def _qall_separate(a):
+    rep = qall_separate(a.x, mode=a.mode, seed=a.seed, count=a.count)
+    out = {"out": rep.to_json()}
+    if rep.status != "violated":
+        return out, None
+    constraint = ({"kind": "sign", "entry": list(rep.entry)} if rep.kind == "sign"
+                  else {"kind": "graph", "graph": rep.graph.to_json()})
+    return out, {"kind": "qall-violation", "x": a.x.to_json(), "constraint": constraint}
 
 
-def cmd_clique_weight(args):
-    _check_paths([args.graph], [args.out])
-    G = Graph.from_json(_load_json(args.graph))
-    _dump(clique_weight(G).to_json(), args.out)
-    return 0
+def _box_ef(a):
+    if a.graph is not None and a.graph.n != a.n:
+        raise InputError(f"graph ambient bound {a.graph.n} differs from --n {a.n}")
+    out = {"out": box_ef(a.n).to_json()}
+    if a.graph is not None:
+        out["report"] = box_approx_report(clique_weight(a.graph)).to_json()
+    return out, None
 
 
-def cmd_clique_omega(args):
-    _check_paths([args.graph], [args.out])
-    G = Graph.from_json(_load_json(args.graph))
-    _dump({"op": "clique_number", "omega": clique_number(G)}, args.out)
-    return 0
-
-
-def cmd_qall_separate(args):
-    _check_paths([args.x], [args.out, args.cert])
-    x = RationalMatrix.from_json(_load_json(args.x))
-    rep = qall_separate(x, mode=args.mode, seed=args.seed, count=args.count)
-    _dump(rep.to_json(), args.out)
-    if rep.status == "violated":
-        constraint = ({"kind": "sign", "entry": list(rep.entry)}
-                      if rep.kind == "sign"
-                      else {"kind": "graph", "graph": rep.graph.to_json()})
-        _dump({"kind": "qall-violation", "x": x.to_json(),
-               "constraint": constraint}, _cert_path(args))
-        return 1
-    return 0
-
-
-def cmd_box_ef(args):
-    _check_paths([args.graph], [args.out, args.report])
-    _dump(box_ef(args.n).to_json(), args.out)
-    if args.graph:
-        G = Graph.from_json(_load_json(args.graph))
-        if G.n != args.n:
-            raise InputError(f"graph ambient bound {G.n} differs from --n {args.n}")
-        _dump(box_approx_report(clique_weight(G)).to_json(), args.report)
-    return 0
-
-
-def cmd_cut_family(args):
-    _check_paths([], [args.out])
-    _dump(build_cut_family(args.kind, args.n).to_json(), args.out)
-    return 0
-
-
-def cmd_covmap(args):
-    _check_paths([args.vec], [args.out])
-    data = _load_json(args.vec)
-    if not isinstance(data, list):
-        raise InputError("--vec file must hold a JSON list of rationals")
-    _dump(covariance_map(_vec_load(data), args.n).to_json(), args.out)
-    return 0
-
-
-def cmd_psd_check(args):
-    _check_paths([], [args.out])
-    psd_factors(args.n)  # raises if the identity ever failed
-    _dump({"op": "psd_factors", "n": args.n, "pairs": 4 ** args.n, "ok": True},
-          args.out)
-    return 0
+def _psd_check(a):
+    psd_factors(a.n)  # raises if the identity ever failed
+    return {"out": {"op": "psd_factors", "n": a.n, "pairs": 4 ** a.n, "ok": True}}, None
 
 
 def _parse_b(text, n):
@@ -436,55 +336,179 @@ def _parse_b(text, n):
                          f"mask, got {text!r}") from None
 
 
-def cmd_spectra_witness(args):
-    _check_paths([args.y], [args.out, args.cert])
-    Y = RationalMatrix.from_json(_load_json(args.y)) if args.y else None
-    b = _parse_b(args.b, args.n)
-    ok = spectra_vertex_witness(b, args.n, Y=Y)
-    _dump({"op": "spectra_vertex_witness", "n": args.n, "b": args.b, "ok": ok},
-          args.out)
-    if not ok:
-        from .encodings import _as_mask
-        _dump({"kind": "spectra-failure", "n": args.n,
-               "b": _as_mask(b, args.n), "y": Y.to_json() if Y else None},
-              _cert_path(args))
-        return 1
-    return 0
+def _spectra_witness(a):
+    b = _parse_b(a.b, a.n)
+    ok = spectra_vertex_witness(b, a.n, Y=a.y)
+    out = {"out": {"op": "spectra_vertex_witness", "n": a.n, "b": a.b, "ok": ok}}
+    if ok:
+        return out, None
+    return out, {"kind": "spectra-failure", "n": a.n, "b": _as_mask(b, a.n),
+                 "y": a.y.to_json() if a.y is not None else None}
 
 
-def cmd_verify_sandwich(args):
-    _check_paths([args.p, args.q, args.ef], [args.out, args.cert])
-    P = VRep.from_json(_load_json(args.p))
-    Q = HRep.from_json(_load_json(args.q))
-    K = ExtendedFormulation.from_json(_load_json(args.ef))
-    rep = verify_sandwich(P, Q, args.rho, K)
-    _dump(rep.to_json(), args.out)
-    if not rep.ok:
-        _dump(_sandwich_cert(rep, K, Q), _cert_path(args))
-        return 1
-    return 0
+def _verify_sandwich(a):
+    rep = verify_sandwich(a.p, a.q, a.rho, a.ef)
+    return {"out": rep.to_json()}, (None if rep.ok else _sandwich_cert(rep, a.ef, a.q))
 
 
-def cmd_check_cert(args):
-    _check_paths([args.cert_file], [args.out])
-    d = _load_json(args.cert_file)
-    kind = d.get("kind")
-    checker = _CERT_CHECKERS.get(kind)
+def _check_cert(a):
+    kind = a.cert_file.get("kind")
+    checker = _CERT_CHECKERS.get(kind) if isinstance(kind, str) else None
     if checker is None:
         raise InputError(f"unknown certificate kind {kind!r}")
-    valid = checker(d)
-    _dump({"op": "check_cert", "kind": kind, "valid": valid}, args.out)
-    return 0 if valid else 1
+    valid = checker(a.cert_file)
+    return {"out": {"op": "check_cert", "kind": kind, "valid": valid}}, (None if valid else True)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
 
 def _positive_int(text):
     v = int(text)
     if v <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {v}")
     return v
+
+
+class _Command(NamedTuple):
+    """A subcommand.  ``options`` are (flag, argparse keywords) pairs, where
+    the keyword ``load`` marks an input file with the function that turns
+    its JSON into an object, and ``output`` marks an output path.  A command
+    with ``cert`` writes a certificate on failure and takes ``--cert``."""
+    name: str
+    help: str
+    options: list
+    handler: Callable
+    cert: bool = False
+
+
+def _in(flag, load, required=True, **kw):
+    return flag, dict(kw, load=load, required=required)
+
+
+OUT = ("--out", {"output": True})
+CERT = ("--cert", {"output": True})
+N = ("--n", {"type": _positive_int, "required": True})
+RHO = ("--rho", {"type": rat, "required": True})
+SEED = ("--seed", {"type": int, "default": 0})
+MODE = ("--mode", {"choices": ["exhaustive", "sample"], "default": "exhaustive"})
+C = ("--C", {"type": rat, "default": Fraction(0)})
+
+_COMMANDS = {c.name: c for c in [
+    _Command("slack", "slack matrix of a polyhedron pair",
+             [_in("--p", VRep.from_json), _in("--q", HRep.from_json), OUT],
+             lambda a: ({"out": build_slack(a.p, a.q).to_json()}, None)),
+    _Command("dilate", "scale the right-hand sides of an H-rep",
+             [_in("--q", HRep.from_json), RHO, OUT],
+             lambda a: ({"out": dilate(a.q, a.rho).to_json()}, None)),
+    _Command("shift-slack", "shift a slack matrix by rho-1",
+             [_in("--slack", SlackMatrix.from_json), RHO, OUT],
+             lambda a: ({"out": shift_slack(a.slack, a.rho).to_json()}, None)),
+    _Command("fac2ef", "extended formulation from a nonnegative factorization",
+             [_in("--q", HRep.from_json), _in("--fac", NonnegFactorization.from_json),
+              _in("--slack", _load_matrix, required=False,
+                  help="optional slack matrix to verify the factorization against first"),
+              OUT], _fac2ef, cert=True),
+    _Command("ef2fac", "nonnegative factorization from a sandwiched EF",
+             [_in("--ef", ExtendedFormulation.from_json), _in("--p", VRep.from_json),
+              _in("--q", HRep.from_json), OUT], _ef2fac, cert=True),
+    _Command("nnegrk-bounds", "lower and upper bounds on nonnegative rank",
+             [_in("--matrix", _load_matrix), SEED,
+              ("--iterations", {"type": _positive_int, "default": 400}),
+              ("--restarts", {"type": _positive_int, "default": 3}),
+              ("--max-denominator", {"type": _positive_int, "default": 64}), OUT],
+             _nnegrk_bounds),
+    _Command("udisj-shift", "rho-shift matrix of unique disjointness",
+             [N, RHO, ("--fill", {"choices": ["hardpair", "constant"], "default": "hardpair"}),
+              ("--fill-value", {"type": rat, "default": Fraction(0)}), OUT],
+             lambda a: ({"out": build_shift(ShiftSpec(a.n, a.rho, fill=a.fill,
+                                                       fill_value=a.fill_value)).to_json()},
+                        None)),
+    _Command("razborov-check", "verify the conditional-expectation identities",
+             [N, ("--trials", {"type": _positive_int, "default": 5}), SEED,
+              ("--f", {"help": "function spec: ones | set:MASK | contains:K | avoids:K"}),
+              ("--g", {}), OUT], _razborov_check, cert=True),
+    _Command("corruption-scan", "scan rectangles for corruption values",
+             [N, ("--eps", {"type": rat, "required": True}), MODE, SEED,
+              ("--count", {"type": _positive_int, "default": 1000}),
+              ("--format", {"choices": ["json", "csv"], "default": "json"}), OUT],
+             _corruption_scan),
+    _Command("corruption-bound", "closed-form corruption bound",
+             [("--eps", {"type": rat, "required": True}),
+              ("--ell", {"type": _positive_int, "required": True}), C, OUT],
+             _corruption_bound),
+    _Command("shift-lb", "rank lower bound for rho-extensions",
+             [N, RHO, ("--eps", {"type": rat, "default": None}), C, OUT], _shift_lb),
+    _Command("hardpair", "correlation polytope and its quadratic outer description",
+             [N, ("--out-p", {"required": True, "output": True}),
+              ("--out-q", {"required": True, "output": True})], _hardpair),
+    _Command("hardpair-slack", "shifted slack matrix of the hard pair",
+             [N, ("--rho", {"type": rat, "default": Fraction(1)}), OUT],
+             lambda a: ({"out": hardpair_slack(a.n, a.rho).to_json()}, None)),
+    _Command("clique-weight", "clique objective matrix",
+             [_in("--graph", Graph.from_json), OUT],
+             lambda a: ({"out": clique_weight(a.graph).to_json()}, None)),
+    _Command("clique-omega", "exact clique number",
+             [_in("--graph", Graph.from_json), OUT],
+             lambda a: ({"out": {"op": "clique_number", "omega": clique_number(a.graph)}},
+                        None)),
+    _Command("qall-separate", "separate a point from the all-graphs relaxation",
+             [_in("--x", RationalMatrix.from_json), MODE, SEED,
+              ("--count", {"type": _positive_int, "default": 200}), OUT],
+             _qall_separate, cert=True),
+    _Command("box-ef", "box extension and approximation report",
+             [N, _in("--graph", Graph.from_json, required=False,
+                     help="clique objective to report on"),
+              OUT, ("--report", {"output": True})], _box_ef),
+    _Command("cut-family", "cut polytope, cut cone or correlation cone generators",
+             [("--kind", {"required": True,
+                          "choices": ["cut_polytope", "cut_cone", "correlation_cone"]}),
+              N, OUT],
+             lambda a: ({"out": build_cut_family(a.kind, a.n).to_json()}, None)),
+    _Command("covmap", "covariance image of an edge vector",
+             [N, _in("--vec", _vec_file), OUT],
+             lambda a: ({"out": covariance_map(a.vec, a.n).to_json()}, None)),
+    _Command("psd-check", "verify the rank-one PSD factor identity", [N, OUT], _psd_check),
+    _Command("spectra-witness", "check the vertex witness equation",
+             [N, ("--b", {"required": True, "help": "bitstring b_1...b_n or integer mask"}),
+              _in("--y", RationalMatrix.from_json, required=False,
+                  help="alternative Y matrix JSON"), OUT],
+             _spectra_witness, cert=True),
+    _Command("verify-sandwich", "verify P inside K inside rho Q",
+             [_in("--p", VRep.from_json), _in("--q", HRep.from_json), RHO,
+              _in("--ef", ExtendedFormulation.from_json), OUT],
+             _verify_sandwich, cert=True),
+    _Command("check-cert", "re-verify a certificate file",
+             [_in("--cert", _json_object, dest="cert_file"), OUT], _check_cert),
+]}
+
+
+def _options(cmd):
+    return cmd.options + [CERT] if cmd.cert else cmd.options
+
+
+def _dest(flag, kw):
+    return kw.get("dest") or flag.lstrip("-").replace("-", "_")
+
+
+def _run(cmd, args):
+    """Check that no two paths collide, the default certificate path
+    included; load the inputs; run the handler; then write its artifacts
+    (a certificate to the certificate path) and return 0, or 1 on failure."""
+    if cmd.cert:
+        args.cert = _cert_path(args)
+    opts = [(_dest(flag, kw), kw) for flag, kw in _options(cmd)]
+    _check_paths([getattr(args, d) for d, kw in opts if "load" in kw],
+                 [getattr(args, d) for d, kw in opts if kw.get("output")])
+    for d, kw in opts:
+        if "load" in kw and getattr(args, d) is not None:
+            setattr(args, d, kw["load"](_load_json(getattr(args, d))))
+    artifacts, failure = cmd.handler(args)
+    if isinstance(failure, dict):
+        artifacts["cert"] = failure
+    for d, data in artifacts.items():
+        (_write if isinstance(data, str) else _dump)(data, getattr(args, d))
+    return 0 if failure is None else 1
 
 
 @functools.cache
@@ -500,170 +524,10 @@ def _build_parser():
                      help="global time budget in milliseconds "
                           "(overrides EFBOUND_BUDGET_MS)")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("slack", cmd_slack, help="slack matrix of a polyhedron pair")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--out")
-
-    p = add("dilate", cmd_dilate, help="scale the right-hand sides of an H-rep")
-    p.add_argument("--q", required=True)
-    p.add_argument("--rho", type=rat, required=True)
-    p.add_argument("--out")
-
-    p = add("shift-slack", cmd_shift_slack, help="shift a slack matrix by rho-1")
-    p.add_argument("--slack", required=True)
-    p.add_argument("--rho", type=rat, required=True)
-    p.add_argument("--out")
-
-    p = add("fac2ef", cmd_fac2ef,
-            help="extended formulation from a nonnegative factorization")
-    p.add_argument("--q", required=True)
-    p.add_argument("--fac", required=True)
-    p.add_argument("--slack", help="optional slack matrix to verify the "
-                                   "factorization against first")
-    p.add_argument("--out")
-    p.add_argument("--cert")
-
-    p = add("ef2fac", cmd_ef2fac,
-            help="nonnegative factorization from a sandwiched EF")
-    p.add_argument("--ef", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--out")
-    p.add_argument("--cert")
-
-    p = add("nnegrk-bounds", cmd_nnegrk_bounds,
-            help="lower and upper bounds on nonnegative rank")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=_positive_int, default=400)
-    p.add_argument("--restarts", type=_positive_int, default=3)
-    p.add_argument("--max-denominator", type=_positive_int, default=64)
-    p.add_argument("--out")
-
-    p = add("udisj-shift", cmd_udisj_shift,
-            help="rho-shift matrix of unique disjointness")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--rho", type=rat, required=True)
-    p.add_argument("--fill", choices=["hardpair", "constant"], default="hardpair")
-    p.add_argument("--fill-value", type=rat, default=Fraction(0))
-    p.add_argument("--out")
-
-    p = add("razborov-check", cmd_razborov_check,
-            help="verify the conditional-expectation identities")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--f", help="function spec: ones | set:MASK | contains:K | avoids:K")
-    p.add_argument("--g")
-    p.add_argument("--out")
-    p.add_argument("--cert")
-
-    p = add("corruption-scan", cmd_corruption_scan,
-            help="scan rectangles for corruption values")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--eps", type=rat, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_positive_int, default=1000)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out")
-
-    p = add("corruption-bound", cmd_corruption_bound,
-            help="closed-form corruption bound")
-    p.add_argument("--eps", type=rat, required=True)
-    p.add_argument("--ell", type=_positive_int, required=True)
-    p.add_argument("--C", type=rat, default=Fraction(0))
-    p.add_argument("--out")
-
-    p = add("shift-lb", cmd_shift_lb,
-            help="rank lower bound for rho-extensions")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--rho", type=rat, required=True)
-    p.add_argument("--eps", type=rat, default=None)
-    p.add_argument("--C", type=rat, default=Fraction(0))
-    p.add_argument("--out")
-
-    p = add("hardpair", cmd_hardpair,
-            help="correlation polytope and its quadratic outer description")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--out-p", required=True)
-    p.add_argument("--out-q", required=True)
-
-    p = add("hardpair-slack", cmd_hardpair_slack,
-            help="shifted slack matrix of the hard pair")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--rho", type=rat, default=Fraction(1))
-    p.add_argument("--out")
-
-    p = add("clique-weight", cmd_clique_weight, help="clique objective matrix")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-
-    p = add("clique-omega", cmd_clique_omega, help="exact clique number")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-
-    p = add("qall-separate", cmd_qall_separate,
-            help="separate a point from the all-graphs relaxation")
-    p.add_argument("--x", required=True)
-    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=_positive_int, default=200)
-    p.add_argument("--out")
-    p.add_argument("--cert")
-
-    p = add("box-ef", cmd_box_ef, help="box extension and approximation report")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--graph", help="clique objective to report on")
-    p.add_argument("--out")
-    p.add_argument("--report")
-
-    p = add("cut-family", cmd_cut_family,
-            help="cut polytope, cut cone or correlation cone generators")
-    p.add_argument("--kind", required=True,
-                   choices=["cut_polytope", "cut_cone", "correlation_cone"])
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--out")
-
-    p = add("covmap", cmd_covmap, help="covariance image of an edge vector")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--vec", required=True)
-    p.add_argument("--out")
-
-    p = add("psd-check", cmd_psd_check,
-            help="verify the rank-one PSD factor identity")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--out")
-
-    p = add("spectra-witness", cmd_spectra_witness,
-            help="check the vertex witness equation")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--b", required=True,
-                   help="bitstring b_1...b_n or integer mask")
-    p.add_argument("--y", help="alternative Y matrix JSON")
-    p.add_argument("--out")
-    p.add_argument("--cert")
-
-    p = add("verify-sandwich", cmd_verify_sandwich,
-            help="verify P inside K inside rho Q")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--rho", type=rat, required=True)
-    p.add_argument("--ef", required=True)
-    p.add_argument("--out")
-    p.add_argument("--cert")
-
-    p = add("check-cert", cmd_check_cert, help="re-verify a certificate file")
-    p.add_argument("--cert", dest="cert_file", required=True)
-    p.add_argument("--out")
-
+    for cmd in _COMMANDS.values():
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flag, kw in _options(cmd):
+            p.add_argument(flag, **{k: v for k, v in kw.items() if k not in ("load", "output")})
     return top
 
 
@@ -686,7 +550,7 @@ def main(argv=None):
                 return 2
     set_budget_ms(budget)
     try:
-        return args.func(args)
+        return _run(_COMMANDS[args.command], args)
     except InputError as exc:
         print(f"efbound: input error: {exc}", file=sys.stderr)
         return 2

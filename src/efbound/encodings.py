@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetError, InputError, check_deadline, require
+from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
 from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
 
@@ -82,10 +82,8 @@ class Graph:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("graph JSON needs keys n, vertices, edges"):
             return cls(d["n"], d["vertices"], d["edges"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("graph JSON needs keys n, vertices, edges") from exc
 
     @classmethod
     def edgeless(cls, n, vertices):

@@ -6,10 +6,24 @@ having to thread a context object through every signature.
 """
 
 import time
+from contextlib import contextmanager
 
 
 class InputError(ValueError):
     """Malformed or out-of-contract input."""
+
+
+@contextmanager
+def decoding(what):
+    """Raise InputError(what) for a field that the block finds missing or of
+    the wrong type: a KeyError, IndexError, TypeError, ValueError or
+    AttributeError escaping it.  An InputError keeps its own message."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(what) from exc
 
 
 class VerificationError(RuntimeError):

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, InputError, check_deadline, require
+from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .polyhedra import (
     ExtendedFormulation,
     HRep,
@@ -78,10 +78,8 @@ class NonnegFactorization:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("factorization JSON needs keys T, U"):
             return cls(RationalMatrix.from_json(d["T"]), RationalMatrix.from_json(d["U"]))
-        except (KeyError, TypeError) as exc:
-            raise InputError("factorization JSON needs keys T, U") from exc
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError, require
+from .errors import InputError, decoding, require
 from .ratlin import (ONE, ZERO, RationalMatrix, _vec_json, dot, lp_solve, lp_solve_each, rat,
                      rat_str)
 
@@ -60,10 +60,8 @@ class VRep:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("V-rep JSON needs keys dim, points (and optional rays)"):
             return cls(d["dim"], d["points"], d.get("rays", []))
-        except (KeyError, TypeError) as exc:
-            raise InputError("V-rep JSON needs keys dim, points (and optional rays)") from exc
 
     def __repr__(self):
         return f"VRep(dim={self.dim}, points={len(self.points)}, rays={len(self.rays)})"
@@ -91,10 +89,8 @@ class HRep:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("H-rep JSON needs keys dim, A, b"):
             return cls(d["dim"], RationalMatrix.from_json(d["A"]), d["b"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("H-rep JSON needs keys dim, A, b") from exc
 
     def __repr__(self):
         return f"HRep(dim={self.dim}, rows={self.nrows})"
@@ -133,12 +129,10 @@ class SlackMatrix:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("slack JSON needs keys vertex_block, ray_block, source_b"):
             return cls(RationalMatrix.from_json(d["vertex_block"]),
                        RationalMatrix.from_json(d["ray_block"]),
                        d["source_b"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("slack JSON needs keys vertex_block, ray_block, source_b") from exc
 
     def __eq__(self, other):
         if not isinstance(other, SlackMatrix):
@@ -175,11 +169,9 @@ class ExtendedFormulation:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("EF JSON needs keys E, F, g"):
             return cls(RationalMatrix.from_json(d["E"]),
                        RationalMatrix.from_json(d["F"]), d["g"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("EF JSON needs keys E, F, g") from exc
 
     def __repr__(self):
         return f"ExtendedFormulation(dim={self.dim}, size={self.size}, rows={self.nrows})"

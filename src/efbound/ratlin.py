@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InputError, check_deadline, require
+from .errors import InputError, check_deadline, decoding, require
 
 Rational = Fraction
 ZERO = Fraction(0)
@@ -280,11 +280,8 @@ class RationalMatrix:
 
     @classmethod
     def from_json(cls, d) -> "RationalMatrix":
-        try:
-            rows, cols, entries = d["rows"], d["cols"], d["entries"]
-        except (KeyError, TypeError) as exc:
-            raise InputError("matrix JSON needs keys rows, cols, entries") from exc
-        return cls(int(rows), int(cols), entries)
+        with decoding("matrix JSON needs keys rows, cols, entries"):
+            return cls(int(d["rows"]), int(d["cols"]), d["entries"])
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetError, InputError, check_deadline, require
+from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .ratlin import ONE, ZERO, RationalMatrix, _vec_json, rat, rat_str
 
 
@@ -108,10 +108,8 @@ class FunctionTable:
 
     @classmethod
     def from_json(cls, d):
-        try:
+        with decoding("function table JSON needs keys n, values"):
             return cls(d["n"], d["values"])
-        except (KeyError, TypeError) as exc:
-            raise InputError("function table JSON needs keys n, values") from exc
 
 
 def parse_function(spec, n) -> FunctionTable:

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -579,11 +581,15 @@ class TestParserReuse:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the efbound under test, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = tmp_path / "s.json"
         proc = subprocess.run(
             [sys.executable, "-m", "efbound.cli", "hardpair-slack",
              "--n", "2", "--rho", "1", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         SlackMatrix.from_json(json.loads(out.read_text()))
 
@@ -594,3 +600,344 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# the CLI surface, captured from the hand-built parser that the command table
+# replaced: option -> (dest, required, default, choices, type name)
+
+CLI_SURFACE = {
+    "": {
+        "--budget-ms": ("budget_ms", False, None, None, "_positive_int"),
+    },
+    "slack": {
+        "--p": ("p", True, None, None, None),
+        "--q": ("q", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+    },
+    "dilate": {
+        "--q": ("q", True, None, None, None),
+        "--rho": ("rho", True, None, None, "rat"),
+        "--out": ("out", False, None, None, None),
+    },
+    "shift-slack": {
+        "--slack": ("slack", True, None, None, None),
+        "--rho": ("rho", True, None, None, "rat"),
+        "--out": ("out", False, None, None, None),
+    },
+    "fac2ef": {
+        "--q": ("q", True, None, None, None),
+        "--fac": ("fac", True, None, None, None),
+        "--slack": ("slack", False, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+    },
+    "ef2fac": {
+        "--ef": ("ef", True, None, None, None),
+        "--p": ("p", True, None, None, None),
+        "--q": ("q", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+    },
+    "nnegrk-bounds": {
+        "--matrix": ("matrix", True, None, None, None),
+        "--seed": ("seed", False, 0, None, "int"),
+        "--iterations": ("iterations", False, 400, None, "_positive_int"),
+        "--restarts": ("restarts", False, 3, None, "_positive_int"),
+        "--max-denominator": ("max_denominator", False, 64, None, "_positive_int"),
+        "--out": ("out", False, None, None, None),
+    },
+    "udisj-shift": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--rho": ("rho", True, None, None, "rat"),
+        "--fill": ("fill", False, "hardpair", ("hardpair", "constant"), None),
+        "--fill-value": ("fill_value", False, Fraction(0, 1), None, "rat"),
+        "--out": ("out", False, None, None, None),
+    },
+    "razborov-check": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--trials": ("trials", False, 5, None, "_positive_int"),
+        "--seed": ("seed", False, 0, None, "int"),
+        "--f": ("f", False, None, None, None),
+        "--g": ("g", False, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+    },
+    "corruption-scan": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--eps": ("eps", True, None, None, "rat"),
+        "--mode": ("mode", False, "exhaustive", ("exhaustive", "sample"), None),
+        "--seed": ("seed", False, 0, None, "int"),
+        "--count": ("count", False, 1000, None, "_positive_int"),
+        "--format": ("format", False, "json", ("json", "csv"), None),
+        "--out": ("out", False, None, None, None),
+    },
+    "corruption-bound": {
+        "--eps": ("eps", True, None, None, "rat"),
+        "--ell": ("ell", True, None, None, "_positive_int"),
+        "--C": ("C", False, Fraction(0, 1), None, "rat"),
+        "--out": ("out", False, None, None, None),
+    },
+    "shift-lb": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--rho": ("rho", True, None, None, "rat"),
+        "--eps": ("eps", False, None, None, "rat"),
+        "--C": ("C", False, Fraction(0, 1), None, "rat"),
+        "--out": ("out", False, None, None, None),
+    },
+    "hardpair": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--out-p": ("out_p", True, None, None, None),
+        "--out-q": ("out_q", True, None, None, None),
+    },
+    "hardpair-slack": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--rho": ("rho", False, Fraction(1, 1), None, "rat"),
+        "--out": ("out", False, None, None, None),
+    },
+    "clique-weight": {
+        "--graph": ("graph", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+    },
+    "clique-omega": {
+        "--graph": ("graph", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+    },
+    "qall-separate": {
+        "--x": ("x", True, None, None, None),
+        "--mode": ("mode", False, "exhaustive", ("exhaustive", "sample"), None),
+        "--seed": ("seed", False, 0, None, "int"),
+        "--count": ("count", False, 200, None, "_positive_int"),
+        "--out": ("out", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+    },
+    "box-ef": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--graph": ("graph", False, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--report": ("report", False, None, None, None),
+    },
+    "cut-family": {
+        "--kind": ("kind", True, None, ("cut_polytope", "cut_cone", "correlation_cone"), None),
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--out": ("out", False, None, None, None),
+    },
+    "covmap": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--vec": ("vec", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+    },
+    "psd-check": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--out": ("out", False, None, None, None),
+    },
+    "spectra-witness": {
+        "--n": ("n", True, None, None, "_positive_int"),
+        "--b": ("b", True, None, None, None),
+        "--y": ("y", False, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+    },
+    "verify-sandwich": {
+        "--p": ("p", True, None, None, None),
+        "--q": ("q", True, None, None, None),
+        "--rho": ("rho", True, None, None, "rat"),
+        "--ef": ("ef", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+    },
+    "check-cert": {
+        "--cert": ("cert_file", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+    },
+}
+
+
+def test_cli_surface_unchanged():
+    """No subcommand or option dropped or added, none changed."""
+    top = cli._build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: {", ".join(a.option_strings): (a.dest, a.required, a.default,
+                                             tuple(a.choices) if a.choices else None,
+                                             a.type.__name__ if a.type else None)
+               for a in p._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        for name, p in [("", top)] + list(sub.choices.items())}
+    assert surface == CLI_SURFACE
+
+
+def _mat(rows, cols, entries):
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+# one well-formed certificate of each kind; the EF is {x : x + w = 0, w >= 0}
+_EF = {"E": _mat(1, 1, ["1"]), "F": _mat(1, 1, ["1"]), "g": ["0"]}
+WELL_FORMED = {
+    "contains-failure": {"ef": _EF, "target_kind": "point", "target": ["1"], "u": ["1"]},
+    "row-violation": {"ef": _EF, "row": ["-1"], "bound": "0", "point": ["-1"]},
+    "qall-violation": {"x": _mat(2, 2, ["1", "-1", "-1", "1"]),
+                       "constraint": {"kind": "sign", "entry": [1, 2]}},
+    "factorization-invalid": {"matrix": _mat(1, 1, ["1"]),
+                              "fac": {"T": _mat(1, 1, ["1"]), "U": _mat(1, 1, ["2"])}},
+    "spectra-failure": {"n": 1, "b": 1, "y": _mat(2, 2, ["1", "0", "0", "1"])},
+    # the identities hold for these tables, so the certificate is well formed
+    # but false
+    "razborov-failure": {"n": 3, "f": {"n": 3, "values": ["1"] * 8},
+                         "g": {"n": 3, "values": ["1"] * 8}},
+}
+
+
+class TestMalformedCertificate:
+    """check-cert exits 2 (input error) on a certificate with a field missing
+    or of the wrong type, and on a file that holds no JSON object; never 1,
+    which means a well-formed certificate that does not verify."""
+
+    @staticmethod
+    def check(tmp_path, data):
+        write(tmp_path / "c.json", data)
+        return main(["check-cert", "--cert", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "o.json")])
+
+    @pytest.mark.parametrize("kind", sorted(WELL_FORMED))
+    def test_each_field(self, tmp_path, kind):
+        body = WELL_FORMED[kind]
+        assert self.check(tmp_path, dict(body, kind=kind)) == (
+            1 if kind == "razborov-failure" else 0)
+        for field in body:
+            if field != "y":  # spectra-failure's y is optional
+                missing = {k: v for k, v in body.items() if k != field}
+                assert self.check(tmp_path, dict(missing, kind=kind)) == 2, field
+            assert self.check(tmp_path, dict(body, kind=kind, **{field: {"x": 1}})) == 2, field
+
+    @pytest.mark.parametrize("kind,patch", [
+        ("contains-failure", {"target_kind": "line"}),
+        ("contains-failure", {"target": "1"}),
+        ("row-violation", {"point": ["-1", "0"]}),
+        ("qall-violation", {"constraint": {"kind": "sign", "entry": [1, 3]}}),
+        ("qall-violation", {"constraint": {"kind": "sign", "entry": [1, 2, 2]}}),
+        ("qall-violation", {"constraint": {"kind": "graph",
+                                           "graph": {"n": 3, "vertices": [1], "edges": []}}}),
+        ("qall-violation", {"x": _mat(1, 2, ["1", "-1"])}),
+        ("spectra-failure", {"n": "1"}),
+        ("spectra-failure", {"n": 0}),
+        ("spectra-failure", {"b": "1"}),
+        ("razborov-failure", {"n": 3.0}),
+        ("razborov-failure", {"f": {"n": 3, "values": ["1"] * 7}}),
+    ])
+    def test_wrong_value(self, tmp_path, kind, patch):
+        assert self.check(tmp_path, dict(WELL_FORMED[kind], kind=kind, **patch)) == 2
+
+    @pytest.mark.parametrize("data", [[{"kind": "row-violation"}], "row-violation", None, 7,
+                                      {"kind": ["row-violation"]}])
+    def test_no_certificate_object(self, tmp_path, data, capsys):
+        assert self.check(tmp_path, data) == 2
+        assert "input error" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+
+class TestPathRule:
+    """Inputs and outputs are distinct paths, the default certificate path
+    counts as an output, and no two outputs share a path.  A run that breaks
+    the rule exits 2 and writes nothing."""
+
+    @pytest.fixture
+    def refuted(self, pair_files):
+        """argv of a verify-sandwich run that fails, lacking its --ef."""
+        d = pair_files
+        write(d / "kbig.json", trivial_ef(dilate(build_hard_pair(2).Q, 2)).to_json())
+        return d, ["verify-sandwich", "--p", str(d / "p.json"), "--q", str(d / "q.json"),
+                   "--rho", "1"]
+
+    def test_input_at_derived_cert_path(self, refuted):
+        d, argv = refuted
+        shutil.copy(d / "kbig.json", d / "rep.json.cert.json")
+        before = (d / "rep.json.cert.json").read_bytes()
+        assert main(argv + ["--ef", str(d / "rep.json.cert.json"),
+                            "--out", str(d / "rep.json")]) == 2
+        assert (d / "rep.json.cert.json").read_bytes() == before
+        assert not (d / "rep.json").exists()
+
+    def test_input_at_default_cert_path(self, refuted, monkeypatch):
+        d, argv = refuted
+        monkeypatch.chdir(d)
+        shutil.copy(d / "kbig.json", d / "certificate.json")
+        before = (d / "certificate.json").read_bytes()
+        assert main(argv + ["--ef", "certificate.json"]) == 2
+        assert (d / "certificate.json").read_bytes() == before
+
+    def test_input_at_cert_path(self, refuted):
+        d, argv = refuted
+        before = (d / "kbig.json").read_bytes()
+        assert main(argv + ["--ef", str(d / "kbig.json"), "--out", str(d / "rep.json"),
+                            "--cert", str(d / "kbig.json")]) == 2
+        assert (d / "kbig.json").read_bytes() == before
+        assert not (d / "rep.json").exists()
+
+    def test_cert_is_a_link_to_an_input(self, refuted):
+        d, argv = refuted
+        (d / "link.json").symlink_to(d / "kbig.json")
+        before = (d / "kbig.json").read_bytes()
+        assert main(argv + ["--ef", str(d / "kbig.json"), "--out", str(d / "rep.json"),
+                            "--cert", str(d / "link.json")]) == 2
+        assert (d / "kbig.json").read_bytes() == before
+
+    def test_out_equals_cert(self, refuted):
+        d, argv = refuted
+        assert main(argv + ["--ef", str(d / "kbig.json"), "--out", str(d / "x.json"),
+                            "--cert", str(d / "x.json")]) == 2
+        assert not (d / "x.json").exists()
+
+    def test_hardpair_outputs_collide(self, tmp_path):
+        assert main(["hardpair", "--n", "2", "--out-p", str(tmp_path / "x.json"),
+                     "--out-q", str(tmp_path / "x.json")]) == 2
+        assert not (tmp_path / "x.json").exists()
+
+    def test_box_ef_outputs_collide(self, tmp_path):
+        write(tmp_path / "g.json", {"n": 2, "vertices": [1, 2], "edges": []})
+        assert main(["box-ef", "--n", "2", "--graph", str(tmp_path / "g.json"),
+                     "--out", str(tmp_path / "x.json"),
+                     "--report", str(tmp_path / "x.json")]) == 2
+        assert not (tmp_path / "x.json").exists()
+
+
+class TestNothingWrittenOnError:
+    def test_box_ef_graph_mismatch(self, tmp_path):
+        write(tmp_path / "g3.json", {"n": 3, "vertices": [1, 2, 3], "edges": []})
+        assert main(["box-ef", "--n", "2", "--graph", str(tmp_path / "g3.json"),
+                     "--out", str(tmp_path / "box.json")]) == 2
+        assert not (tmp_path / "box.json").exists()
+
+    def test_razborov_half_a_pair(self, tmp_path):
+        assert main(["razborov-check", "--n", "3", "--f", "ones",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        assert main(["psd-check", "--n", "2",
+                     "--out", str(tmp_path / "no" / "such" / "dir.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_null_field_is_input_error(self, tmp_path):
+        write(tmp_path / "g.json", {"n": None, "vertices": [], "edges": []})
+        assert main(["clique-omega", "--graph", str(tmp_path / "g.json")]) == 2
+        write(tmp_path / "m.json", _mat(None, 1, []))
+        assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json")]) == 2
+
+
+@pytest.mark.parametrize("cls,message", [
+    ("Graph", "graph JSON needs keys n, vertices, edges"),
+    ("NonnegFactorization", "factorization JSON needs keys T, U"),
+    ("VRep", "V-rep JSON needs keys dim, points"),
+    ("HRep", "H-rep JSON needs keys dim, A, b"),
+    ("SlackMatrix", "slack JSON needs keys vertex_block, ray_block, source_b"),
+    ("ExtendedFormulation", "EF JSON needs keys E, F, g"),
+    ("RationalMatrix", "matrix JSON needs keys rows, cols, entries"),
+    ("FunctionTable", "function table JSON needs keys n, values"),
+])
+def test_from_json_names_its_fields(cls, message):
+    import efbound
+    from efbound.errors import InputError
+    for data in ([], {}, {"n": None, "dim": None, "rows": None}):
+        with pytest.raises(InputError, match=message):
+            getattr(efbound, cls).from_json(data)
