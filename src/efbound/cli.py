@@ -87,6 +87,10 @@ def _dump(data, path=None):
 
 
 def _check_paths(ins, outs):
+    for p in filter(None, outs):
+        folder = os.path.dirname(p)
+        if folder and not os.path.isdir(folder):
+            raise InputError(f"cannot write {p}: no directory {folder}")
     ins = {os.path.realpath(p) for p in ins if p}
     outs = [os.path.realpath(p) for p in outs if p]
     clash = ins.intersection(outs)
@@ -492,9 +496,10 @@ def _dest(flag, kw):
 
 
 def _run(cmd, args):
-    """Check that no two paths collide, the default certificate path
-    included; load the inputs; run the handler; then write its artifacts
-    (a certificate to the certificate path) and return 0, or 1 on failure."""
+    """Check that every output directory exists and that no two paths
+    collide, the default certificate path included; load the inputs; run
+    the handler; then write its artifacts (a certificate to the certificate
+    path) and return 0, or 1 on failure."""
     if cmd.cert:
         args.cert = _cert_path(args)
     opts = [(_dest(flag, kw), kw) for flag, kw in _options(cmd)]

@@ -17,6 +17,12 @@ only ever drop below min(m, n) when a candidate factorization verifies as an
 exact rational identity.  Floating-point appears solely inside the NMF
 heuristic, and anything it produces is either made exact or thrown away.
 
+The NMF heuristic runs the multiplicative updates of a chunk of restarts
+at once on stacked arrays, bit for bit as each restart alone would.  Each
+restart's T is rounded to nearby rationals by integer continued fractions;
+exact ranks refute a T whose span misses a column of S before any LP, and
+only a T that survives has U solved exactly in its cone.
+
 The rectangle cover is a branch and bound over the maximal rectangles of
 the support, whose column sets are found as the intersection closure of the
 row supports.  It prunes a node by three bounds valid for a minimum cover
@@ -357,7 +363,13 @@ def rect_cover_lb(S, max_side=16) -> int:
 
 @dataclass
 class NmfConfig:
-    """Knobs for the floating NMF heuristic inside nnegrk_bounds."""
+    """Knobs for the floating NMF heuristic inside nnegrk_bounds.
+
+    Each rank tried gets `restarts` shots; a shot runs `iterations`
+    multiplicative updates from its own seeded start, and its float T is
+    rounded to the nearest rationals with denominators at most
+    `max_denominator`.
+    """
 
     seed: int = 0
     iterations: int = 400
@@ -378,47 +390,99 @@ class NnegrkBounds:
                 f"upper={self.upper} via {upper_via}"]
 
 
-def _nmf_attempt(S: RationalMatrix, r, cfg: NmfConfig):
-    """One heuristic shot at a verified rank-r factorization of S.
+# restarts whose float stage runs as one stacked array; it bounds the memory
+# of a run with many restarts and the time between two deadline polls
+_NMF_CHUNK = 16
 
-    Multiplicative updates in floats, then the exact completion: T is
-    rounded by continued fractions, U is re-solved exactly column by column
-    (rounding U too is kept as a fallback).  Only exactly verified results
-    escape this function.
+
+def _nearest(x, qmax):
+    """max(0, Fraction(x).limit_denominator(qmax)) for a finite float x.
+
+    The same continued-fraction steps on x.as_integer_ratio(), with the
+    same tie rule: of the two best one-sided approximations with
+    denominator at most qmax, the convergent p1/q1 wins unless the
+    semiconvergent is strictly closer.
+    """
+    if not x > 0:
+        return ZERO
+    n, d = x.as_integer_ratio()
+    if d <= qmax:
+        return Fraction(n, d)
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > qmax:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (qmax - q0) // q1
+    # |p1/q1 - x| = d / (q1 den) against half the gap 1 / (q1 (q0 + k q1))
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
+def _nmf_floats(V, r, cfg: NmfConfig, attempts):
+    """Float W factors of the restarts in `attempts`, as one (k, m, r) stack.
+
+    Restart a draws W (m x r), then H (r x n), uniformly from [0.1, 1) with
+    default_rng(seed + 1009 a + 9176 r).  The stacks run the multiplicative
+    updates with the same products, left to right, as one restart alone, so
+    each restart's W is bit for bit the one its own loop would give.
+    """
+    m, n = V.shape
+    W = np.empty((len(attempts), m, r))
+    H = np.empty((len(attempts), r, n))
+    for k, attempt in enumerate(attempts):
+        rng = np.random.default_rng(cfg.seed + 1009 * attempt + 9176 * r)
+        W[k] = rng.uniform(0.1, 1.0, (m, r))
+        H[k] = rng.uniform(0.1, 1.0, (r, n))
+    Wt, Ht = W.transpose(0, 2, 1), H.transpose(0, 2, 1)  # views: they follow W, H
+    for _ in range(cfg.iterations):
+        H *= (Wt @ V) / (Wt @ W @ H + 1e-12)
+        W *= (V @ Ht) / (W @ H @ Ht + 1e-12)
+    return np.nan_to_num(W, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _outside_span(T: RationalMatrix, S: RationalMatrix):
+    """Whether some column of S lies outside the column span of T, by exact
+    ranks.  Then T U = S has no solution at all, let alone one with U >= 0."""
+    return mat_rank(RationalMatrix.hstack([T, S])) > mat_rank(T)
+
+
+def _nmf_attempt(S: RationalMatrix, V, r, cfg: NmfConfig):
+    """One heuristic shot at a verified rank-r factorization of S, whose
+    float copy is V.
+
+    The float stage runs a chunk of restarts at a time.  Then each restart,
+    in order, gets the exact completion: T is rounded by continued
+    fractions; a T whose span misses a column of S is refuted by exact
+    ranks, with no LP; otherwise U is solved exactly column by column in
+    cone(T).  The first restart whose U exists wins, and only exactly
+    verified results escape this function.
     """
     m, n = S.rows, S.cols
-    V = np.array([[float(S[i, j]) for j in range(n)] for i in range(m)])
-    for attempt in range(cfg.restarts):
+    for start in range(0, cfg.restarts, _NMF_CHUNK):
         check_deadline()
-        rng = np.random.default_rng(cfg.seed + 1009 * attempt + 9176 * r)
-        Wf = rng.uniform(0.1, 1.0, (m, r))
-        Hf = rng.uniform(0.1, 1.0, (r, n))
-        for _ in range(cfg.iterations):
-            Hf *= (Wf.T @ V) / (Wf.T @ Wf @ Hf + 1e-12)
-            Wf *= (V @ Hf.T) / (Wf @ Hf @ Hf.T + 1e-12)
-        Wf = np.nan_to_num(Wf, nan=0.0, posinf=0.0, neginf=0.0)
-        Hf = np.nan_to_num(Hf, nan=0.0, posinf=0.0, neginf=0.0)
-        T = RationalMatrix(m, r, [
-            max(ZERO, Fraction(float(x)).limit_denominator(cfg.max_denominator))
-            for x in Wf.flatten()])
-        cols = []
-        for j in range(n):
-            status, u = nonneg_solution(T, S.col(j))
-            if status != "ok":
-                cols = None
-                break
-            cols.append(u)
-        if cols is not None:
-            U = RationalMatrix(r, n, [cols[j][k] for k in range(r) for j in range(n)])
-            fac = NonnegFactorization(T, U)
-            if verify_factorization(S, fac):
-                return fac
-        U = RationalMatrix(r, n, [
-            max(ZERO, Fraction(float(x)).limit_denominator(cfg.max_denominator))
-            for x in Hf.flatten()])
-        fac = NonnegFactorization(T, U)
-        if verify_factorization(S, fac):
-            return fac
+        stack = _nmf_floats(V, r, cfg, range(start, min(start + _NMF_CHUNK, cfg.restarts)))
+        for Wf in stack.tolist():
+            check_deadline()
+            T = RationalMatrix(m, r, [_nearest(x, cfg.max_denominator) for row in Wf for x in row])
+            if _outside_span(T, S):
+                continue
+            cols = []
+            for j in range(n):
+                status, u = nonneg_solution(T, S.col(j))
+                if status != "ok":
+                    break
+                cols.append(u)
+            if len(cols) == n:
+                U = RationalMatrix(r, n, [cols[j][k] for k in range(r) for j in range(n)])
+                fac = NonnegFactorization(T, U)
+                if verify_factorization(S, fac):
+                    return fac
     return None
 
 
@@ -449,8 +513,9 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
     lower_witness = "rectangle-cover" if cover > rank else "rank"
     upper = min(S.rows, S.cols)
     upper_witness = "trivial"
+    V = np.array([[float(x) for x in row] for row in S.tolist()])
     for r in range(max(lower, 1), upper):
-        fac = _nmf_attempt(S, r, cfg)
+        fac = _nmf_attempt(S, V, r, cfg)
         if fac is not None:
             upper = r
             upper_witness = fac

@@ -378,6 +378,18 @@ class TestExitDiscipline:
         assert rc == 3
         assert not (tmp_path / "never.json").exists()
 
+    def test_budget_polled_between_nmf_chunks(self, tmp_path):
+        # restarts run in fixed chunks with a poll before each chunk and each
+        # completion, so a huge --restarts neither outlasts the budget nor
+        # allocates its float stage at once
+        assert main(["hardpair-slack", "--n", "3", "--out", str(tmp_path / "s.json")]) == 0
+        start = time.perf_counter()
+        rc = main(["--budget-ms", "50", "nnegrk-bounds", "--matrix", str(tmp_path / "s.json"),
+                   "--restarts", "100000", "--out", str(tmp_path / "never.json")])
+        assert rc == 3
+        assert time.perf_counter() - start < 5
+        assert not (tmp_path / "never.json").exists()
+
     def test_failed_internal_check_exits_four(self, pair_files, monkeypatch, capsys):
         from efbound import ratlin
         genuine = ratlin._Tableau.phase2
@@ -546,6 +558,36 @@ PINNED_LP = {
 @pytest.mark.parametrize("name", sorted(PINNED_LP))
 def test_lp_artifacts_pinned(lp_artifacts, name):
     assert hashlib.sha256((lp_artifacts / name).read_bytes()).hexdigest() == PINNED_LP[name]
+
+
+# sha256 of nnegrk-bounds reports as written by the per-restart NMF loop with
+# Fraction.limit_denominator rounding; they fix the float stage's bits, the
+# restart order and the rounding of T.  All but "rank2_tuned" carry an
+# upper_witness (7 iterations at seed 5 find none); "rank2_den8" finds its
+# witness at a later restart.
+_RANK2 = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
+PINNED_NNEGRK = {
+    "rank2": (_RANK2, [],
+              "93fa2c80908c97d29d3fe2e8e342c64e8b649217fae62f01eccf0bc7ba02f3ae"),
+    "rank2_tuned": (_RANK2, ["--seed", "5", "--iterations", "7"],
+                    "8bd5a84e83b456d2938849c9f00502e6b69fbd4cced34f1e41ddc4d7d777dd93"),
+    "ones4": ([[1] * 4] * 4, [],
+              "7089e98bf5cd63ad0f937523d293396d857296f89276e649e2b615d97b21c05c"),
+    "ones4_den8": ([[1] * 4] * 4, ["--restarts", "5", "--max-denominator", "8"],
+                   "fc835f5226be5093ea3601c16f0455c6407e877edffd53e78d90f1388cde30fc"),
+    "rank2_den8": (_RANK2, ["--seed", "3", "--restarts", "5", "--max-denominator", "8"],
+                   "054263044be0208912c61e906367a2110eba5574c9ca849e7ab1bc4e5a43cd1e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NNEGRK))
+def test_nnegrk_witnesses_pinned(tmp_path, name):
+    rows, options, digest = PINNED_NNEGRK[name]
+    write(tmp_path / "m.json", RationalMatrix.from_rows(rows).to_json())
+    out = tmp_path / "nb.json"
+    assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
+                 "--out", str(out)] + options) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestParserReuse:
@@ -892,6 +934,18 @@ class TestPathRule:
         assert main(["hardpair", "--n", "2", "--out-p", str(tmp_path / "x.json"),
                      "--out-q", str(tmp_path / "x.json")]) == 2
         assert not (tmp_path / "x.json").exists()
+
+    def test_missing_output_directory(self, tmp_path, capsys):
+        assert main(["hardpair", "--n", "2", "--out-p", str(tmp_path / "hp_p.json"),
+                     "--out-q", str(tmp_path / "nodir" / "q.json")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_cert_directory(self, refuted):
+        d, argv = refuted
+        assert main(argv + ["--ef", str(d / "kbig.json"), "--out", str(d / "rep.json"),
+                            "--cert", str(d / "nodir" / "c.json")]) == 2
+        assert not (d / "rep.json").exists()
 
     def test_box_ef_outputs_collide(self, tmp_path):
         write(tmp_path / "g.json", {"n": 2, "vertices": [1, 2], "edges": []})

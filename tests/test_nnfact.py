@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efbound import (
@@ -38,6 +40,7 @@ from efbound.nnfact import (
     rect_cover_lb,
     verify_factorization,
 )
+from efbound.ratlin import ZERO
 
 
 def segment():
@@ -490,3 +493,119 @@ class TestNnegrkBounds:
             if isinstance(nb.upper_witness, NonnegFactorization):
                 assert verify_factorization(S, nb.upper_witness)
                 assert nb.upper == nb.upper_witness.rank
+
+
+def reference_floats(V, r, cfg, attempt):
+    """The float stage of one restart alone, as the per-restart loop ran it:
+    W, then H, drawn from its own generator, 2-D products left to right."""
+    m, n = V.shape
+    rng = np.random.default_rng(cfg.seed + 1009 * attempt + 9176 * r)
+    W = rng.uniform(0.1, 1.0, (m, r))
+    H = rng.uniform(0.1, 1.0, (r, n))
+    for _ in range(cfg.iterations):
+        H *= (W.T @ V) / (W.T @ W @ H + 1e-12)
+        W *= (V @ H.T) / (W @ H @ H.T + 1e-12)
+    return np.nan_to_num(W, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+class TestNmfStage:
+    """The batched float stage, the integer rounding and the span refutation
+    against the per-restart loop and Fraction.limit_denominator."""
+
+    @settings(max_examples=1500, deadline=None)
+    @example(0.0, 7)
+    @example(-0.0, 7)
+    @example(5e-324, 1)
+    @example(-5e-324, 1000)
+    @example(0.5, 1)
+    @example(2.5, 1)
+    @example(1.0, 64)
+    @example(2.0 ** 62, 2)
+    @example(1e308, 1000)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(min_value=2.0 ** 60, max_value=1e300),
+                     st.integers(-2 ** 70, 2 ** 70).map(float),
+                     st.fractions(min_value=-3, max_value=3).map(float)),
+           st.integers(1, 1000))
+    def test_nearest_is_limit_denominator(self, x, q):
+        got = nnfact._nearest(x, q)
+        assert isinstance(got, F)
+        assert got == max(ZERO, F(x).limit_denominator(q))
+
+    @pytest.mark.parametrize("m,n,r,restarts,seed", [
+        (3, 3, 1, 1, 0), (3, 3, 2, 3, 0), (4, 6, 3, 5, 7), (6, 4, 2, 17, 3),
+        (8, 8, 7, 33, 11), (5, 9, 4, 16, 2), (16, 16, 11, 3, 5)])
+    def test_batched_floats_match_per_restart_loop(self, m, n, r, restarts, seed):
+        rng = random.Random(seed)
+        V = np.array([[float(rng.randint(0, 9)) for _ in range(n)] for _ in range(m)])
+        cfg = NmfConfig(seed=seed, iterations=60, restarts=restarts)
+        chunk = nnfact._NMF_CHUNK
+        batched = np.concatenate([
+            nnfact._nmf_floats(V, r, cfg, range(start, min(start + chunk, restarts)))
+            for start in range(0, restarts, chunk)])
+        assert batched.shape == (restarts, m, r)
+        for attempt in range(restarts):
+            ref = reference_floats(V, r, cfg, attempt)
+            assert batched[attempt].tobytes() == ref.tobytes(), attempt
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_chunk_size_keeps_the_witness(self, monkeypatch, chunk):
+        # the witness of seed 3 comes from a later restart, so with small
+        # chunks it lies beyond the first one
+        S = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+        cfg = NmfConfig(seed=3, restarts=5, max_denominator=8)
+        want = nnegrk_bounds(S, cfg).upper_witness.to_json()
+        monkeypatch.setattr(nnfact, "_NMF_CHUNK", chunk)
+        assert nnegrk_bounds(S, cfg).upper_witness.to_json() == want
+
+    def test_outside_span_by_rank(self):
+        T = RationalMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
+        assert not nnfact._outside_span(T, RationalMatrix.from_rows([[1], [2], [0]]))
+        assert nnfact._outside_span(T, RationalMatrix.from_rows([[1], [2], [3]]))
+        # T has rank 1 < r = 2: [T | S] has rank 2 = r, yet S is outside span(T)
+        T = RationalMatrix.from_rows([[1, 0], [0, 0], [0, 0]])
+        assert nnfact._outside_span(T, RationalMatrix.from_rows([[0], [1], [0]]))
+        assert not nnfact._outside_span(T, RationalMatrix.from_rows([[3], [0], [0]]))
+
+    @pytest.mark.parametrize("S,found", [
+        (hardpair_slack(4, 2).full(), False),
+        (RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]), True)])
+    def test_lps_only_after_the_span_test(self, monkeypatch, S, found):
+        calls = []
+        genuine = nnfact.nonneg_solution
+
+        def spy(T, rhs):
+            calls.append(T)
+            return genuine(T, rhs)
+        monkeypatch.setattr(nnfact, "nonneg_solution", spy)
+        nb = nnegrk_bounds(S)
+        assert isinstance(nb.upper_witness, NonnegFactorization) == found
+        if found:
+            assert calls  # the witness's U comes from the LPs
+        else:
+            assert calls == []  # every attempt is refuted by rank
+        assert all(not nnfact._outside_span(T, S) for T in calls)
+
+    def test_deadline_polled_before_each_chunk(self, monkeypatch):
+        # restart 0's completion outlasts the budget; the poll before the next
+        # chunk stops the run before that chunk's float stage
+        stages = []
+        genuine = nnfact._nmf_floats
+
+        def counted(V, r, cfg, attempts):
+            stages.append(attempts)
+            return genuine(V, r, cfg, attempts)
+
+        def slow_completion(T, rhs):
+            time.sleep(0.3)
+            return "no", None
+        monkeypatch.setattr(nnfact, "_NMF_CHUNK", 1)
+        monkeypatch.setattr(nnfact, "_nmf_floats", counted)
+        monkeypatch.setattr(nnfact, "nonneg_solution", slow_completion)
+        set_budget_ms(200)
+        try:
+            with pytest.raises(BudgetError):
+                nnegrk_bounds(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
+        finally:
+            set_budget_ms(None)
+        assert stages == [range(0, 1)]
