@@ -4,9 +4,10 @@ cones, and the rank-one PSD factor families.
 Vectors a, b range over {0,1}^n and are handled as bitmasks (LSB = index 1)
 or 0/1 sequences interchangeably.  Matrix variables are vectorized row-major
 into R^(n^2) and every matrix inner product is Frobenius.  All constructions
-are exact; the one numpy kernel works on small integers where int64
-arithmetic is exact, and a sampled rational cross-check ties it back to the
-Fraction world.
+are exact; the one numpy kernel, in psd_factors, works on small integers
+where int64 arithmetic is exact, and a sampled rational cross-check ties it
+back to the Fraction world.  numpy is imported there, not at module level,
+so no other construction loads it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
@@ -458,6 +457,8 @@ def psd_factors(n, max_n=10) -> PsdFactorPair:
         raise InputError(f"n must be >= 1, got {n}")
     if n > max_n:
         raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
+    import numpy as np
+
     size = 1 << n
     bits = np.array([[(m >> i) & 1 for i in range(n)] for m in range(size)],
                     dtype=np.int64)

@@ -20,8 +20,10 @@ heuristic, and anything it produces is either made exact or thrown away.
 The NMF heuristic runs the multiplicative updates of a chunk of restarts
 at once on stacked arrays, bit for bit as each restart alone would.  Each
 restart's T is rounded to nearby rationals by integer continued fractions;
-exact ranks refute a T whose span misses a column of S before any LP, and
-only a T that survives has U solved exactly in its cone.
+one exact elimination refutes a T whose span misses a column of S before
+any LP, and only a T that survives has U solved exactly in its cone.  numpy
+is imported only when the float stage runs, so a call that tries no rank
+below min(m, n) never loads it.
 
 The rectangle cover is a branch and bound over the maximal rectangles of
 the support, whose column sets are found as the intersection closure of the
@@ -35,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .polyhedra import (
     ExtendedFormulation,
@@ -46,7 +46,7 @@ from .polyhedra import (
     nonneg_solution,
     verify_sandwich,
 )
-from .ratlin import ONE, ZERO, RationalMatrix, dot, lp_solve, mat_rank, rat
+from .ratlin import ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, lp_solve, mat_rank, rat
 
 
 class PreconditionError(Exception):
@@ -432,6 +432,8 @@ def _nmf_floats(V, r, cfg: NmfConfig, attempts):
     updates with the same products, left to right, as one restart alone, so
     each restart's W is bit for bit the one its own loop would give.
     """
+    import numpy as np
+
     m, n = V.shape
     W = np.empty((len(attempts), m, r))
     H = np.empty((len(attempts), r, n))
@@ -446,21 +448,32 @@ def _nmf_floats(V, r, cfg: NmfConfig, attempts):
     return np.nan_to_num(W, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _outside_span(T: RationalMatrix, S: RationalMatrix):
-    """Whether some column of S lies outside the column span of T, by exact
-    ranks.  Then T U = S has no solution at all, let alone one with U >= 0."""
-    return mat_rank(RationalMatrix.hstack([T, S])) > mat_rank(T)
+def _int_columns(M: RationalMatrix):
+    """The rows of M with each column scaled to ints by the lcm of its
+    denominators.  Scaling a column by a nonzero number keeps its span."""
+    cols = [_over(M.col(j))[0] for j in range(M.cols)]
+    return [[c[i] for c in cols] for i in range(M.rows)]
 
 
-def _nmf_attempt(S: RationalMatrix, V, r, cfg: NmfConfig):
+def _outside_span(T: RationalMatrix, s_rows):
+    """Whether some column of S, given as _int_columns(S), lies outside the
+    column span of T.  Then T U = S has no solution at all, let alone one
+    with U >= 0.  One Bareiss pass over [T | S] pivots in T's columns only;
+    a nonzero left in S's columns below rank(T) is the refutation."""
+    rows = [t + s for t, s in zip(_int_columns(T), s_rows)]
+    rank = _eliminate_cols(rows, T.cols)
+    return any(any(row[T.cols:]) for row in rows[rank:])
+
+
+def _nmf_attempt(S: RationalMatrix, V, s_rows, r, cfg: NmfConfig):
     """One heuristic shot at a verified rank-r factorization of S, whose
-    float copy is V.
+    float copy is V and whose columns, scaled to ints, are s_rows.
 
     The float stage runs a chunk of restarts at a time.  Then each restart,
     in order, gets the exact completion: T is rounded by continued
-    fractions; a T whose span misses a column of S is refuted by exact
-    ranks, with no LP; otherwise U is solved exactly column by column in
-    cone(T).  The first restart whose U exists wins, and only exactly
+    fractions; a T whose span misses a column of S is refuted by one exact
+    elimination, with no LP; otherwise U is solved exactly column by column
+    in cone(T).  The first restart whose U exists wins, and only exactly
     verified results escape this function.
     """
     m, n = S.rows, S.cols
@@ -470,7 +483,7 @@ def _nmf_attempt(S: RationalMatrix, V, r, cfg: NmfConfig):
         for Wf in stack.tolist():
             check_deadline()
             T = RationalMatrix(m, r, [_nearest(x, cfg.max_denominator) for row in Wf for x in row])
-            if _outside_span(T, S):
+            if _outside_span(T, s_rows):
                 continue
             cols = []
             for j in range(n):
@@ -513,12 +526,17 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
     lower_witness = "rectangle-cover" if cover > rank else "rank"
     upper = min(S.rows, S.cols)
     upper_witness = "trivial"
-    V = np.array([[float(x) for x in row] for row in S.tolist()])
-    for r in range(max(lower, 1), upper):
-        fac = _nmf_attempt(S, V, r, cfg)
-        if fac is not None:
-            upper = r
-            upper_witness = fac
-            break
+    ranks = range(max(lower, 1), upper)
+    if ranks:
+        import numpy as np
+
+        V = np.array([[float(x) for x in row] for row in S.tolist()])
+        s_rows = _int_columns(S)
+        for r in ranks:
+            fac = _nmf_attempt(S, V, s_rows, r, cfg)
+            if fac is not None:
+                upper = r
+                upper_witness = fac
+                break
     require(lower <= upper, "lower bound <= upper bound")
     return NnegrkBounds(lower, upper, lower_witness, upper_witness)

@@ -308,11 +308,21 @@ def mat_rank(M) -> int:
     Denominators are cleared per row first (row scaling preserves rank), so
     the elimination runs on integers and the exact divisions stay exact.
     """
-    rows, m, n = _as_row_lists(M)
-    irows = [_over(r)[0] for r in rows]
+    rows, _, n = _as_row_lists(M)
+    return _eliminate_cols([_over(r)[0] for r in rows], n)
+
+
+def _eliminate_cols(irows, ncols):
+    """Fraction-free Bareiss elimination, in place, of the int rows irows,
+    pivoting in their first ncols columns only; returns the rank of those
+    columns.  Every column is updated, so afterwards the rows from the rank
+    on are zero in the first ncols columns, and nonzero in a later column
+    exactly when it lies outside the span of the first ncols.
+    """
+    m = len(irows)
     prev = 1
     rank = 0
-    for col in range(n):
+    for col in range(ncols):
         piv = next((i for i in range(rank, m) if irows[i][col]), None)
         if piv is None:
             continue
@@ -321,7 +331,7 @@ def mat_rank(M) -> int:
         for i in range(rank + 1, m):
             ric = irows[i][col]
             ri, rr = irows[i], irows[rank]
-            for j in range(col + 1, n):
+            for j in range(col + 1, len(ri)):
                 # one-step Bareiss update; the division by the previous
                 # pivot is exact
                 ri[j] = (ri[j] * p - ric * rr[j]) // prev

@@ -297,15 +297,34 @@ def cond_expect(f: FunctionTable, g: FunctionTable, params: UdisjParams):
             Fraction(_class_sum(F, G, B), len(B) * df * dg))
 
 
-def _row_col_sums(fv, gv, T: PartitionT, ell):
-    """Sums of fv over the l-subsets of T1 and over {i} plus the
-    (l-1)-subsets of T1, then the same for gv over T2: the numerators of
-    Row0, Row1, Col0 and Col1 over C(2l-1, l) and C(2l-1, l-1)."""
-    ibit = 1 << (T.i - 1)
-    return (sum(fv[m] for m in ksubsets(T.t1, ell)),
-            sum(fv[m | ibit] for m in ksubsets(T.t1, ell - 1)),
-            sum(gv[m] for m in ksubsets(T.t2, ell)),
-            sum(gv[m | ibit] for m in ksubsets(T.t2, ell - 1)))
+def _row_col_sums(fv, gv, ell):
+    """The function of a partition T giving the sums of fv over the
+    l-subsets of T1 and over {i} plus the (l-1)-subsets of T1, then the same
+    for gv over T2: the numerators of Row0, Row1, Col0 and Col1 over
+    C(2l-1, l) and C(2l-1, l-1).
+
+    Row0 depends on T1 alone and Col0 on T2 alone, so over many partitions
+    each is summed once per distinct mask, as are the subset lists."""
+    subsets, row0, col0 = {}, {}, {}
+
+    def subs(mask):
+        if mask not in subsets:
+            bits = [1 << c for c in _bits(mask)]
+            subsets[mask] = (list(map(sum, combinations(bits, ell))),
+                             list(map(sum, combinations(bits, ell - 1))))
+        return subsets[mask]
+
+    def sums(T: PartitionT):
+        ibit = 1 << (T.i - 1)
+        (a0, a1), (b0, b1) = subs(T.t1), subs(T.t2)
+        if T.t1 not in row0:
+            row0[T.t1] = sum(fv[m] for m in a0)
+        if T.t2 not in col0:
+            col0[T.t2] = sum(gv[m] for m in b0)
+        return (row0[T.t1], sum(fv[m | ibit] for m in a1),
+                col0[T.t2], sum(gv[m | ibit] for m in b1))
+
+    return sums
 
 
 def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
@@ -327,7 +346,7 @@ def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
     if T.t1.bit_count() != tsize or T.t2.bit_count() != tsize:
         raise InputError(f"T1 and T2 must each have {tsize} elements")
     k0, k1 = math.comb(tsize, ell), math.comb(tsize, ell - 1)
-    r0, r1, c0, c1 = _row_col_sums(f.values, g.values, T, ell)
+    r0, r1, c0, c1 = _row_col_sums(f.values, g.values, ell)(T)
     return RowColStats(row0=r0 / k0, row1=r1 / k1, col0=c0 / k0, col1=c1 / k1)
 
 
@@ -372,11 +391,12 @@ def razborov_identities(f: FunctionTable, g: FunctionTable, params: UdisjParams,
     (F, df), (G, dg) = _scaled(f), _scaled(g)
     ell = params.ell
     k0, k1 = math.comb(2 * ell - 1, ell), math.comb(2 * ell - 1, ell - 1)
+    sums = _row_col_sums(F, G, ell)
     sum_a = sum_b = count = 0
     per_t2 = {}
     for T in partitions(params):
         check_deadline()
-        r0, r1, c0, c1 = _row_col_sums(F, G, T, ell)
+        r0, r1, c0, c1 = sums(T)
         sum_a += r0 * c0
         sum_b += r1 * c1
         count += 1

@@ -635,6 +635,41 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         SlackMatrix.from_json(json.loads(out.read_text()))
 
+    def test_numpy_loaded_only_by_nmf_and_psd(self, tmp_path):
+        # importing numpy takes longer than most commands' own work, so only
+        # the NMF heuristic and the PSD kernel may load it, and nnegrk-bounds
+        # only when it tries a rank
+        d = tmp_path
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        write(d / "k.json", trivial_ef(build_hard_pair(3).Q).to_json())
+        write(d / "rank2.json", RationalMatrix.from_rows(_RANK2).to_json())
+        write(d / "id.json", RationalMatrix.identity(3).to_json())
+        code = ("import json, sys\n"
+                "from efbound.cli import main\n"
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
+
+        def run(*argvs):
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                                  capture_output=True, text=True, env=env, cwd=d,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        assert run(["hardpair", "--n", "3", "--out-p", "p.json", "--out-q", "q.json"],
+                   ["verify-sandwich", "--p", "p.json", "--q", "q.json", "--rho", "1",
+                    "--ef", "k.json", "--out", "rep.json"],
+                   ["corruption-scan", "--n", "3", "--eps", "1/2", "--out", "scan.json"],
+                   ["udisj-shift", "--n", "3", "--rho", "2", "--out", "shift.json"],
+                   ["nnegrk-bounds", "--matrix", "id.json", "--out", "nb_id.json"]
+                   ) == [[0] * 5, False]
+        assert json.loads((d / "rep.json").read_text())["ok"] is True
+        assert run(["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"],
+                   ["psd-check", "--n", "2", "--out", "psd.json"]) == [[0, 0], True]
+        assert json.loads((d / "psd.json").read_text())["ok"] is True
+
     def test_console_script(self, tmp_path):
         exe = shutil.which("efbound")
         assert exe, "efbound console script not on PATH"

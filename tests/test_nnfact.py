@@ -40,7 +40,7 @@ from efbound.nnfact import (
     rect_cover_lb,
     verify_factorization,
 )
-from efbound.ratlin import ZERO
+from efbound.ratlin import ZERO, mat_rank
 
 
 def segment():
@@ -559,13 +559,33 @@ class TestNmfStage:
         assert nnegrk_bounds(S, cfg).upper_witness.to_json() == want
 
     def test_outside_span_by_rank(self):
+        def outside(T, S):
+            return nnfact._outside_span(T, nnfact._int_columns(S))
         T = RationalMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
-        assert not nnfact._outside_span(T, RationalMatrix.from_rows([[1], [2], [0]]))
-        assert nnfact._outside_span(T, RationalMatrix.from_rows([[1], [2], [3]]))
+        assert not outside(T, RationalMatrix.from_rows([[1], [2], [0]]))
+        assert outside(T, RationalMatrix.from_rows([[1], [2], [3]]))
         # T has rank 1 < r = 2: [T | S] has rank 2 = r, yet S is outside span(T)
         T = RationalMatrix.from_rows([[1, 0], [0, 0], [0, 0]])
-        assert nnfact._outside_span(T, RationalMatrix.from_rows([[0], [1], [0]]))
-        assert not nnfact._outside_span(T, RationalMatrix.from_rows([[3], [0], [0]]))
+        assert outside(T, RationalMatrix.from_rows([[0], [1], [0]]))
+        assert not outside(T, RationalMatrix.from_rows([[3], [0], [0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_outside_span_matches_two_ranks(self, data):
+        # T = A B has rank at most k <= r, so rank-deficient T are common;
+        # S is either in span(T) by construction or drawn freely
+        m, r, k, n = (data.draw(st.integers(1, hi)) for hi in (5, 4, 4, 4))
+        k = min(k, r)
+        entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+        def matrix(rows, cols):
+            return RationalMatrix.from_rows(
+                data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                   min_size=rows, max_size=rows)))
+        T = matrix(m, k) @ matrix(k, r)
+        S = T @ matrix(r, n) if data.draw(st.booleans()) else matrix(m, n)
+        by_ranks = mat_rank(RationalMatrix.hstack([T, S])) > mat_rank(T)
+        assert nnfact._outside_span(T, nnfact._int_columns(S)) == by_ranks
 
     @pytest.mark.parametrize("S,found", [
         (hardpair_slack(4, 2).full(), False),
@@ -584,7 +604,7 @@ class TestNmfStage:
             assert calls  # the witness's U comes from the LPs
         else:
             assert calls == []  # every attempt is refuted by rank
-        assert all(not nnfact._outside_span(T, S) for T in calls)
+        assert all(not nnfact._outside_span(T, nnfact._int_columns(S)) for T in calls)
 
     def test_deadline_polled_before_each_chunk(self, monkeypatch):
         # restart 0's completion outlasts the budget; the poll before the next

@@ -383,8 +383,6 @@ def _tampered_checks():
         return lp("optimal", value=F(value), point=zeros, dual_ineq=[],
                   dual_eq=[F(x) for x in t])
 
-    no_equal = type("NoEqual", (), {"array_equal": staticmethod(lambda a, b: False),
-                                    "__getattr__": lambda self, name: getattr(np, name)})
     return [
         ("a feasibility LP is optimal or infeasible",
          {(polyhedra, "lp_solve"): lambda *args, **kwargs: LpResult("unbounded")},
@@ -403,7 +401,7 @@ def _tampered_checks():
         ("derivation t E = A_i", optimal(0, [0, 0]), inside),
         ("derivation t F >= 0", optimal(0, [0, -1]), inside),
         ("derivation t g + c_i = b_i, c_i >= 0", optimal(-1, [1, 0]), inside),
-        ("rank-one factor identity", {(encodings, "np"): no_equal()}, psd),
+        ("rank-one factor identity", {(np, "array_equal"): lambda a, b: False}, psd),
         ("sampled <T_a, U^b> = (1 - a.b)^2",
          {(encodings, "_outer"): lambda vec: RationalMatrix(len(vec), len(vec))}, psd),
     ]

@@ -201,6 +201,21 @@ class TestRowColStats:
             expect = sum((f(m) for m in pool), Fraction(0)) / len(pool)
             assert (st.row0 + st.row1) / 2 == expect
 
+    @pytest.mark.parametrize("n,seed", [(3, 4), (7, 5)])
+    def test_cached_sums_match_row_col_stats(self, n, seed):
+        # one sums function over every partition, as razborov_identities runs
+        # it, reuses each T1's Row0, each T2's Col0 and their subset lists
+        p = UdisjParams(n)
+        rng = random.Random(seed)
+        f, g = _fraction_table(n, rng), _fraction_table(n, rng)
+        k0 = math.comb(2 * p.ell - 1, p.ell)
+        k1 = math.comb(2 * p.ell - 1, p.ell - 1)
+        sums = udisj._row_col_sums(f.values, g.values, p.ell)
+        for T in partitions(p):
+            r0, r1, c0, c1 = sums(T)
+            st = row_col_stats(f, g, T, p)
+            assert (st.row0, st.row1, st.col0, st.col1) == (r0 / k0, r1 / k1, c0 / k0, c1 / k1)
+
     def test_partition_validation(self):
         p = UdisjParams(3)
         ones = FunctionTable.ones(3)
