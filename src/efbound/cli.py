@@ -8,8 +8,9 @@ produce byte-identical output files; every JSON artifact is written with
 sorted keys and no volatile fields.
 
 Every subcommand is one entry of `_COMMANDS`; `_run` checks its paths,
-loads its inputs, calls its handler and only then writes, so a run that
-fails before the writes leaves no file behind.
+loads its inputs, calls its handler, checks the budget and only then
+writes, so a run that fails, or overruns its budget, before the writes
+leaves no file behind.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, NamedTuple
 
 from .encodings import (Graph, _as_mask, box_approx_report, box_ef, build_cut_family,
                         build_hard_pair, clique_number, clique_weight, covariance_map,
                         hardpair_slack, psd_factors, qall_separate, spectra_vertex_witness)
-from .errors import BudgetError, InputError, VerificationError, decoding, set_budget_ms
+from .errors import (BudgetError, InputError, VerificationError, check_deadline, decoding,
+                     set_budget_ms)
 from .nnfact import (NmfConfig, NonnegFactorization, PreconditionError, ef_to_factorization,
                      factorization_to_ef, nnegrk_bounds, verify_factorization)
 from .polyhedra import (ExtendedFormulation, HRep, SlackMatrix, VRep, build_slack, dilate,
@@ -82,8 +85,50 @@ def _write(text, path=None):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _flat_encoder(inner):
+    return json.JSONEncoder(sort_keys=True, separators=(f",\n{inner}", ": ")).encode
+
+
+def _json_text(x, pad=""):
+    """json.dumps(x, sort_keys=True, indent=2), for x written at indent pad.
+
+    CPython's indented encoder runs in Python; its C encoder runs only
+    without indent.  So a container of scalars is encoded in C with the item
+    separator ",\n" plus the indent, which lays its items out as the
+    indented encoder does (JSON text has no raw newline inside a string),
+    and a list of strings puts each distinct string through the C string
+    encoder once.  Nested containers recurse, with sorted keys, which must
+    be strings where the dict holds a container (as in every artifact)."""
+    if type(x) is str:
+        return _encode_str(x)
+    if isinstance(x, dict):
+        kinds, brackets = set(map(type, x.values())), "{}"
+    elif isinstance(x, (list, tuple)):
+        kinds, brackets = set(map(type, x)), "[]"
+    else:
+        return json.dumps(x)
+    if not x:
+        return brackets
+    inner = pad + "  "
+    if kinds == {str} and brackets == "[]":
+        text = {s: _encode_str(s) for s in set(x)}
+        body = f",\n{inner}".join(map(text.__getitem__, x))
+    elif kinds <= _SCALARS:
+        body = _flat_encoder(inner)(x)[1:-1]
+    elif brackets == "{}":
+        body = f",\n{inner}".join(f"{_encode_str(k)}: {_json_text(v, inner)}"
+                                  for k, v in sorted(x.items()))
+    else:
+        body = f",\n{inner}".join([_json_text(v, inner) for v in x])
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def _dump(data, path=None):
-    _write(json.dumps(data, sort_keys=True, indent=2) + "\n", path)
+    _write(_json_text(data) + "\n", path)
 
 
 def _check_paths(ins, outs):
@@ -283,7 +328,7 @@ def _corruption_scan(a):
     csv = a.format == "csv"
     rep = rectangle_corruption_scan(UdisjParams(a.n), a.eps, mode=a.mode, seed=a.seed,
                                     count=a.count, keep_records=csv)
-    return {"out": "\n".join(rep.csv_lines()) + "\n" if csv else rep.to_json()}, None
+    return {"out": rep.csv_text() if csv else rep.to_json()}, None
 
 
 def _corruption_bound(a):
@@ -498,8 +543,10 @@ def _dest(flag, kw):
 def _run(cmd, args):
     """Check that every output directory exists and that no two paths
     collide, the default certificate path included; load the inputs; run
-    the handler; then write its artifacts (a certificate to the certificate
-    path) and return 0, or 1 on failure."""
+    the handler; check the budget once more, so a run that overran it exits
+    3 even where its own loops last polled in time; then write its
+    artifacts (a certificate to the certificate path) and return 0, or 1 on
+    failure."""
     if cmd.cert:
         args.cert = _cert_path(args)
     opts = [(_dest(flag, kw), kw) for flag, kw in _options(cmd)]
@@ -509,6 +556,7 @@ def _run(cmd, args):
         if "load" in kw and getattr(args, d) is not None:
             setattr(args, d, kw["load"](_load_json(getattr(args, d))))
     artifacts, failure = cmd.handler(args)
+    check_deadline()  # a run that overran its budget writes nothing
     if isinstance(failure, dict):
         artifacts["cert"] = failure
     for d, data in artifacts.items():

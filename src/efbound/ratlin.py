@@ -149,6 +149,15 @@ class RationalMatrix:
                     f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(self._e)}")
 
     @classmethod
+    def _of(cls, rows, cols, entries):
+        """A rows x cols matrix on the list `entries`, taken as it is: for
+        callers in the package that built rows * cols Fractions themselves,
+        so no entry is coerced again."""
+        out = cls.__new__(cls)
+        out.rows, out.cols, out._e = rows, cols, entries
+        return out
+
+    @classmethod
     def from_rows(cls, rows_of_entries) -> "RationalMatrix":
         rows_of_entries = [list(r) for r in rows_of_entries]
         m = len(rows_of_entries)
@@ -189,9 +198,7 @@ class RationalMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def copy(self):
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = self._e[:]
-        return out
+        return RationalMatrix._of(self.rows, self.cols, self._e[:])
 
     def transpose(self) -> "RationalMatrix":
         out = RationalMatrix(self.cols, self.rows)
@@ -208,21 +215,15 @@ class RationalMatrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [a + b for a, b in zip(self._e, other._e)]
-        return out
+        return RationalMatrix._of(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [a - b for a, b in zip(self._e, other._e)]
-        return out
+        return RationalMatrix._of(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
 
     def __mul__(self, scalar):
         s = rat(scalar)
-        out = RationalMatrix(self.rows, self.cols)
-        out._e = [s * a for a in self._e]
-        return out
+        return RationalMatrix._of(self.rows, self.cols, [s * a for a in self._e])
 
     __rmul__ = __mul__
 
@@ -271,9 +272,7 @@ class RationalMatrix:
         n = mats[0].cols
         if any(a.cols != n for a in mats):
             raise InputError("vstack: column counts differ")
-        out = cls(sum(a.rows for a in mats), n)
-        out._e = [x for a in mats for x in a._e]
-        return out
+        return cls._of(sum(a.rows for a in mats), n, [x for a in mats for x in a._e])
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": _vec_json(self._e)}

@@ -20,6 +20,13 @@ paths (direct conditioning on A/B versus averaging Row/Col statistics over
 partitions).  All of that is exact rational arithmetic.  The only floating
 point lives in the entropy gap and the two closed-form bound formulas,
 whose values are transcendental.
+
+The rectangle scans count a rectangle's pairs of A and of B in integers.
+Those counts depend only on the pattern of its row set (which pairs of A
+and of B it hits) and of its column set, so the exhaustive n = 3 scan
+counts once per pair of patterns and compares only the first rectangle of
+each, rows-major; a later one can only tie, and ties go to the first.  Its
+kept records share one block of column counts per row pattern.
 """
 
 from __future__ import annotations
@@ -213,7 +220,7 @@ def build_shift(spec: ShiftSpec, max_n=14) -> RationalMatrix:
         if a % 64 == 0:
             check_deadline()
         entries.extend([by_size[(a & b).bit_count()] for b in range(size)])
-    return RationalMatrix(size, size, entries)
+    return RationalMatrix._of(size, size, entries)
 
 
 def enum_classes(params: UdisjParams):
@@ -468,11 +475,14 @@ class ScanReport:
 
     Rectangles are pairs (row set, column set) of subsets of the full subset
     lattice, encoded as bitmasks over the 2^n subset indices.  When requested,
-    counts holds one (rows, cols, ca, cb) of ints per scanned rectangle, in
-    scan order, with ca = |R & A| and cb = |R & B| out of sizes = (|A|, |B|).
-    `records` and `csv_lines` render them: P(R|A) = ca/|A|, P(R|B) = cb/|B|
+    row_blocks holds one (rows, block) per scanned row set, in scan order,
+    where block is a tuple of (cols, ca, cb) ints with ca = |R & A| and
+    cb = |R & B| out of sizes = (|A|, |B|).  An exhaustive scan keeps one
+    block per row pattern (see rectangle_corruption_scan), shared by every
+    row set of that pattern; a sampled rectangle is a one-entry block.
+    `records` and `csv_text` render them: P(R|A) = ca/|A|, P(R|B) = cb/|B|
     and the value (1-eps) P(R|A) - P(R|B) take a Fraction, or a string, once
-    per distinct (ca, cb).
+    per distinct (ca, cb), and the CSV lines of a block once per block.
     """
 
     mode: str
@@ -483,7 +493,7 @@ class ScanReport:
     sizes: tuple
     zero_b_max: Fraction | None = None
     zero_b_rect: tuple | None = None
-    counts: list = field(default_factory=list)
+    row_blocks: list = field(default_factory=list)
 
     def to_json(self):
         out = {"op": "rectangle_corruption_scan", "mode": self.mode,
@@ -505,51 +515,91 @@ class ScanReport:
     @property
     def records(self):
         """(rectangle id "r<rows hex>.c<cols hex>", P(R|A), P(R|B), value)
-        per counted rectangle; equal counts share one Fraction triple."""
+        per kept rectangle; equal counts share one Fraction triple."""
         shared = {}
         out = []
-        for rs, cs, ca, cb in self.counts:
-            triple = shared.get((ca, cb))
-            if triple is None:
-                triple = shared[ca, cb] = self._fractions(ca, cb)
-            out.append((f"r{rs:x}.c{cs:x}",) + triple)
+        for rs, block in self.row_blocks:
+            for cs, ca, cb in block:
+                triple = shared.get((ca, cb))
+                if triple is None:
+                    triple = shared[ca, cb] = self._fractions(ca, cb)
+                out.append((f"r{rs:x}.c{cs:x}",) + triple)
         return out
 
-    def csv_lines(self):
-        """The CSV header, then one "id,p_a,p_b,value" line per record."""
-        yield "rectangle-id,p_a,p_b,value"
-        tails = {}
-        prev = None
-        for rs, cs, ca, cb in self.counts:
-            if rs != prev:
-                prev, head = rs, f"r{rs:x}.c"
-            tail = tails.get((ca, cb))
-            if tail is None:
-                tail = tails[ca, cb] = "".join(
+    def csv_text(self):
+        """The CSV: the header, then one "id,p_a,p_b,value" line per record.
+
+        A block's "<cols hex>,p_a,p_b,value" strings are rendered once per
+        distinct block (keyed by id(): row_blocks keeps every block alive),
+        and a row set's lines are one join of them with the separator
+        "\\nr<rows hex>.c".  The deadline is polled every 64 row sets."""
+        tails, rendered = {}, {}
+
+        def tail(ca, cb):
+            text = tails.get((ca, cb))
+            if text is None:
+                text = tails[ca, cb] = "".join(
                     "," + rat_str(x) for x in self._fractions(ca, cb))
-            yield f"{head}{cs:x}{tail}"
+            return text
+
+        parts = ["rectangle-id,p_a,p_b,value\n"]
+        for i, (rs, block) in enumerate(self.row_blocks):
+            if i % 64 == 0:
+                check_deadline()
+            cells = rendered.get(id(block))
+            if cells is None:
+                cells = rendered[id(block)] = [f"{cs:x}{tail(ca, cb)}" for cs, ca, cb in block]
+            head = f"r{rs:x}.c"
+            parts.append(head + ("\n" + head).join(cells) + "\n")
+        return "".join(parts)
+
+    def csv_lines(self):
+        """csv_text as a list of lines: the header, then one per record."""
+        return self.csv_text().splitlines()
 
     def csv_rows(self):
         """csv_lines split into (id, p_a, p_b, value) string tuples."""
         return (tuple(line.split(",")) for line in self.csv_lines())
 
 
-def _exhaustive_counts(A, B, size):
-    """(rows, cols, |R & A|, |R & B|) for every rectangle R of the lattice
-    over `size` subset indices, rows-major."""
-    lattice = range(1 << size)
-    # incidence masks: which pairs survive a given row / column set
-    arow = [sum(1 << k for k, (a, _) in enumerate(A) if (rs >> a) & 1) for rs in lattice]
-    acol = [sum(1 << k for k, (_, b) in enumerate(A) if (cs >> b) & 1) for cs in lattice]
-    brow = [sum(1 << k for k, (a, _) in enumerate(B) if (rs >> a) & 1) for rs in lattice]
-    bcol = [sum(1 << k for k, (_, b) in enumerate(B) if (cs >> b) & 1) for cs in lattice]
-    cols = list(enumerate(zip(acol, bcol)))
-    for rs in lattice:
-        if rs % 64 == 0:
+def _side_patterns(A, B, side, size):
+    """Group the 2^size sets of one side of the lattice (side 0: row sets,
+    1: column sets) by their pattern: the mask of the pairs of A, and the
+    mask of the pairs of B, whose entry on this side the set contains.
+
+    Returns the patterns in order of their first set, each as (first set,
+    A mask, B mask), and every set's pattern index."""
+    index, patterns, of = {}, [], []
+    for s in range(1 << size):
+        if s % 64 == 0:
             check_deadline()
-        ar, br = arow[rs], brow[rs]
-        for cs, (ac, bc) in cols:
-            yield rs, cs, (ar & ac).bit_count(), (br & bc).bit_count()
+        key = tuple(sum(1 << k for k, pair in enumerate(pairs) if (s >> pair[side]) & 1)
+                    for pairs in (A, B))
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(patterns)
+            patterns.append((s,) + key)
+        of.append(k)
+    return patterns, of
+
+
+def _exhaustive_counts(A, B, size, keep):
+    """The lattice over `size` subset indices, by row and column patterns.
+
+    Returns (rows, cols, |R & A|, |R & B|) for the first rectangle of each
+    pair of a row and a column pattern, rows-major, and, when keep is set,
+    (rows, block) for every row set, with one block of (cols, ca, cb) over
+    all column sets per row pattern."""
+    rows, row_of = _side_patterns(A, B, 0, size)
+    cols, col_of = _side_patterns(A, B, 1, size)
+    table = [[((ar & ac).bit_count(), (br & bc).bit_count()) for _, ac, bc in cols]
+             for _, ar, br in rows]
+    firsts = [(rs, cs) + counts[j] for (rs, _, _), counts in zip(rows, table)
+              for j, (cs, _, _) in enumerate(cols)]
+    if not keep:
+        return firsts, []
+    blocks = [tuple((cs,) + counts[j] for cs, j in enumerate(col_of)) for counts in table]
+    return firsts, [(rs, blocks[i]) for rs, i in enumerate(row_of)]
 
 
 def _sampled_counts(A, B, size, seed, count):
@@ -577,7 +627,7 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
                               seed=0, count=1000, keep_records=False) -> ScanReport:
     """Maximize (1-eps) P(R|A) - P(R|B) over combinatorial rectangles.
 
-    Exhaustive mode walks the full lattice of 2^(2^n) x 2^(2^n) rectangles
+    Exhaustive mode covers the full lattice of 2^(2^n) x 2^(2^n) rectangles
     and is therefore only allowed at n = 3 (65536 rectangles); it also
     reports max{P(R|A) : P(R|B) = 0}.  Sample mode draws `count` uniform
     rectangles from the same lattice with the given seed.
@@ -586,9 +636,17 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     cb = |R & B|.  With eps = p/q its value is N / D with the integer
     N = (q-p) |B| ca - q |A| cb over the fixed D = q |A| |B|, so rectangles
     are compared by N, and Fractions are built only for reported values;
-    keep_records keeps every rectangle's counts as ints (see ScanReport).
-    Ties go to the first rectangle in (rows, cols) order, for the best value
-    and for the zero-B witness (the largest ca with cb = 0) alike.
+    keep_records keeps the counts as ints (see ScanReport).  Ties go to the
+    first rectangle in (rows, cols) order, for the best value and for the
+    zero-B witness (the largest ca with cb = 0) alike.
+
+    The counts depend only on which pairs of A and of B the row set hits
+    and which the column set hits: its pattern.  The exhaustive scan groups
+    each side's sets by pattern (8 per side at n = 3) and counts once per
+    pair of patterns.  It compares, by strict >, only the first rectangle
+    of each pair, rows-major; every later rectangle of a pair can only tie
+    with it, so the result is that of the full scan, and `scanned` still
+    counts every rectangle.
     """
     eps = rat(eps)
     if not 0 <= eps < 1:
@@ -607,26 +665,23 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     q = eps.denominator
     wa, wb, den = (q - eps.numerator) * nb, q * na, q * na * nb
     if mode == "exhaustive":
-        rects = _exhaustive_counts(A, B, size)
+        rects, row_blocks = _exhaustive_counts(A, B, size, keep_records)
+        scanned = 1 << (2 * size)
     else:
-        rects = _sampled_counts(A, B, size, seed, count)
+        rects = list(_sampled_counts(A, B, size, seed, count))
+        row_blocks = [(rs, ((cs, ca, cb),)) for rs, cs, ca, cb in rects] if keep_records else []
+        scanned = count
 
     best_num, best_rect = -den - 1, None  # below every N, so R_0 wins
     zero_ca, zero_rect = -1, None
-    counts = []
-    scanned = 0
-    for rect in rects:
-        rs, cs, ca, cb = rect
-        scanned += 1
+    for rs, cs, ca, cb in rects:
         num = wa * ca - wb * cb
         if num > best_num:
             best_num, best_rect = num, (rs, cs)
         if cb == 0 and ca > zero_ca:
             zero_ca, zero_rect = ca, (rs, cs)
-        if keep_records:
-            counts.append(rect)
     rep = ScanReport(mode, eps, scanned, Fraction(best_num, den), best_rect, (na, nb),
-                     counts=counts)
+                     row_blocks=row_blocks)
     if mode == "exhaustive":
         rep.zero_b_max, rep.zero_b_rect = Fraction(zero_ca, na), zero_rect
     return rep

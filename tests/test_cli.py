@@ -9,6 +9,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efbound import (
     ExtendedFormulation,
@@ -390,6 +392,26 @@ class TestExitDiscipline:
         assert time.perf_counter() - start < 5
         assert not (tmp_path / "never.json").exists()
 
+    def test_budget_checked_after_the_command(self, pair_files, monkeypatch):
+        # factorization_to_ef never polls the deadline, so only the check
+        # after the handler sees the overrun, and nothing is written
+        d = pair_files
+        hp = build_hard_pair(2)
+        S = build_slack(hp.P, hp.Q).full()
+        write(d / "fac.json", NonnegFactorization(S, RationalMatrix.identity(S.cols)).to_json())
+        genuine = cli.factorization_to_ef
+
+        def slow(Q, fac):
+            time.sleep(0.02)
+            return genuine(Q, fac)
+        monkeypatch.setattr(cli, "factorization_to_ef", slow)
+        argv = ["fac2ef", "--q", str(d / "q.json"), "--fac", str(d / "fac.json"),
+                "--out", str(d / "never.json")]
+        assert main(["--budget-ms", "5"] + argv) == 3
+        assert not (d / "never.json").exists()
+        assert not (d / "never.json.cert.json").exists()
+        assert main(argv) == 0
+
     def test_failed_internal_check_exits_four(self, pair_files, monkeypatch, capsys):
         from efbound import ratlin
         genuine = ratlin._Tableau.phase2
@@ -506,6 +528,21 @@ def test_csv_scan_to_stdout_pinned(capsys):
     assert main(_SCAN3 + ["--eps", "523/1024", "--format", "csv"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "f5e5f7df2987042207fdcfe31ca650ab7da34eb374bdb2279c86598a3dc9d487"
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids)
+    | st.lists(st.sampled_from(["0", "1/2", "-7/3", "\u00e9", ""]), min_size=1),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_json_writer_matches_indented_dumps(x):
+    # empty containers, non-ASCII text, nesting, ints, floats (NaN and
+    # infinities included), bools and None, and flat lists of repeated strings
+    assert cli._json_text(x) == json.dumps(x, sort_keys=True, indent=2)
 
 
 @pytest.fixture(scope="module")

@@ -559,6 +559,24 @@ class TestProperties:
             assert rep.records == [(f"r{rs:x}.c{cs:x}",) + defined[ca, cb]
                                    for rs, cs, ca, cb in rects]
 
+    @settings(max_examples=10, deadline=None)
+    @given(epsilons)
+    def test_exhaustive_csv_against_direct_text(self, eps):
+        # one line per rectangle of the lattice, rows-major, each rendered
+        # from the definition's Fractions
+        lines = ["rectangle-id,p_a,p_b,value"]
+        tails = {}
+        for rs, cs, ca, cb in _n3_rectangles():
+            if (ca, cb) not in tails:
+                pa, pb = Fraction(ca, 6), Fraction(cb, 3)
+                tails[ca, cb] = ",".join(rat_str(x) for x in (pa, pb, (1 - eps) * pa - pb))
+            lines.append(f"r{rs:x}.c{cs:x},{tails[ca, cb]}")
+        rep = rectangle_corruption_scan(UdisjParams(3), eps, keep_records=True)
+        # compared line by line: a failing comparison of the whole 1.4 MB
+        # strings would have pytest diff them
+        assert ("\n".join(rep.csv_lines()) + "\n").split("\n") == lines + [""]
+        assert rep.csv_text().split("\n") == lines + [""]
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([3, 7, 11]), epsilons, st.integers(0, 10 ** 6),
            st.integers(1, 12), st.booleans())
