@@ -17,7 +17,9 @@ re-derived here by exhausting the construction, never assumed.
 Conditioned on T the draw is a product distribution, which is what makes
 the two expectation identities checkable by two independent computation
 paths (direct conditioning on A/B versus averaging Row/Col statistics over
-partitions).  All of that is exact rational arithmetic.  The only floating
+partitions).  The class side sums g over each a's partners in A and in B,
+read off bit masks over the l-subsets; the partition side reads Row/Col
+numerators from tables of subset sums.  All of that is exact rational arithmetic.  The only floating
 point lives in the entropy gap and the two closed-form bound formulas,
 whose values are transcendental.
 
@@ -26,7 +28,8 @@ Those counts depend only on the pattern of its row set (which pairs of A
 and of B it hits) and of its column set, so the exhaustive n = 3 scan
 counts once per pair of patterns and compares only the first rectangle of
 each, rows-major; a later one can only tie, and ties go to the first.  Its
-kept records share one block of column counts per row pattern.
+kept records share one block of column counts per row pattern.  A sampled
+rectangle reads only the bits of its row and column sets at the l-subsets.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
+from operator import add, itemgetter, mul
 
 from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .ratlin import ONE, ZERO, RationalMatrix, _vec_json, rat, rat_str
@@ -86,9 +90,6 @@ class FunctionTable:
 
     def __call__(self, mask):
         return self.values[mask]
-
-    def is_nonneg(self):
-        return all(v >= 0 for v in self.values)
 
     @classmethod
     def ones(cls, n):
@@ -223,18 +224,45 @@ def build_shift(spec: ShiftSpec, max_n=14) -> RationalMatrix:
     return RationalMatrix._of(size, size, entries)
 
 
-def enum_classes(params: UdisjParams):
-    """Ordered pairs of l-subsets: A disjoint, B sharing exactly one element."""
-    ell = params.ell
-    subs = list(ksubsets(params.full_mask, ell))
-    A, B = [], []
+def _neighbour_masks(params: UdisjParams):
+    """(a, A mask, B mask) per l-subset a, in ksubsets order, over compressed
+    positions: position k stands for the k-th l-subset b.  The A mask holds
+    the b inside the complement of a, the B mask the b that meet a in
+    exactly one element."""
+    subs = list(ksubsets(params.full_mask, params.ell))
+    # per element x, the positions of the l-subsets that hold it
+    holding = [sum(1 << k for k, b in enumerate(subs) if b >> x & 1) for x in range(params.n)]
+    every = (1 << len(subs)) - 1
+    out = []
     for a in subs:
-        for b in subs:
-            inter = (a & b).bit_count()
-            if inter == 0:
-                A.append((a, b))
-            elif inter == 1:
-                B.append((a, b))
+        check_deadline()
+        once = twice = 0  # the b meeting a in at least one, at least two elements
+        for x in _bits(a):
+            twice |= once & holding[x]
+            once |= holding[x]
+        out.append((a, every ^ once, once ^ twice))
+    return out
+
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(items, mask):
+    """The items at the set bits of mask, in order."""
+    return compress(items, format(mask, f"0{len(items)}b")[::-1].encode().translate(_BIT))
+
+
+def enum_classes(params: UdisjParams):
+    """Ordered pairs of l-subsets: A disjoint, B sharing exactly one element.
+
+    Both lists run over a in ksubsets order and, for one a, over b in
+    ksubsets order, as a filter of all pairs would."""
+    rows = _neighbour_masks(params)
+    subs = [a for a, _, _ in rows]
+    A, B = [], []
+    for a, amask, bmask in rows:
+        A.extend(zip(repeat(a), _members(subs, amask)))
+        B.extend(zip(repeat(a), _members(subs, bmask)))
     return A, B
 
 
@@ -283,55 +311,60 @@ def _scaled(fn: FunctionTable):
     return [v.numerator * (den // v.denominator) for v in fn.values], den
 
 
-def _class_sum(F, G, pairs):
-    """Sum of F(a) G(b) over pairs, grouped as sum_a F(a) sum_b G(b)."""
-    inner = {}
-    for a, b in pairs:
-        inner[a] = inner.get(a, 0) + G[b]
-    return sum(F[a] * s for a, s in inner.items())
+def _checked_scaled(f: FunctionTable, g: FunctionTable, params: UdisjParams):
+    """_scaled(f) and _scaled(g), once both are checked to be nonnegative
+    tables over params.n."""
+    out = []
+    for name, fn in (("f", f), ("g", g)):
+        if fn.n != params.n:
+            raise InputError(f"{name} is a table over n={fn.n}, expected {params.n}")
+        vals, den = _scaled(fn)
+        if min(vals) < 0:
+            raise InputError(f"{name} must be nonnegative")
+        out.append((vals, den))
+    return out
+
+
+def _cond_expect(scaled_f, scaled_g, params: UdisjParams):
+    """cond_expect over the scaled tables: sum_a F(a) sum_b G(b) over each
+    a's partners in A and in B."""
+    (F, df), (G, dg) = scaled_f, scaled_g
+    rows = _neighbour_masks(params)
+    gs = [G[b] for b, _, _ in rows]
+    sum_a = sum_b = na = nb = 0
+    for a, amask, bmask in rows:
+        sum_a += F[a] * sum(_members(gs, amask))
+        sum_b += F[a] * sum(_members(gs, bmask))
+        na += amask.bit_count()
+        nb += bmask.bit_count()
+    return Fraction(sum_a, na * df * dg), Fraction(sum_b, nb * df * dg)
 
 
 def cond_expect(f: FunctionTable, g: FunctionTable, params: UdisjParams):
     """(E[X | A], E[X | B]) for X = f(a) g(b), uniform within each class."""
-    for name, fn in (("f", f), ("g", g)):
-        if fn.n != params.n:
-            raise InputError(f"{name} is a table over n={fn.n}, expected {params.n}")
-        if not fn.is_nonneg():
-            raise InputError(f"{name} must be nonnegative")
-    (F, df), (G, dg) = _scaled(f), _scaled(g)
-    A, B = enum_classes(params)
-    return (Fraction(_class_sum(F, G, A), len(A) * df * dg),
-            Fraction(_class_sum(F, G, B), len(B) * df * dg))
+    return _cond_expect(*_checked_scaled(f, g, params), params)
 
 
-def _row_col_sums(fv, gv, ell):
-    """The function of a partition T giving the sums of fv over the
-    l-subsets of T1 and over {i} plus the (l-1)-subsets of T1, then the same
-    for gv over T2: the numerators of Row0, Row1, Col0 and Col1 over
-    C(2l-1, l) and C(2l-1, l-1).
+def _subset_sums(values, n, k):
+    """z[M] = the sum of values[S] over the k-subsets S of M, for every mask
+    M < 2^n: the subset-sum (zeta) transform of values kept on the
+    k-subsets, one bit at a time over list slices.
 
-    Row0 depends on T1 alone and Col0 on T2 alone, so over many partitions
-    each is summed once per distinct mask, as are the subset lists."""
-    subsets, row0, col0 = {}, {}, {}
-
-    def subs(mask):
-        if mask not in subsets:
-            bits = [1 << c for c in _bits(mask)]
-            subsets[mask] = (list(map(sum, combinations(bits, ell))),
-                             list(map(sum, combinations(bits, ell - 1))))
-        return subsets[mask]
-
-    def sums(T: PartitionT):
-        ibit = 1 << (T.i - 1)
-        (a0, a1), (b0, b1) = subs(T.t1), subs(T.t2)
-        if T.t1 not in row0:
-            row0[T.t1] = sum(fv[m] for m in a0)
-        if T.t2 not in col0:
-            col0[T.t2] = sum(gv[m] for m in b0)
-        return (row0[T.t1], sum(fv[m | ibit] for m in a1),
-                col0[T.t2], sum(gv[m | ibit] for m in b1))
-
-    return sums
+    Over integer tables F, G these give a partition T's Row0 = z_F[T1],
+    Row1 = z_F[T1 + {i}] - z_F[T1], and Col0, Col1 likewise from z_G and T2,
+    as numerators over C(2l-1, l) and C(2l-1, l-1)."""
+    size = 1 << n
+    z = [v if m.bit_count() == k else 0 for m, v in enumerate(values)]
+    for j in range(n):
+        half = 1 << j
+        step = 2 * half
+        if half <= size // step:  # few offsets: one strided slice each
+            for r in range(half):
+                z[half + r::step] = map(add, z[half + r::step], z[r::step])
+        else:  # few blocks: one contiguous slice each
+            for lo in range(0, size, step):
+                z[lo + half:lo + step] = map(add, z[lo + half:lo + step], z[lo:lo + half])
+    return z
 
 
 def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
@@ -353,8 +386,12 @@ def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
     if T.t1.bit_count() != tsize or T.t2.bit_count() != tsize:
         raise InputError(f"T1 and T2 must each have {tsize} elements")
     k0, k1 = math.comb(tsize, ell), math.comb(tsize, ell - 1)
-    r0, r1, c0, c1 = _row_col_sums(f.values, g.values, ell)(T)
-    return RowColStats(row0=r0 / k0, row1=r1 / k1, col0=c0 / k0, col1=c1 / k1)
+    (F, df), (G, dg) = _scaled(f), _scaled(g)
+    zf, zg = _subset_sums(F, params.n, ell), _subset_sums(G, params.n, ell)
+    return RowColStats(row0=Fraction(zf[T.t1], k0 * df),
+                       row1=Fraction(zf[T.t1 | ibit] - zf[T.t1], k1 * df),
+                       col0=Fraction(zg[T.t2], k0 * dg),
+                       col1=Fraction(zg[T.t2 | ibit] - zg[T.t2], k1 * dg))
 
 
 @dataclass
@@ -392,27 +429,31 @@ def razborov_identities(f: FunctionTable, g: FunctionTable, params: UdisjParams,
     """
     if params.n > max_n:
         raise BudgetError(f"n={params.n} exceeds the enumeration limit {max_n}")
-    lhs_a, lhs_b = cond_expect(f, g, params)
+    scaled_f, scaled_g = _checked_scaled(f, g, params)
+    lhs_a, lhs_b = _cond_expect(scaled_f, scaled_g, params)
     # integer numerators throughout; Row0, Col0 sit over k0 = C(2l-1, l)
     # times the table denominators, Row1, Col1 over k1 = C(2l-1, l-1)
-    (F, df), (G, dg) = _scaled(f), _scaled(g)
-    ell = params.ell
+    (F, df), (G, dg) = scaled_f, scaled_g
+    n, ell, full = params.n, params.ell, params.full_mask
     k0, k1 = math.comb(2 * ell - 1, ell), math.comb(2 * ell - 1, ell - 1)
-    sums = _row_col_sums(F, G, ell)
+    zf, zg = _subset_sums(F, n, ell), _subset_sums(G, n, ell)
     sum_a = sum_b = count = 0
-    per_t2 = {}
-    for T in partitions(params):
+    marginals = []
+    # the partitions grouped by T2: T1 + {i} is the complement u of T2 for
+    # each of them, one per element i of u
+    for t2 in sorted(ksubsets(full, 2 * ell - 1)):
         check_deadline()
-        r0, r1, c0, c1 = sums(T)
-        sum_a += r0 * c0
-        sum_b += r1 * c1
-        count += 1
-        acc = per_t2.setdefault(T.t2, [0, 0, 0])
-        acc[0] += r0
-        acc[1] += r1
-        acc[2] += 1
-    marginals = [(t2, Fraction(s0, k * k0 * df), Fraction(s1, k * k1 * df))
-                 for t2, (s0, s1, k) in sorted(per_t2.items())]
+        u = full ^ t2
+        ibits = list(ksubsets(u, 1))
+        row0 = list(map(zf.__getitem__, map(u.__xor__, ibits)))
+        row1 = list(map(zf[u].__sub__, row0))
+        col0 = zg[t2]
+        col1 = map(col0.__rsub__, map(zg.__getitem__, map(t2.__or__, ibits)))
+        sum0, k = sum(row0), len(ibits)
+        sum_a += sum0 * col0
+        sum_b += sum(map(mul, row1, col1))
+        count += k
+        marginals.append((t2, Fraction(sum0, k * k0 * df), Fraction(sum(row1), k * k1 * df)))
     return RazborovReport(
         expectation_a=(lhs_a, Fraction(sum_a, count * k0 * k0 * df * dg)),
         expectation_b=(lhs_b, Fraction(sum_b, count * k1 * k1 * df * dg)),
@@ -602,25 +643,38 @@ def _exhaustive_counts(A, B, size, keep):
     return firsts, [(rs, blocks[i]) for rs, i in enumerate(row_of)]
 
 
-def _sampled_counts(A, B, size, seed, count):
-    """(rows, cols, |R & A|, |R & B|) for `count` uniform rectangles."""
-    # per row index a: masks of the column indices b with (a, b) in A, in B
-    nbrs = {}
-    for k, pairs in enumerate((A, B)):
-        for a, b in pairs:
-            nbrs.setdefault(a, [0, 0])[k] |= 1 << b
-    rows = list(nbrs.items())
+def _sampled_counts(rows, size, seed, count):
+    """(rows, cols, |R & A|, |R & B|) for `count` uniform rectangles.
+
+    Only the bits of rs and cs at the l-subsets count; `rows` is
+    _neighbour_masks.  With m l-subsets, the k-th row's A and B masks sit
+    in slot k, of width 8w >= m bits, of the ints ma and mb.  A sample reads
+    cs's bits at the l-subsets as one m-bit int c, and rs's as an int R
+    with one 0/1 byte per slot; in R * c the slot of each held row holds c
+    and every other slot 0, so |R & A| is the bit count of ma & R * c, and
+    likewise for B."""
+    subs = [a for a, _, _ in rows]
+    m = len(subs)
+    w = (m + 7) // 8
+    fmt = f"0{size}b"  # bit b of x is character size-1-b of format(x, fmt)
+    held_at = itemgetter(*[size - 1 - a for a in subs])
+    packed_at = itemgetter(*[size - 1 - a for a in reversed(subs)])
+    ma, mb = (int.from_bytes(b"".join(r[k].to_bytes(w, "little") for r in rows), "little")
+              for k in (1, 2))
+    # the held rows land as the characters '0' and '1' (bytes 48 and 49):
+    # less the all-'0' value, one 0/1 byte per slot is left
+    slots = bytearray(w * m)
+    slots[::w] = b"0" * m
+    zeros = int.from_bytes(slots, "little")
     rng = random.Random(seed)
     for _ in range(count):
         check_deadline()
         rs = rng.getrandbits(size)
         cs = rng.getrandbits(size)
-        ca = cb = 0
-        for a, (amask, bmask) in rows:
-            if (rs >> a) & 1:
-                ca += (cs & amask).bit_count()
-                cb += (cs & bmask).bit_count()
-        yield rs, cs, ca, cb
+        slots[::w] = held_at(format(rs, fmt).encode())
+        outer = (int.from_bytes(slots, "little") - zeros) * \
+            int("".join(packed_at(format(cs, fmt))), 2)
+        yield rs, cs, (ma & outer).bit_count(), (mb & outer).bit_count()
 
 
 def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
@@ -638,7 +692,9 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     are compared by N, and Fractions are built only for reported values;
     keep_records keeps the counts as ints (see ScanReport).  Ties go to the
     first rectangle in (rows, cols) order, for the best value and for the
-    zero-B witness (the largest ca with cb = 0) alike.
+    zero-B witness (the largest ca with cb = 0) alike.  A sampled scan
+    keeps only the running best, and the records if asked for, so without
+    them its memory does not grow with count.
 
     The counts depend only on which pairs of A and of B the row set hits
     and which the column set hits: its pattern.  The exhaustive scan groups
@@ -659,22 +715,27 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
             "budget; only n=3 is enumerable")
     if mode == "sample" and count < 1:
         raise InputError(f"sample count must be positive, got {count}")
-    A, B = enum_classes(params)
-    na, nb = len(A), len(B)
     size = 1 << params.n
-    q = eps.denominator
-    wa, wb, den = (q - eps.numerator) * nb, q * na, q * na * nb
+    row_blocks = []
+    keep_sampled = mode == "sample" and keep_records
     if mode == "exhaustive":
+        A, B = enum_classes(params)
+        na, nb = len(A), len(B)
         rects, row_blocks = _exhaustive_counts(A, B, size, keep_records)
         scanned = 1 << (2 * size)
     else:
-        rects = list(_sampled_counts(A, B, size, seed, count))
-        row_blocks = [(rs, ((cs, ca, cb),)) for rs, cs, ca, cb in rects] if keep_records else []
+        rows = _neighbour_masks(params)
+        na, nb = (sum(r[k].bit_count() for r in rows) for k in (1, 2))
+        rects = _sampled_counts(rows, size, seed, count)
         scanned = count
+    q = eps.denominator
+    wa, wb, den = (q - eps.numerator) * nb, q * na, q * na * nb
 
     best_num, best_rect = -den - 1, None  # below every N, so R_0 wins
     zero_ca, zero_rect = -1, None
     for rs, cs, ca, cb in rects:
+        if keep_sampled:
+            row_blocks.append((rs, ((cs, ca, cb),)))
         num = wa * ca - wb * cb
         if num > best_num:
             best_num, best_rect = num, (rs, cs)

@@ -43,6 +43,18 @@ def pair_files(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def slow_scan(monkeypatch):
+    """corruption-scan made slow on purpose: it sleeps 20 ms before the
+    scan, so it outlasts a 1 ms budget however fast the scan itself is."""
+    genuine = cli.rectangle_corruption_scan
+
+    def slow(*args, **kwargs):
+        time.sleep(0.02)
+        return genuine(*args, **kwargs)
+    monkeypatch.setattr(cli, "rectangle_corruption_scan", slow)
+
+
 class TestBuildCommands:
     def test_hardpair_slack_example(self, tmp_path):
         out = tmp_path / "s.json"
@@ -340,10 +352,11 @@ class TestExitDiscipline:
         assert main(["clique-weight", "--graph", str(tmp_path / "g.json"),
                      "--out", str(tmp_path / "g.json")]) == 2
 
-    def test_budget_exhaustion(self, tmp_path):
+    def test_budget_exhaustion(self, tmp_path, slow_scan):
         rc = main(["--budget-ms", "1", "corruption-scan", "--n", "3",
                    "--eps", "1/2", "--out", str(tmp_path / "never.json")])
         assert rc == 3
+        assert not (tmp_path / "never.json").exists()
 
     def test_budget_reaches_lp_pivots(self, tmp_path):
         hp = build_hard_pair(4)
@@ -438,10 +451,11 @@ class TestExitDiscipline:
         monkeypatch.setenv("EFBOUND_BUDGET_MS", "soon")
         assert main(["psd-check", "--n", "2"]) == 2
 
-    def test_env_budget_applies(self, tmp_path, monkeypatch):
+    def test_env_budget_applies(self, tmp_path, monkeypatch, slow_scan):
         monkeypatch.setenv("EFBOUND_BUDGET_MS", "1")
         assert main(["corruption-scan", "--n", "3", "--eps", "1/2",
                      "--out", str(tmp_path / "never.json")]) == 3
+        assert not (tmp_path / "never.json").exists()
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
@@ -501,10 +515,16 @@ PINNED_UDISJ = [
     (["corruption-scan", "--n", "11", "--eps", "17/64", "--mode", "sample",
       "--seed", "3", "--count", "40"],
      "cec8b3c1d72d2358471c5bbde1b335e5c3cf7130c3527653fc53f86cc0b5b5ed"),
+    (["corruption-scan", "--n", "11", "--eps", "23/64", "--mode", "sample", "--count", "150",
+      "--seed", "9", "--format", "csv"],
+     "3e65196251b807d14ecae357292e707b81e9ec39211ceeb3ab6c14efcf6d6ef6"),
     (["razborov-check", "--n", "7", "--trials", "3", "--seed", "7"],
      "f7f812f0eec62898eecca3fb11032d36514cf32d10a7cb6538d2f2b230b83624"),
     (["razborov-check", "--n", "11", "--f", "contains:3", "--g", "avoids:5"],
      "dd111e06665606046bebddf8dae9561dcf34e6f5a769f6880ba37dce30ae6029"),
+    # Fraction tables with mixed denominators
+    (["razborov-check", "--n", "11", "--trials", "1", "--seed", "2"],
+     "b52e54131abb66238dfbc41614ec2cf706f0ab330b6e8a81474520d590fb5154"),
     (_SHIFT4,
      "225ab136bad89f0ca5eaa390b0430eef830e300a62d5c2a1983a6960b7d16212"),
     (_SHIFT4 + ["--fill", "constant", "--fill-value", "5/3"],
@@ -652,9 +672,10 @@ class TestParserReuse:
         assert main(["psd-check", "--n", "2"]) == 0
         capsys.readouterr()
 
-    def test_budget_does_not_carry_over(self, tmp_path):
+    def test_budget_does_not_carry_over(self, tmp_path, slow_scan):
         argv = ["corruption-scan", "--n", "3", "--eps", "1/2", "--out", str(tmp_path / "s.json")]
         assert main(["--budget-ms", "1"] + argv) == 3
+        assert not (tmp_path / "s.json").exists()
         assert main(argv) == 0
 
 

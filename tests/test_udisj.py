@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -136,6 +137,16 @@ class TestEnumClasses:
         A, B = enum_classes(UdisjParams(7))
         assert len(A) == 210 and len(B) == 210
 
+    @pytest.mark.parametrize("n", [3, 7, 11])
+    def test_equals_all_pairs_filter(self, n):
+        # the lists read off the partner masks are the filter of all pairs
+        # of l-subsets, in the same order
+        p = UdisjParams(n)
+        subs = list(ksubsets(p.full_mask, p.ell))
+        A = [(a, b) for a in subs for b in subs if (a & b).bit_count() == 0]
+        B = [(a, b) for a in subs for b in subs if (a & b).bit_count() == 1]
+        assert enum_classes(p) == (A, B)
+
     def test_classes_disjoint_and_well_formed(self):
         p = UdisjParams(7)
         A, B = enum_classes(p)
@@ -203,18 +214,27 @@ class TestRowColStats:
 
     @pytest.mark.parametrize("n,seed", [(3, 4), (7, 5)])
     def test_cached_sums_match_row_col_stats(self, n, seed):
-        # one sums function over every partition, as razborov_identities runs
-        # it, reuses each T1's Row0, each T2's Col0 and their subset lists
+        # the subset-sum tables that razborov_identities reads hold, at every
+        # partition, the sums over T1's l-subsets and over {i} plus T1's
+        # (l-1)-subsets (the same for T2), and row_col_stats reads them too
         p = UdisjParams(n)
         rng = random.Random(seed)
         f, g = _fraction_table(n, rng), _fraction_table(n, rng)
         k0 = math.comb(2 * p.ell - 1, p.ell)
         k1 = math.comb(2 * p.ell - 1, p.ell - 1)
-        sums = udisj._row_col_sums(f.values, g.values, p.ell)
+        (F, df), (G, dg) = udisj._scaled(f), udisj._scaled(g)
+        zf, zg = udisj._subset_sums(F, n, p.ell), udisj._subset_sums(G, n, p.ell)
         for T in partitions(p):
-            r0, r1, c0, c1 = sums(T)
+            ibit = 1 << (T.i - 1)
+            sums = [sum(V[m] for m in ksubsets(t, p.ell)) for V, t in ((F, T.t1), (G, T.t2))]
+            sums_i = [sum(V[m | ibit] for m in ksubsets(t, p.ell - 1))
+                      for V, t in ((F, T.t1), (G, T.t2))]
+            assert [zf[T.t1], zg[T.t2]] == sums
+            assert [zf[T.t1 | ibit] - zf[T.t1], zg[T.t2 | ibit] - zg[T.t2]] == sums_i
             st = row_col_stats(f, g, T, p)
-            assert (st.row0, st.row1, st.col0, st.col1) == (r0 / k0, r1 / k1, c0 / k0, c1 / k1)
+            assert (st.row0, st.row1, st.col0, st.col1) == (
+                Fraction(sums[0], k0 * df), Fraction(sums_i[0], k1 * df),
+                Fraction(sums[1], k0 * dg), Fraction(sums_i[1], k1 * dg))
 
     def test_partition_validation(self):
         p = UdisjParams(3)
@@ -412,6 +432,19 @@ class TestRectangleScan:
         assert r1.scanned == r2.scanned == 40
         assert r1.best_value == r2.best_value and r1.best_rect == r2.best_rect
         assert r1.zero_b_max is None
+
+    def test_sampled_scan_memory_stays_flat(self):
+        # without keep_records a sampled scan keeps only the running best:
+        # 10 000 rectangles held as records would take about 800 kB
+        tracemalloc.start()
+        try:
+            rep = rectangle_corruption_scan(UdisjParams(3), Fraction(1, 2), mode="sample",
+                                            seed=1, count=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.scanned == 10_000 and rep.row_blocks == []
+        assert peak < 100_000
 
     def test_exhaustive_budget(self):
         with pytest.raises(BudgetError):
