@@ -27,13 +27,14 @@ from typing import Callable, NamedTuple
 
 from .encodings import (Graph, _as_mask, box_approx_report, box_ef, build_cut_family,
                         build_hard_pair, clique_number, clique_weight, covariance_map,
-                        hardpair_slack, psd_factors, qall_separate, spectra_vertex_witness)
+                        graph_row, hardpair_slack, psd_factors, qall_separate,
+                        spectra_vertex_witness)
 from .errors import (BudgetError, InputError, VerificationError, check_deadline, decoding,
                      set_budget_ms)
 from .nnfact import (NmfConfig, NonnegFactorization, PreconditionError, ef_to_factorization,
                      factorization_to_ef, nnegrk_bounds, verify_factorization)
 from .polyhedra import (ExtendedFormulation, HRep, SlackMatrix, VRep, build_slack, dilate,
-                        nonneg_solution, shift_slack, verify_sandwich)
+                        lifting_rhs, nonneg_solution, refutes, shift_slack, verify_sandwich)
 from .ratlin import RationalMatrix, _vec_json, dot, rat, rat_str
 from .udisj import (CorruptionParams, FunctionTable, ShiftSpec, UdisjParams, build_shift,
                     corruption_rhs, parse_function, razborov_identities,
@@ -178,13 +179,7 @@ def _verify_contains_failure(d):
         target, u = _vec_load(d["target"]), _vec_load(d["u"])
         if d["target_kind"] not in ("point", "ray"):
             raise ValueError("target_kind")
-    ev = [dot(K.E.row(i), target) for i in range(K.nrows)]
-    if d["target_kind"] == "point":
-        rhs = [gi - e for gi, e in zip(K.g, ev)]
-    else:
-        rhs = [-e for e in ev]
-    ftu = [dot(K.F.col(j), u) for j in range(K.size)]
-    return all(x >= 0 for x in ftu) and dot(u, rhs) < 0
+    return refutes(K, lifting_rhs(K, d["target_kind"], target), u)
 
 
 def _verify_row_violation(d):
@@ -193,8 +188,7 @@ def _verify_row_violation(d):
         row, bound, point = _vec_load(d["row"]), rat(d["bound"]), _vec_load(d["point"])
     if dot(row, point) <= bound:
         return False
-    rhs = [gi - dot(K.E.row(i), point) for i, gi in enumerate(K.g)]
-    status, _ = nonneg_solution(K.F, rhs)
+    status, _ = nonneg_solution(K.F, lifting_rhs(K, "point", point))
     return status == "ok"
 
 
@@ -215,10 +209,8 @@ def _verify_qall_violation(d):
                 raise ValueError("graph ground set")
     if c["kind"] == "sign":
         return i != j and x[i - 1, j - 1] < 0
-    w = clique_weight(G)
-    lhs = sum((w[i, j] * x[i, j] for i in range(x.rows) for j in range(x.cols)),
-              Fraction(0))
-    return lhs > clique_number(G)
+    lhs, rhs = graph_row(G, x)
+    return lhs > rhs
 
 
 def _verify_factorization_invalid(d):

@@ -20,6 +20,7 @@ from itertools import combinations
 from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
 from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
+from .udisj import ShiftSpec, build_shift
 
 
 def _as_mask(b, n):
@@ -126,24 +127,15 @@ def build_hard_pair(n, max_n=10) -> HardPair:
 
 
 def hardpair_slack(n, rho=1, max_n=10) -> SlackMatrix:
-    """The shifted slack matrix (1 - a.b)^2 + rho - 1 in bitmask order.
+    """The shifted slack matrix (1 - a.b)^2 + rho - 1 in bitmask order: the
+    rho-shift matrix of unique disjointness with its default fill.
 
     Built from the closed form; agreement with the build_slack/shift_slack
     pipeline on the actual polyhedra is a checked property, not an input.
     """
-    rho = rat(rho)
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
-    size = 1 << n
-    S = RationalMatrix(size, size)
-    for a in range(size):
-        check_deadline()
-        for b in range(size):
-            k = (a & b).bit_count()
-            S[a, b] = (1 - k) ** 2 + rho - 1
-    return SlackMatrix(S, RationalMatrix(size, 0), [ONE + rho - 1] * size)
+    spec = ShiftSpec(n, rho)
+    S = build_shift(spec, max_n=max_n)
+    return SlackMatrix(S, RationalMatrix(S.rows, 0), [spec.rho] * S.rows)
 
 
 def clique_weight(G: Graph) -> RationalMatrix:
@@ -249,6 +241,23 @@ def _graphs_on(n):
                                    if (emask >> k) & 1])
 
 
+def _sampled_graphs(n, seed, count):
+    """`count` random graphs on [n]: each vertex kept with probability 0.6,
+    then each edge among the kept vertices with probability 1/2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        verts = [v for v in range(1, n + 1) if rng.random() < 0.6]
+        pairs = list(combinations(verts, 2))
+        yield Graph(n, verts, [p for p in pairs if rng.random() < 0.5])
+
+
+def graph_row(G: Graph, x: RationalMatrix):
+    """Both sides (<w^G, x>, omega(G)) of the all-graphs row of G at x."""
+    w = clique_weight(G)
+    lhs = sum((w[i, j] * x[i, j] for i in range(x.rows) for j in range(x.cols)), ZERO)
+    return lhs, Fraction(clique_number(G))
+
+
 def qall_separate(x: RationalMatrix, mode="exhaustive", seed=0, count=200,
                   max_n=4) -> SeparationReport:
     """Find a violated row of the all-graphs system
@@ -261,45 +270,23 @@ def qall_separate(x: RationalMatrix, mode="exhaustive", seed=0, count=200,
     """
     if x.rows != x.cols:
         raise InputError(f"point must be a square matrix, got {x.rows}x{x.cols}")
+    if mode not in ("exhaustive", "sample"):
+        raise InputError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
     n = x.rows
     for i in range(n):
         for j in range(n):
             if i != j and x[i, j] < 0:
                 return SeparationReport("violated", kind="sign",
                                         entry=(i + 1, j + 1), lhs=x[i, j], rhs=ZERO)
-
-    def graph_row(G):
-        w = clique_weight(G)
-        lhs = sum((w[i, j] * x[i, j] for i in range(n) for j in range(n)), ZERO)
-        rhs = Fraction(clique_number(G))
-        return lhs, rhs
-
-    if mode == "exhaustive":
-        if n > max_n:
-            raise BudgetError(
-                f"exhaustive graph enumeration at n={n} exceeds the budget")
-        for G in _graphs_on(n):
-            check_deadline()
-            lhs, rhs = graph_row(G)
-            if lhs > rhs:
-                return SeparationReport("violated", kind="graph", graph=G,
-                                        lhs=lhs, rhs=rhs)
-        return SeparationReport("inside")
-
-    if mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(count):
-            check_deadline()
-            verts = [v for v in range(1, n + 1) if rng.random() < 0.6]
-            pairs = list(combinations(verts, 2))
-            G = Graph(n, verts, [p for p in pairs if rng.random() < 0.5])
-            lhs, rhs = graph_row(G)
-            if lhs > rhs:
-                return SeparationReport("violated", kind="graph", graph=G,
-                                        lhs=lhs, rhs=rhs)
-        return SeparationReport("inside")
-
-    raise InputError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
+    if mode == "exhaustive" and n > max_n:
+        raise BudgetError(f"exhaustive graph enumeration at n={n} exceeds the budget")
+    graphs = _graphs_on(n) if mode == "exhaustive" else _sampled_graphs(n, seed, count)
+    for G in graphs:
+        check_deadline()
+        lhs, rhs = graph_row(G, x)
+        if lhs > rhs:
+            return SeparationReport("violated", kind="graph", graph=G, lhs=lhs, rhs=rhs)
+    return SeparationReport("inside")
 
 
 def box_ef(n) -> ExtendedFormulation:

@@ -330,6 +330,18 @@ def nonneg_solution(F: RationalMatrix, rhs):
     return "no", res.farkas_eq
 
 
+def lifting_rhs(K: ExtendedFormulation, kind, vec):
+    """The right-hand side a lifting of vec must meet, F w = rhs with w >= 0:
+    g - E vec for a "point", -E vec for a "ray" (a recession direction)."""
+    ev = [dot(K.E.row(i), vec) for i in range(K.nrows)]
+    return [gi - e for gi, e in zip(K.g, ev)] if kind == "point" else [-e for e in ev]
+
+
+def refutes(K: ExtendedFormulation, rhs, u):
+    """Whether u proves that F w = rhs has no w >= 0: F^T u >= 0 and u . rhs < 0."""
+    return all(dot(K.F.col(j), u) >= 0 for j in range(K.size)) and dot(u, rhs) < 0
+
+
 def ef_contains_points(P: VRep, K: ExtendedFormulation) -> ContainsReport:
     """Prove every generator of P lies in K, or report the first that does not.
 
@@ -343,9 +355,7 @@ def ef_contains_points(P: VRep, K: ExtendedFormulation) -> ContainsReport:
     gens = [("point", j, v) for j, v in enumerate(P.points)] + \
            [("ray", j, r) for j, r in enumerate(P.rays)]
     for kind, j, vec in gens:
-        ev = [dot(K.E.row(i), vec) for i in range(K.nrows)]
-        rhs = [K.g[i] - ev[i] for i in range(K.nrows)] if kind == "point" \
-            else [-x for x in ev]
+        rhs = lifting_rhs(K, kind, vec)
         status, w = nonneg_solution(K.F, rhs)
         if status == "ok":
             require(all(x >= 0 for x in w), "containment witness w >= 0")
@@ -353,12 +363,9 @@ def ef_contains_points(P: VRep, K: ExtendedFormulation) -> ContainsReport:
                     "containment witness F w = rhs")
             witnesses.append((kind, j, w))
         else:
-            u = w
-            ftu = [dot(K.F.col(jj), u) for jj in range(K.size)]
-            require(all(x >= 0 for x in ftu) and dot(u, rhs) < 0,
-                    "containment refutation F^T u >= 0, u . rhs < 0")
+            require(refutes(K, rhs, w), "containment refutation F^T u >= 0, u . rhs < 0")
             return ContainsReport(ok=False, failing={
-                "kind": kind, "index": j, "generator": vec, "certificate": u})
+                "kind": kind, "index": j, "generator": vec, "certificate": w})
     return ContainsReport(ok=True, witnesses=witnesses)
 
 

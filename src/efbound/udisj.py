@@ -23,13 +23,13 @@ numerators from tables of subset sums.  All of that is exact rational arithmetic
 point lives in the entropy gap and the two closed-form bound formulas,
 whose values are transcendental.
 
-The rectangle scans count a rectangle's pairs of A and of B in integers.
-Those counts depend only on the pattern of its row set (which pairs of A
-and of B it hits) and of its column set, so the exhaustive n = 3 scan
-counts once per pair of patterns and compares only the first rectangle of
-each, rows-major; a later one can only tie, and ties go to the first.  Its
-kept records share one block of column counts per row pattern.  A sampled
-rectangle reads only the bits of its row and column sets at the l-subsets.
+The rectangle scans count a rectangle's pairs of A and of B in integers,
+through one kernel that reads only the bits of its row and column sets at
+the l-subsets.  So the exhaustive n = 3 scan sorts each side's sets into
+l-subset classes by those bits, counts once per pair of classes and
+compares only the first rectangle of each, rows-major; a later one can
+only tie, and ties go to the first.  Its kept records share one block of
+column counts per row class.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, product, repeat
 from operator import add, itemgetter, mul
 
 from .errors import BudgetError, InputError, check_deadline, decoding, require
@@ -172,6 +172,8 @@ class ShiftSpec:
     def __post_init__(self):
         self.rho = rat(self.rho)
         self.fill_value = rat(self.fill_value)
+        if self.n < 1:
+            raise InputError(f"n must be >= 1, got {self.n}")
         if self.rho < 1:
             raise InputError(f"rho must be >= 1, got {self.rho}")
         if self.fill not in ("hardpair", "constant"):
@@ -519,8 +521,8 @@ class ScanReport:
     row_blocks holds one (rows, block) per scanned row set, in scan order,
     where block is a tuple of (cols, ca, cb) ints with ca = |R & A| and
     cb = |R & B| out of sizes = (|A|, |B|).  An exhaustive scan keeps one
-    block per row pattern (see rectangle_corruption_scan), shared by every
-    row set of that pattern; a sampled rectangle is a one-entry block.
+    block per row l-subset class (see rectangle_corruption_scan), shared by
+    every row set of that class; a sampled rectangle is a one-entry block.
     `records` and `csv_text` render them: P(R|A) = ca/|A|, P(R|B) = cb/|B|
     and the value (1-eps) P(R|A) - P(R|B) take a Fraction, or a string, once
     per distinct (ca, cb), and the CSV lines of a block once per block.
@@ -603,56 +605,16 @@ class ScanReport:
         return (tuple(line.split(",")) for line in self.csv_lines())
 
 
-def _side_patterns(A, B, side, size):
-    """Group the 2^size sets of one side of the lattice (side 0: row sets,
-    1: column sets) by their pattern: the mask of the pairs of A, and the
-    mask of the pairs of B, whose entry on this side the set contains.
-
-    Returns the patterns in order of their first set, each as (first set,
-    A mask, B mask), and every set's pattern index."""
-    index, patterns, of = {}, [], []
-    for s in range(1 << size):
-        if s % 64 == 0:
-            check_deadline()
-        key = tuple(sum(1 << k for k, pair in enumerate(pairs) if (s >> pair[side]) & 1)
-                    for pairs in (A, B))
-        k = index.get(key)
-        if k is None:
-            k = index[key] = len(patterns)
-            patterns.append((s,) + key)
-        of.append(k)
-    return patterns, of
-
-
-def _exhaustive_counts(A, B, size, keep):
-    """The lattice over `size` subset indices, by row and column patterns.
-
-    Returns (rows, cols, |R & A|, |R & B|) for the first rectangle of each
-    pair of a row and a column pattern, rows-major, and, when keep is set,
-    (rows, block) for every row set, with one block of (cols, ca, cb) over
-    all column sets per row pattern."""
-    rows, row_of = _side_patterns(A, B, 0, size)
-    cols, col_of = _side_patterns(A, B, 1, size)
-    table = [[((ar & ac).bit_count(), (br & bc).bit_count()) for _, ac, bc in cols]
-             for _, ar, br in rows]
-    firsts = [(rs, cs) + counts[j] for (rs, _, _), counts in zip(rows, table)
-              for j, (cs, _, _) in enumerate(cols)]
-    if not keep:
-        return firsts, []
-    blocks = [tuple((cs,) + counts[j] for cs, j in enumerate(col_of)) for counts in table]
-    return firsts, [(rs, blocks[i]) for rs, i in enumerate(row_of)]
-
-
-def _sampled_counts(rows, size, seed, count):
-    """(rows, cols, |R & A|, |R & B|) for `count` uniform rectangles.
+def _counts(rows, size, rects):
+    """(rows, cols, |R & A|, |R & B|) for each (rows, cols) of the stream rects.
 
     Only the bits of rs and cs at the l-subsets count; `rows` is
     _neighbour_masks.  With m l-subsets, the k-th row's A and B masks sit
-    in slot k, of width 8w >= m bits, of the ints ma and mb.  A sample reads
-    cs's bits at the l-subsets as one m-bit int c, and rs's as an int R
-    with one 0/1 byte per slot; in R * c the slot of each held row holds c
+    in slot k, of width 8w >= m bits, of the ints ma and mb.  A rectangle
+    reads cs's bits at the l-subsets as one m-bit int c, and rs's as an int
+    R with one 0/1 byte per slot; in R * c the slot of each held row holds c
     and every other slot 0, so |R & A| is the bit count of ma & R * c, and
-    likewise for B."""
+    likewise for B.  The deadline is polled once per rectangle."""
     subs = [a for a, _, _ in rows]
     m = len(subs)
     w = (m + 7) // 8
@@ -666,11 +628,8 @@ def _sampled_counts(rows, size, seed, count):
     slots = bytearray(w * m)
     slots[::w] = b"0" * m
     zeros = int.from_bytes(slots, "little")
-    rng = random.Random(seed)
-    for _ in range(count):
+    for rs, cs in rects:
         check_deadline()
-        rs = rng.getrandbits(size)
-        cs = rng.getrandbits(size)
         slots[::w] = held_at(format(rs, fmt).encode())
         outer = (int.from_bytes(slots, "little") - zeros) * \
             int("".join(packed_at(format(cs, fmt))), 2)
@@ -696,13 +655,16 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     keeps only the running best, and the records if asked for, so without
     them its memory does not grow with count.
 
-    The counts depend only on which pairs of A and of B the row set hits
-    and which the column set hits: its pattern.  The exhaustive scan groups
-    each side's sets by pattern (8 per side at n = 3) and counts once per
-    pair of patterns.  It compares, by strict >, only the first rectangle
-    of each pair, rows-major; every later rectangle of a pair can only tie
-    with it, so the result is that of the full scan, and `scanned` still
-    counts every rectangle.
+    Both modes count through _counts, which reads only the bits of the row
+    set and of the column set at the l-subsets.  So the exhaustive scan
+    sorts each side's sets into l-subset classes, by s & used where used
+    holds the bits of the l-subsets (8 classes per side at n = 3), and
+    counts once per pair of classes.  The key s & used is also the first
+    member of its class, so the pairs of keys, in ascending order, are the
+    first rectangles of the class pairs, rows-major.  Only these are
+    compared, by strict >; every later rectangle of a pair can only tie
+    with its first, so the result is that of the full scan, and `scanned`
+    still counts every rectangle.
     """
     eps = rat(eps)
     if not 0 <= eps < 1:
@@ -715,18 +677,24 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
             "budget; only n=3 is enumerable")
     if mode == "sample" and count < 1:
         raise InputError(f"sample count must be positive, got {count}")
+    rows = _neighbour_masks(params)
+    na, nb = (sum(r[k].bit_count() for r in rows) for k in (1, 2))
     size = 1 << params.n
     row_blocks = []
     keep_sampled = mode == "sample" and keep_records
     if mode == "exhaustive":
-        A, B = enum_classes(params)
-        na, nb = len(A), len(B)
-        rects, row_blocks = _exhaustive_counts(A, B, size, keep_records)
+        used = sum(1 << a for a, _, _ in rows)
+        sets = range(1 << size)
+        keys = [s for s in sets if s & used == s]
+        rects = list(_counts(rows, size, product(keys, repeat=2)))
+        if keep_records:  # one block of column counts per row class
+            counts = {(rs, cs): (ca, cb) for rs, cs, ca, cb in rects}
+            blocks = {rk: tuple((cs,) + counts[rk, cs & used] for cs in sets) for rk in keys}
+            row_blocks = [(rs, blocks[rs & used]) for rs in sets]
         scanned = 1 << (2 * size)
     else:
-        rows = _neighbour_masks(params)
-        na, nb = (sum(r[k].bit_count() for r in rows) for k in (1, 2))
-        rects = _sampled_counts(rows, size, seed, count)
+        draws = map(random.Random(seed).getrandbits, repeat(size, 2 * count))
+        rects = _counts(rows, size, zip(draws, draws))  # rows, then cols
         scanned = count
     q = eps.denominator
     wa, wb, den = (q - eps.numerator) * nb, q * na, q * na * nb

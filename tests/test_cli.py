@@ -165,6 +165,17 @@ class TestVerifySandwich:
         assert cert["kind"] == "contains-failure"
         assert main(["check-cert", "--cert", str(tmp_path / "cert.json")]) == 0
 
+    def test_flipped_contains_failure_certificate_rejected(self, tmp_path):
+        # the certificate of test_contains_failure_certificate with u -> -u,
+        # which no longer refutes the lifting of the far vertex
+        self.test_contains_failure_certificate(tmp_path)
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        cert["u"] = [str(-Fraction(x)) for x in cert["u"]]
+        write(tmp_path / "flipped.json", cert)
+        assert main(["check-cert", "--cert", str(tmp_path / "flipped.json"),
+                     "--out", str(tmp_path / "cc.json")]) == 1
+        assert json.loads((tmp_path / "cc.json").read_text())["valid"] is False
+
 
 class TestFactorizationCommands:
     def test_fac2ef_and_back(self, pair_files):
@@ -306,6 +317,17 @@ class TestEncodingCommands:
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["status"] == "violated" and rep["lhs"] == "2"
         assert main(["check-cert", "--cert", str(tmp_path / "cert.json")]) == 0
+
+    def test_qall_violation_certificate_at_zero_rejected(self, tmp_path):
+        # the graph row that 2I violates holds at x = 0
+        self.test_qall_separate_violation_roundtrip(tmp_path)
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        assert cert["constraint"]["kind"] == "graph"
+        cert["x"] = RationalMatrix.zeros(2, 2).to_json()
+        write(tmp_path / "zeroed.json", cert)
+        assert main(["check-cert", "--cert", str(tmp_path / "zeroed.json"),
+                     "--out", str(tmp_path / "cc.json")]) == 1
+        assert json.loads((tmp_path / "cc.json").read_text())["valid"] is False
 
     def test_qall_separate_inside(self, tmp_path):
         write(tmp_path / "x.json",

@@ -18,6 +18,7 @@ from efbound.encodings import (
     clique_weight,
     covariance_map,
     cut_vector,
+    graph_row,
     hardpair_slack,
     max_over_cor,
     objective_matrix,
@@ -127,6 +128,20 @@ class TestHardpairSlack:
             hardpair_slack(2, Fraction(1, 2))
         with pytest.raises(BudgetError):
             hardpair_slack(12)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_is_input_error(self, n):
+        # as for build_hard_pair: no 1x1 matrix at n = 0, no bare ValueError below
+        with pytest.raises(InputError):
+            hardpair_slack(n)
+        with pytest.raises(InputError):
+            build_hard_pair(n)
+
+    def test_is_the_shift_matrix(self):
+        S = hardpair_slack(3, Fraction(3, 2))
+        assert S.vertex_block == build_shift(ShiftSpec(3, Fraction(3, 2)))
+        assert (S.ray_block.rows, S.ray_block.cols) == (8, 0)
+        assert S.source_b == [Fraction(3, 2)] * 8
 
 
 class TestCliqueWeight:
@@ -255,6 +270,27 @@ class TestQallSeparate:
             qall_separate(RationalMatrix.zeros(2, 3))
         with pytest.raises(InputError):
             qall_separate(RationalMatrix.identity(2), mode="guess")
+
+    def test_bad_mode_rejected_before_sign_scan(self):
+        x = RationalMatrix.from_rows([[Fraction(0), Fraction(-1)],
+                                      [Fraction(0), Fraction(0)]])
+        with pytest.raises(InputError):
+            qall_separate(x, mode="guess")
+
+    def test_sign_row_found_before_enumeration_budget(self):
+        x = RationalMatrix.identity(5)
+        x[0, 1] = Fraction(-1)
+        r = qall_separate(x)
+        assert r.kind == "sign" and r.entry == (1, 2)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    def test_graph_row_is_the_reported_row(self, mode):
+        x = RationalMatrix.identity(3) * Fraction(3, 2)
+        r = qall_separate(x, mode=mode, seed=0, count=50)
+        assert r.kind == "graph"
+        assert graph_row(r.graph, x) == (r.lhs, r.rhs)
+        assert r.rhs == clique_number(r.graph)
+        assert r.lhs == frob(clique_weight(r.graph), x) > r.rhs
 
 
 class TestBoxEf:

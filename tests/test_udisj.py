@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from efbound import udisj
 from efbound.errors import BudgetError, InputError, VerificationError
+from efbound.errors import set_budget_ms
 from efbound.ratlin import rat_str
 from efbound.udisj import (
     CorruptionParams,
@@ -120,6 +121,11 @@ class TestBuildShift:
     def test_rho_below_one_rejected(self):
         with pytest.raises(InputError):
             ShiftSpec(2, Fraction(1, 2))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_n_rejected(self, n):
+        with pytest.raises(InputError):
+            ShiftSpec(n, 2)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -445,6 +451,32 @@ class TestRectangleScan:
             tracemalloc.stop()
         assert rep.scanned == 10_000 and rep.row_blocks == []
         assert peak < 100_000
+
+    @pytest.mark.parametrize("mode, keep", [("exhaustive", False), ("exhaustive", True),
+                                            ("sample", False), ("sample", True)])
+    def test_expired_deadline_raises(self, mode, keep):
+        set_budget_ms(0)
+        try:
+            with pytest.raises(BudgetError):
+                rectangle_corruption_scan(UdisjParams(3), Fraction(1, 2), mode=mode,
+                                          count=5, keep_records=keep)
+        finally:
+            set_budget_ms(None)
+
+    def test_counting_kernel_polls_the_deadline(self):
+        # the l-subset masks are built before the deadline expires, so only
+        # the kernel's own poll can stop it; 0b10110 holds the three
+        # l-subsets {1}, {2}, {3} (masks 1, 2, 4), so its square meets all
+        # 6 pairs of A and 3 of B
+        rows = udisj._neighbour_masks(UdisjParams(3))
+        rects = udisj._counts(rows, 8, [(0b10110, 0b10110)])
+        set_budget_ms(0)
+        try:
+            with pytest.raises(BudgetError):
+                next(rects)
+        finally:
+            set_budget_ms(None)
+        assert list(udisj._counts(rows, 8, [(0b10110, 0b10110)])) == [(22, 22, 6, 3)]
 
     def test_exhaustive_budget(self):
         with pytest.raises(BudgetError):
