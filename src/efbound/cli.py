@@ -293,9 +293,12 @@ def _razborov_check(a):
         pairs = [(parse_function(a.f, a.n), parse_function(a.g, a.n))]
     else:
         rng = random.Random(a.seed)
+        # values p/q with p in 0..4 and q in 1..3, drawn p first; each pair
+        # maps to one shared Fraction
+        shared = {(p, q): Fraction(p, q) for p in range(5) for q in range(1, 4)}
 
         def table():
-            return FunctionTable(a.n, [Fraction(rng.randrange(0, 5), rng.randrange(1, 4))
+            return FunctionTable(a.n, [shared[rng.randrange(0, 5), rng.randrange(1, 4)]
                                        for _ in range(1 << a.n)])
         pairs = [(table(), table()) for _ in range(a.trials)]
     checks = []

@@ -111,8 +111,8 @@ def build_hard_pair(n, max_n=10) -> HardPair:
     Rows and points are both in bitmask order, so slack indices line up with
     the subset lattice.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"n must be an integer >= 1, got {n!r}")
     if n > max_n:
         raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
     points = []

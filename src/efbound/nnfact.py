@@ -27,9 +27,10 @@ below min(m, n) never loads it.
 
 The rectangle cover is a branch and bound over the maximal rectangles of
 the support, whose column sets are found as the intersection closure of the
-row supports.  It prunes a node by three bounds valid for a minimum cover
-(rectangles left, the largest residual gains, a greedy fooling set) and
-skips each branch whose newly covered cells another branch also covers.
+row supports.  It prunes a node by bounds valid for a minimum cover
+(rectangles left, a greedy fooling set and, with few rectangles left, an
+exact fooling set) and skips each branch whose newly covered cells another
+branch also covers.
 """
 
 from __future__ import annotations
@@ -253,6 +254,28 @@ def _greedy_fooling(avail, compat, limit):
     return size
 
 
+def _fooling_at_least(avail, apart, size):
+    """Whether avail holds size >= 1 pairwise incompatible cells.
+
+    Cells are bits and apart[q] is the mask of cells incompatible with q.
+    The lowest cell left is either in such a set, and the others are sought
+    among the later cells apart from it, or it is dropped.
+    """
+    if size == 1:
+        return avail != 0
+    while avail.bit_count() >= size:
+        low = avail & -avail
+        avail ^= low
+        if _fooling_at_least(avail & apart[low.bit_length() - 1], apart, size - 1):
+            return True
+    return False
+
+
+# the largest k for which a node with k rectangles left is tested for an
+# exact fooling set of k + 1 cells; a larger k costs more than it prunes
+_EXACT_FOOLING_K = 3
+
+
 def rect_cover_lb(S, max_side=16) -> int:
     """Exact minimum number of all-support combinatorial rectangles covering
     the support of S.
@@ -266,9 +289,9 @@ def rect_cover_lb(S, max_side=16) -> int:
 
     The minimum cover over them is found by branch and bound, started from
     a greedy cover.  With k rectangles left for a strictly better cover, a
-    node is pruned when k <= 0, when the k largest residual gains (cells of
-    a rectangle still uncovered) sum to less than the uncovered cells, or
-    when a greedy fooling set of uncovered cells exceeds k; at k = 1 one
+    node is pruned when k <= 0, when a greedy fooling set of uncovered
+    cells exceeds k, or, for k <= _EXACT_FOOLING_K, when an exact search
+    finds k + 1 pairwise incompatible uncovered cells; at k = 1 one
     rectangle must hold every uncovered cell.  The search branches on the
     uncovered cell with the fewest candidate rectangles and skips each
     candidate whose residual lies inside another candidate's residual.
@@ -323,6 +346,7 @@ def rect_cover_lb(S, max_side=16) -> int:
     while covered != full:
         covered |= max(rects, key=lambda r: (r & ~covered).bit_count())
         best += 1
+    apart = [full & ~c for c in compat]
 
     def pruned(unc, k):
         """No cover of the uncovered cells unc with at most k rectangles."""
@@ -333,8 +357,7 @@ def rect_cover_lb(S, max_side=16) -> int:
                            for r in covers_cell[(unc & -unc).bit_length() - 1])
         if _greedy_fooling(unc, compat.__getitem__, k) > k:
             return True
-        gains = sorted(map(int.bit_count, map(unc.__and__, rects)), reverse=True)
-        return sum(gains[:k]) < unc.bit_count()
+        return k <= _EXACT_FOOLING_K and _fooling_at_least(unc, apart, k + 1)
 
     def search(unc, depth):
         nonlocal best

@@ -172,8 +172,8 @@ class ShiftSpec:
     def __post_init__(self):
         self.rho = rat(self.rho)
         self.fill_value = rat(self.fill_value)
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise InputError(f"n must be an integer >= 1, got {self.n!r}")
         if self.rho < 1:
             raise InputError(f"rho must be >= 1, got {self.rho}")
         if self.fill not in ("hardpair", "constant"):

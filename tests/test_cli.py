@@ -542,6 +542,8 @@ PINNED_UDISJ = [
      "3e65196251b807d14ecae357292e707b81e9ec39211ceeb3ab6c14efcf6d6ef6"),
     (["razborov-check", "--n", "7", "--trials", "3", "--seed", "7"],
      "f7f812f0eec62898eecca3fb11032d36514cf32d10a7cb6538d2f2b230b83624"),
+    (["razborov-check", "--n", "7", "--trials", "2", "--seed", "5"],
+     "241ffb7dee7d3a147f420eb4408fa969e75e36f171060c6da3ab2e2cc4a9bb83"),
     (["razborov-check", "--n", "11", "--f", "contains:3", "--g", "avoids:5"],
      "dd111e06665606046bebddf8dae9561dcf34e6f5a769f6880ba37dce30ae6029"),
     # Fraction tables with mixed denominators

@@ -90,6 +90,12 @@ class TestBuildHardPair:
         with pytest.raises(InputError):
             build_hard_pair(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integer_n_is_input_error(self, n):
+        # an InputError (exit 2), not a bare TypeError from 1 << n
+        with pytest.raises(InputError):
+            build_hard_pair(n)
+
 
 class TestHardpairSlack:
     def test_udisj_zero_pattern_at_rho_one(self):
@@ -136,6 +142,11 @@ class TestHardpairSlack:
             hardpair_slack(n)
         with pytest.raises(InputError):
             build_hard_pair(n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integer_n_is_input_error(self, n):
+        with pytest.raises(InputError):
+            hardpair_slack(n)
 
     def test_is_the_shift_matrix(self):
         S = hardpair_slack(3, Fraction(3, 2))

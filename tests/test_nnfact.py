@@ -1,11 +1,12 @@
 import functools
+import math
 import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from efbound.nnfact import (
     NmfConfig,
     NonnegFactorization,
     PreconditionError,
+    _fooling_at_least,
     _tight_derivation,
     ef_to_factorization,
     factorization_to_ef,
@@ -365,6 +367,35 @@ class TestRectCover:
             assert rect_cover_lb(hardpair_slack(4, 1).full()) == 13
         finally:
             set_budget_ms(None)
+
+    def test_ten_gon_within_deadline(self):
+        # the search has to show that no 6 rectangles cover this support,
+        # which takes minutes without the exact fooling sets
+        ten = tuple((round(40 * math.cos(2 * math.pi * k / 10 + 0.3)),
+                     round(40 * math.sin(2 * math.pi * k / 10 + 0.3))) for k in range(10))
+        set_budget_ms(60000)
+        try:
+            assert rect_cover_lb(polygon_slack(ten, 0)) == 7
+        finally:
+            set_budget_ms(None)
+
+    def test_exact_fooling_matches_brute_force(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            c = rng.randint(1, 9)
+            p = rng.random()
+            apart = [0] * c
+            for a in range(c):
+                for b in range(a):
+                    if rng.random() < p:
+                        apart[a] |= 1 << b
+                        apart[b] |= 1 << a
+            avail = rng.getrandbits(c)
+            cells = [q for q in range(c) if (avail >> q) & 1]
+            for size in range(1, 6):
+                brute = any(all((apart[a] >> b) & 1 for a, b in combinations(subset, 2))
+                            for subset in combinations(cells, size))
+                assert _fooling_at_least(avail, apart, size) == brute
 
     @pytest.mark.parametrize("seed, m, n, density, max_side, partial", [
         (1, 18, 18, 0.5, 8, 10), (2, 20, 17, 0.7, 16, 6),
