@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetError, InputError, check_deadline, decoding, require
+from .errors import InputError, check_deadline, decoding, ground_size, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
 from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
 from .udisj import ShiftSpec, build_shift
@@ -56,18 +56,17 @@ def _vec(M):
 
 @dataclass
 class Graph:
-    """Vertex set inside the fixed ground set [n]; undirected, loopless."""
+    """Vertex set inside the fixed ground set [n], n an integer >= 0;
+    undirected, loopless."""
 
     n: int
     vertices: frozenset
     edges: frozenset  # of frozenset pairs
 
     def __init__(self, n, vertices, edges):
-        self.n = int(n)
+        self.n = ground_size(n, least=0)
         self.vertices = frozenset(vertices)
         self.edges = frozenset(frozenset(e) for e in edges)
-        if self.n < 0:
-            raise InputError("ambient bound must be nonnegative")
         if not all(isinstance(v, int) and 1 <= v <= self.n for v in self.vertices):
             raise InputError(f"vertices must lie in [1, {self.n}]")
         for e in self.edges:
@@ -105,16 +104,14 @@ class HardPair:
     Q: HRep
 
 
-def build_hard_pair(n, max_n=10) -> HardPair:
-    """P = conv{vec(b b^T)}, Q = {x : <2diag(a) - a a^T, x> <= 1 for all a}.
+def build_hard_pair(n) -> HardPair:
+    """P = conv{vec(b b^T)}, Q = {x : <2diag(a) - a a^T, x> <= 1 for all a},
+    for an integer 1 <= n <= 10.
 
     Rows and points are both in bitmask order, so slack indices line up with
     the subset lattice.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be an integer >= 1, got {n!r}")
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
+    ground_size(n, limit=10)
     points = []
     rows = []
     for mask in range(1 << n):
@@ -126,15 +123,16 @@ def build_hard_pair(n, max_n=10) -> HardPair:
     return HardPair(n, VRep(n * n, points, []), HRep(n * n, A, [ONE] * (1 << n)))
 
 
-def hardpair_slack(n, rho=1, max_n=10) -> SlackMatrix:
-    """The shifted slack matrix (1 - a.b)^2 + rho - 1 in bitmask order: the
-    rho-shift matrix of unique disjointness with its default fill.
+def hardpair_slack(n, rho=1) -> SlackMatrix:
+    """The shifted slack matrix (1 - a.b)^2 + rho - 1 in bitmask order, for
+    an integer 1 <= n <= 10: the rho-shift matrix of unique disjointness
+    with its default fill.
 
     Built from the closed form; agreement with the build_slack/shift_slack
     pipeline on the actual polyhedra is a checked property, not an input.
     """
-    spec = ShiftSpec(n, rho)
-    S = build_shift(spec, max_n=max_n)
+    spec = ShiftSpec(ground_size(n, limit=10), rho)
+    S = build_shift(spec)
     return SlackMatrix(S, RationalMatrix(S.rows, 0), [spec.rho] * S.rows)
 
 
@@ -153,12 +151,11 @@ def clique_weight(G: Graph) -> RationalMatrix:
     return w
 
 
-def clique_number(G: Graph, max_vertices=20):
-    """Exact omega(G) by branch and bound over candidate extensions."""
+def clique_number(G: Graph):
+    """Exact omega(G) by branch and bound over candidate extensions, for a
+    graph of at most 20 vertices."""
     verts = sorted(G.vertices)
-    if len(verts) > max_vertices:
-        raise BudgetError(f"{len(verts)} vertices exceed the brute-force limit "
-                          f"{max_vertices}")
+    ground_size(len(verts), least=0, limit=20)
     adj = {v: set() for v in verts}
     for e in G.edges:
         i, j = sorted(e)
@@ -181,17 +178,16 @@ def clique_number(G: Graph, max_vertices=20):
     return best
 
 
-def max_over_cor(w: RationalMatrix, max_n=12):
-    """max over b in {0,1}^n of <w, b b^T>, with the first maximizing b.
+def max_over_cor(w: RationalMatrix):
+    """max over b in {0,1}^n of <w, b b^T>, with the first maximizing b, for
+    an n x n objective w with n <= 12.
 
     Exhaustive over the 2^n correlation vertices; ties break toward the
     smaller bitmask, so w = 0 reports b = 0.
     """
     if w.rows != w.cols:
         raise InputError(f"objective must be square, got {w.rows}x{w.cols}")
-    n = w.rows
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
+    n = ground_size(w.rows, least=0, limit=12)
     best = None
     arg = 0
     for mask in range(1 << n):
@@ -258,8 +254,8 @@ def graph_row(G: Graph, x: RationalMatrix):
     return lhs, Fraction(clique_number(G))
 
 
-def qall_separate(x: RationalMatrix, mode="exhaustive", seed=0, count=200,
-                  max_n=4) -> SeparationReport:
+def qall_separate(x: RationalMatrix, mode="exhaustive", seed=0,
+                  count=200) -> SeparationReport:
     """Find a violated row of the all-graphs system
 
         x_ij >= 0 (i < j),   <w^G, x> <= omega(G) for every G on [n],
@@ -278,8 +274,8 @@ def qall_separate(x: RationalMatrix, mode="exhaustive", seed=0, count=200,
             if i != j and x[i, j] < 0:
                 return SeparationReport("violated", kind="sign",
                                         entry=(i + 1, j + 1), lhs=x[i, j], rhs=ZERO)
-    if mode == "exhaustive" and n > max_n:
-        raise BudgetError(f"exhaustive graph enumeration at n={n} exceeds the budget")
+    if mode == "exhaustive":
+        ground_size(n, least=0, limit=4)
     graphs = _graphs_on(n) if mode == "exhaustive" else _sampled_graphs(n, seed, count)
     for G in graphs:
         check_deadline()
@@ -294,10 +290,9 @@ def box_ef(n) -> ExtendedFormulation:
 
         x - y = 0,  x + z = 1,  y, z >= 0
 
-    which has size 2 n^2 regardless of the objective it will carry."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    d = n * n
+    which has size 2 n^2 regardless of the objective it will carry.  Any
+    integer n >= 1; nothing is enumerated."""
+    d = ground_size(n) ** 2
     I = RationalMatrix.identity(d)
     E = RationalMatrix.vstack([I, I])
     F = RationalMatrix.vstack([
@@ -349,15 +344,13 @@ def cut_vector(X, n):
     return [ONE if (i in xs) != (j in xs) else ZERO for i, j in _edge_pairs(n)]
 
 
-def build_cut_family(kind, n, max_n=8) -> VRep:
+def build_cut_family(kind, n) -> VRep:
     """cut_polytope: the 2^(n-1) cut vectors as points.
     cut_cone: the same vectors as rays (zero dropped) from apex 0.
     correlation_cone: rays vec(b b^T) over b in {0,1}^(n-1), zero dropped.
+    n is an integer with 2 <= n <= 8.
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
+    ground_size(n, least=2, limit=8)
     if kind in ("cut_polytope", "cut_cone"):
         dim = n * (n - 1) // 2
         # X ranges over subsets avoiding node n: each cut counted once
@@ -390,11 +383,9 @@ def covariance_map(x, n) -> RationalMatrix:
 
     Sends the cut vector of delta(X) with n not in X to b b^T, b = chi^X.
     A 0/1 input that yields a non-integral matrix is not a cut vector and is
-    rejected.
+    rejected.  Any integer n >= 2; nothing is enumerated.
     """
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    pairs = _edge_pairs(n)
+    pairs = _edge_pairs(ground_size(n, least=2))
     if len(x) != len(pairs):
         raise InputError(f"edge vector needs {len(pairs)} entries, got {len(x)}")
     xv = [rat(v) for v in x]
@@ -432,18 +423,15 @@ def _outer(vec):
     return M
 
 
-def psd_factors(n, max_n=10) -> PsdFactorPair:
+def psd_factors(n) -> PsdFactorPair:
     """Construct both families and verify the slack identity
 
-        <T_a, U^b> = (1 - a.b)^2   for all 4^n pairs
+        <T_a, U^b> = (1 - a.b)^2   for all 4^n pairs, 1 <= n <= 10,
 
     with an exact int64 kernel (entries are tiny integers), plus a sampled
     rational cross-check against the stored matrices.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
+    ground_size(n, limit=10)
     import numpy as np
 
     size = 1 << n
@@ -467,14 +455,14 @@ def psd_factors(n, max_n=10) -> PsdFactorPair:
     return PsdFactorPair(n, T, U)
 
 
-def spectra_vertex_witness(b, n, Y=None, max_n=10) -> bool:
+def spectra_vertex_witness(b, n, Y=None) -> bool:
     """True iff (x, Y) = (b b^T, U^b) satisfies, for every a in {0,1}^n,
 
         <2 diag(a) - a a^T, x> + <T_a, Y> = 1
 
-    exactly.  Any Y may be substituted to probe the equation."""
-    if n > max_n:
-        raise BudgetError(f"n={n} exceeds the enumeration limit {max_n}")
+    exactly, for an integer 1 <= n <= 10.  Any Y may be substituted to probe
+    the equation."""
+    ground_size(n, limit=10)
     bmask = _as_mask(b, n)
     if Y is None:
         Y = _outer([1] + _bits(bmask, n))

@@ -1,4 +1,5 @@
-"""Shared error types and the global computation deadline.
+"""Shared error types, the ground-set size check and the global computation
+deadline.
 
 The deadline is process-global on purpose: enumeration loops deep inside the
 library (rectangle scans, cover search, graph enumeration) poll it without
@@ -64,3 +65,13 @@ def set_budget_ms(ms):
 def check_deadline():
     if _deadline is not None and time.monotonic() > _deadline:
         raise BudgetError("computation budget exhausted")
+
+
+def ground_size(n, least=1, limit=None):
+    """n, once it is an int >= least (else InputError) and, given a limit,
+    at most limit (else BudgetError, raised before any enumeration)."""
+    if type(n) is not int or n < least:
+        raise InputError(f"n must be an integer >= {least}, got {n!r}")
+    if limit is not None and n > limit:
+        raise BudgetError(f"n={n} exceeds the enumeration limit {limit}")
+    return n

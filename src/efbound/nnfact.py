@@ -185,19 +185,10 @@ def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFacto
     report = verify_sandwich(P, Q, 1, K)
     if not report.ok:
         raise PreconditionError("EF does not sandwich the pair at rho = 1", report)
-    r = K.size
     npts, nrays = len(P.points), len(P.rays)
-
-    wit = {("point", j): w for kind, j, w in report.contains.witnesses if kind == "point"}
-    zit = {("ray", j): w for kind, j, w in report.contains.witnesses if kind == "ray"}
-    W = RationalMatrix(r, npts)
-    for j in range(npts):
-        for k, x in enumerate(wit[("point", j)]):
-            W[k, j] = x
-    Z = RationalMatrix(r, nrays)
-    for j in range(nrays):
-        for k, x in enumerate(zit[("ray", j)]):
-            Z[k, j] = x
+    # the witnesses come in generator order, points then rays: one column each
+    WZ = RationalMatrix(npts + nrays, K.size, [
+        x for _, _, w in report.contains.witnesses for x in w]).transpose()
 
     general = {i: (t, c) for i, t, c in report.inside.derivations}
     m = Q.nrows
@@ -216,12 +207,12 @@ def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFacto
     TF = Tm @ K.F
     if all(c == 0 for c in cvec):
         left = TF
-        right = RationalMatrix.hstack([W, Z])
+        right = WZ
     else:
         ccol = RationalMatrix(m, 1, cvec)
         left = RationalMatrix.hstack([TF, ccol])
         bottom = RationalMatrix(1, npts + nrays, [ONE] * npts + [ZERO] * nrays)
-        right = RationalMatrix.vstack([RationalMatrix.hstack([W, Z]), bottom])
+        right = RationalMatrix.vstack([WZ, bottom])
     fac = NonnegFactorization(left, right)
     check = verify_factorization(build_slack(P, Q).full(), fac)
     require(check, f"factorization from the EF verifies ({check.reason})")

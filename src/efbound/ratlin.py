@@ -243,11 +243,6 @@ class RationalMatrix:
     def is_nonneg(self) -> bool:
         return all(a >= 0 for a in self._e)
 
-    def min_entry(self):
-        if not self._e:
-            raise InputError("empty matrix has no minimum entry")
-        return min(self._e)
-
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise InputError(

@@ -41,18 +41,18 @@ from fractions import Fraction
 from itertools import combinations, compress, product, repeat
 from operator import add, itemgetter, mul
 
-from .errors import BudgetError, InputError, check_deadline, decoding, require
-from .ratlin import ONE, ZERO, RationalMatrix, _vec_json, rat, rat_str
+from .errors import BudgetError, InputError, check_deadline, decoding, ground_size, require
+from .ratlin import ONE, ZERO, RationalMatrix, _over, _vec_json, rat, rat_str
 
 
 @dataclass(frozen=True)
 class UdisjParams:
-    """Ground-set size n with n = 4l - 1; l = (n+1)/4."""
+    """Ground-set size n with n = 4l - 1 >= 3; l = (n+1)/4."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 3 or self.n % 4 != 3:
+        if ground_size(self.n, least=3) % 4 != 3:
             raise InputError(f"n must be congruent to 3 mod 4 and >= 3, got {self.n}")
 
     @property
@@ -79,10 +79,11 @@ def ksubsets(universe_mask, k):
 
 
 class FunctionTable:
-    """Dense rational function on 2^[n], indexed by subset bitmask."""
+    """Dense rational function on 2^[n], indexed by subset bitmask; n is an
+    integer >= 0."""
 
     def __init__(self, n, values):
-        self.n = int(n)
+        self.n = ground_size(n, least=0)
         self.values = [rat(v) for v in values]
         if len(self.values) != 1 << self.n:
             raise InputError(
@@ -161,8 +162,8 @@ class RowColStats:
 
 @dataclass
 class ShiftSpec:
-    """What to build: M_ab = rho on disjoint pairs, rho-1 on unique
-    intersection; larger intersections follow the fill rule."""
+    """What to build, for an integer n >= 1: M_ab = rho on disjoint pairs,
+    rho-1 on unique intersection; larger intersections follow the fill rule."""
 
     n: int
     rho: Fraction
@@ -172,8 +173,7 @@ class ShiftSpec:
     def __post_init__(self):
         self.rho = rat(self.rho)
         self.fill_value = rat(self.fill_value)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"n must be an integer >= 1, got {self.n!r}")
+        ground_size(self.n)
         if self.rho < 1:
             raise InputError(f"rho must be >= 1, got {self.rho}")
         if self.fill not in ("hardpair", "constant"):
@@ -203,15 +203,14 @@ class CorruptionParams:
             raise InputError(f"C must be >= 0, got {self.C}")
 
 
-def build_shift(spec: ShiftSpec, max_n=14) -> RationalMatrix:
-    """The 2^n x 2^n rho-shift matrix over all subset pairs.
+def build_shift(spec: ShiftSpec) -> RationalMatrix:
+    """The 2^n x 2^n rho-shift matrix over all subset pairs, for n <= 14.
 
     Entries on A (disjoint) and B (share one) are forced to rho and rho-1;
     the default fill (1-|a&b|)^2 + rho - 1 extends both consistently and
     makes the matrix coincide with the shifted hard-pair slack matrix.
     """
-    if spec.n > max_n:
-        raise BudgetError(f"n={spec.n} exceeds the enumeration limit {max_n}")
+    ground_size(spec.n, limit=14)
     rho = spec.rho
     # one entry value per intersection size |a & b| = 0..n
     by_size = [rho, rho - 1] + [
@@ -307,20 +306,14 @@ def mu_class_probabilities(params: UdisjParams):
     return pa, 1 - pa
 
 
-def _scaled(fn: FunctionTable):
-    """(integer numerators, common denominator) of the values of fn."""
-    den = math.lcm(*(v.denominator for v in fn.values))
-    return [v.numerator * (den // v.denominator) for v in fn.values], den
-
-
 def _checked_scaled(f: FunctionTable, g: FunctionTable, params: UdisjParams):
-    """_scaled(f) and _scaled(g), once both are checked to be nonnegative
-    tables over params.n."""
+    """_over(f.values) and _over(g.values), once both are checked to be
+    nonnegative tables over params.n."""
     out = []
     for name, fn in (("f", f), ("g", g)):
         if fn.n != params.n:
             raise InputError(f"{name} is a table over n={fn.n}, expected {params.n}")
-        vals, den = _scaled(fn)
+        vals, den = _over(fn.values)
         if min(vals) < 0:
             raise InputError(f"{name} must be nonnegative")
         out.append((vals, den))
@@ -388,7 +381,7 @@ def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
     if T.t1.bit_count() != tsize or T.t2.bit_count() != tsize:
         raise InputError(f"T1 and T2 must each have {tsize} elements")
     k0, k1 = math.comb(tsize, ell), math.comb(tsize, ell - 1)
-    (F, df), (G, dg) = _scaled(f), _scaled(g)
+    (F, df), (G, dg) = _over(f.values), _over(g.values)
     zf, zg = _subset_sums(F, params.n, ell), _subset_sums(G, params.n, ell)
     return RowColStats(row0=Fraction(zf[T.t1], k0 * df),
                        row1=Fraction(zf[T.t1 | ibit] - zf[T.t1], k1 * df),
@@ -419,9 +412,9 @@ class RazborovReport:
                               for t2, l, r in self.marginals]}
 
 
-def razborov_identities(f: FunctionTable, g: FunctionTable, params: UdisjParams,
-                        max_n=11) -> RazborovReport:
-    """Check, by full enumeration over partitions, that
+def razborov_identities(f: FunctionTable, g: FunctionTable,
+                        params: UdisjParams) -> RazborovReport:
+    """Check, by full enumeration over partitions at n <= 11, that
 
         E[X | A] = E_T[Row0(T) Col0(T)],
         E[X | B] = E_T[Row1(T) Col1(T)],
@@ -429,8 +422,7 @@ def razborov_identities(f: FunctionTable, g: FunctionTable, params: UdisjParams,
     and that E[Row0 | T2] = E[Row1 | T2] for every T2 (the two marginal
     distributions of a agree).  Exact on both sides.
     """
-    if params.n > max_n:
-        raise BudgetError(f"n={params.n} exceeds the enumeration limit {max_n}")
+    ground_size(params.n, limit=11)
     scaled_f, scaled_g = _checked_scaled(f, g, params)
     lhs_a, lhs_b = _cond_expect(scaled_f, scaled_g, params)
     # integer numerators throughout; Row0, Col0 sit over k0 = C(2l-1, l)
@@ -595,14 +587,6 @@ class ScanReport:
             head = f"r{rs:x}.c"
             parts.append(head + ("\n" + head).join(cells) + "\n")
         return "".join(parts)
-
-    def csv_lines(self):
-        """csv_text as a list of lines: the header, then one per record."""
-        return self.csv_text().splitlines()
-
-    def csv_rows(self):
-        """csv_lines split into (id, p_a, p_b, value) string tuples."""
-        return (tuple(line.split(",")) for line in self.csv_lines())
 
 
 def _counts(rows, size, rects):

@@ -983,6 +983,7 @@ class TestMalformedCertificate:
         ("spectra-failure", {"b": "1"}),
         ("razborov-failure", {"n": 3.0}),
         ("razborov-failure", {"f": {"n": 3, "values": ["1"] * 7}}),
+        ("razborov-failure", {"f": {"n": 3.5, "values": ["1"] * 8}}),
     ])
     def test_wrong_value(self, tmp_path, kind, patch):
         assert self.check(tmp_path, dict(WELL_FORMED[kind], kind=kind, **patch)) == 2

@@ -191,7 +191,7 @@ class TestCliqueNumber:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            clique_number(Graph.complete(21), max_vertices=20)
+            clique_number(Graph.complete(21))
 
 
 class TestMaxOverCor:

@@ -300,7 +300,7 @@ class TestRectCover:
     def test_positive_matrix_is_one(self):
         P, Q = hard_pair(2)
         S2 = shift_slack(build_slack(P, Q), 2)
-        assert S2.full().min_entry() > 0
+        assert all(x > 0 for row in S2.full().tolist() for x in row)
         assert rect_cover_lb(S2.full()) == 1
 
     def test_hard_pair_n3(self):

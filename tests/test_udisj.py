@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from efbound import udisj
 from efbound.errors import BudgetError, InputError, VerificationError
 from efbound.errors import set_budget_ms
-from efbound.ratlin import rat_str
+from efbound.ratlin import _over, rat_str
 from efbound.udisj import (
     CorruptionParams,
     FunctionTable,
@@ -136,8 +136,6 @@ class TestBuildShift:
     def test_budget(self):
         with pytest.raises(BudgetError):
             build_shift(ShiftSpec(15, 1))
-        # explicit limit override
-        build_shift(ShiftSpec(2, 1), max_n=2)
 
 
 class TestEnumClasses:
@@ -234,7 +232,7 @@ class TestRowColStats:
         f, g = _fraction_table(n, rng), _fraction_table(n, rng)
         k0 = math.comb(2 * p.ell - 1, p.ell)
         k1 = math.comb(2 * p.ell - 1, p.ell - 1)
-        (F, df), (G, dg) = udisj._scaled(f), udisj._scaled(g)
+        (F, df), (G, dg) = _over(f.values), _over(g.values)
         zf, zg = udisj._subset_sums(F, n, p.ell), udisj._subset_sums(G, n, p.ell)
         for T in partitions(p):
             ibit = 1 << (T.i - 1)
@@ -501,7 +499,7 @@ class TestRectangleScan:
         p = UdisjParams(3)
         rep = rectangle_corruption_scan(p, Fraction(1, 2), mode="sample",
                                         seed=0, count=5, keep_records=True)
-        rows = list(rep.csv_rows())
+        rows = [tuple(line.split(",")) for line in rep.csv_text().splitlines()]
         assert rows[0] == ("rectangle-id", "p_a", "p_b", "value")
         assert len(rows) == 6
 
@@ -645,7 +643,6 @@ class TestProperties:
         rep = rectangle_corruption_scan(UdisjParams(3), eps, keep_records=True)
         # compared line by line: a failing comparison of the whole 1.4 MB
         # strings would have pytest diff them
-        assert ("\n".join(rep.csv_lines()) + "\n").split("\n") == lines + [""]
         assert rep.csv_text().split("\n") == lines + [""]
 
     @settings(max_examples=40, deadline=None)
@@ -675,7 +672,8 @@ class TestProperties:
         # records are the Fractions those counts define
         rep = rectangle_corruption_scan(UdisjParams(n), eps, mode="sample", seed=seed,
                                         count=count, keep_records=True)
-        assert list(rep.csv_rows()) == [("rectangle-id", "p_a", "p_b", "value")] + [
+        rows = [tuple(line.split(",")) for line in rep.csv_text().splitlines()]
+        assert rows == [("rectangle-id", "p_a", "p_b", "value")] + [
             (rid, rat_str(pa), rat_str(pb), rat_str(val)) for rid, pa, pb, val in rep.records]
         assert len(rep.records) == count
 
