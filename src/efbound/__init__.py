@@ -59,6 +59,7 @@ from .ratlin import (
     Rational,
     RationalMatrix,
     dot,
+    lp_feasible_each,
     lp_solve,
     lp_solve_each,
     mat_rank,

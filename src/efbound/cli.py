@@ -179,7 +179,7 @@ def _verify_contains_failure(d):
         target, u = _vec_load(d["target"]), _vec_load(d["u"])
         if d["target_kind"] not in ("point", "ray"):
             raise ValueError("target_kind")
-    return refutes(K, lifting_rhs(K, d["target_kind"], target), u)
+    return refutes(K, d["target_kind"], target, u)
 
 
 def _verify_row_violation(d):

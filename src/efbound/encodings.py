@@ -291,8 +291,8 @@ def box_ef(n) -> ExtendedFormulation:
         x - y = 0,  x + z = 1,  y, z >= 0
 
     which has size 2 n^2 regardless of the objective it will carry.  Any
-    integer n >= 1; nothing is enumerated."""
-    d = ground_size(n) ** 2
+    integer n >= 1, up to the limit 16: its matrices are dense 2n^2 x 2n^2."""
+    d = ground_size(n, limit=16) ** 2
     I = RationalMatrix.identity(d)
     E = RationalMatrix.vstack([I, I])
     F = RationalMatrix.vstack([

@@ -43,11 +43,14 @@ from .polyhedra import (
     ExtendedFormulation,
     HRep,
     VRep,
+    _Cleared,
+    _equals,
     build_slack,
-    nonneg_solution,
+    nonneg_solutions,
     verify_sandwich,
 )
-from .ratlin import ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, lp_solve, mat_rank, rat
+from .ratlin import (ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, lp_feasible_each,
+                     mat_rank, rat)
 
 
 class PreconditionError(Exception):
@@ -144,27 +147,31 @@ def factorization_to_ef(Q: HRep, fac: NonnegFactorization) -> ExtendedFormulatio
     return ExtendedFormulation(Q.A.copy(), fac.T.copy(), list(Q.b))
 
 
-def _tight_derivation(K: ExtendedFormulation, ai, bi):
-    """Look for multipliers t with t E = a_i, t F >= 0 and t g = b_i exactly
-    (a zero-offset derivation).  Returns t or None."""
+def _tight_derivations(K: ExtendedFormulation, Q: HRep):
+    """For each row i of Q, multipliers t with t E = a_i, t F >= 0 and
+    t g = b_i exactly (a zero-offset derivation), or None.  The LPs differ
+    only in their right-hand sides (a_i, b_i), so they are solved from one
+    basis."""
     p, r = K.nrows, K.size
     if p == 0:
-        return None
-    eq_rows = [[K.E[k, j] for k in range(p)] for j in range(K.dim)]
-    eq_rows.append([K.g[k] for k in range(p)])
-    beq = list(ai) + [bi]
-    ineq = [[-K.F[k, j] for k in range(p)] for j in range(r)]
-    res = lp_solve(ineq or None, [ZERO] * r if ineq else None,
-                   eq_rows, beq, [ZERO] * p)
-    if res.status != "optimal":
-        return None
-    t = res.point
-    require([dot(K.E.col(j), t) for j in range(K.dim)] == list(ai),
-            "tight derivation: t E = a_i")
-    require(all(dot(K.F.col(j), t) >= 0 for j in range(r)),
-            "tight derivation: t F >= 0")
-    require(dot(t, K.g) == bi, "tight derivation: t g = b_i")
-    return t
+        return [None] * Q.nrows
+    rows = _Cleared(K)
+    eq_rows = [K.E.col(j) for j in range(K.dim)] + [K.g]
+    ineq = [[-x for x in K.F.col(j)] for j in range(r)]
+    beqs = [Q.A.row(i) + [Q.b[i]] for i in range(Q.nrows)]
+    out = []
+    for beq, res in zip(beqs, lp_feasible_each(ineq or None, [ZERO] * r if ineq else None,
+                                               eq_rows, beqs, p)):
+        if res.status != "optimal":
+            out.append(None)
+            continue
+        t = res.point
+        tE, tF, tg, dz = rows.combo(t)
+        require(_equals(tE, dz, beq[:-1]), "tight derivation: t E = a_i")
+        require(all(x >= 0 for x in tF), "tight derivation: t F >= 0")
+        require(Fraction(tg, dz) == beq[-1], "tight derivation: t g = b_i")
+        out.append(t)
+    return out
 
 
 def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFactorization:
@@ -194,8 +201,7 @@ def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFacto
     m = Q.nrows
     Tm = RationalMatrix(m, K.nrows)
     cvec = []
-    for i in range(m):
-        t = _tight_derivation(K, Q.A.row(i), Q.b[i])
+    for i, t in enumerate(_tight_derivations(K, Q)):
         if t is not None:
             ci = ZERO
         else:
@@ -500,8 +506,7 @@ def _nmf_attempt(S: RationalMatrix, V, s_rows, r, cfg: NmfConfig):
             if _outside_span(T, s_rows):
                 continue
             cols = []
-            for j in range(n):
-                status, u = nonneg_solution(T, S.col(j))
+            for status, u in nonneg_solutions(T, (S.col(j) for j in range(n))):
                 if status != "ok":
                     break
                 cols.append(u)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, decoding, require
-from .ratlin import (ONE, ZERO, RationalMatrix, _vec_json, dot, lp_solve, lp_solve_each, rat,
-                     rat_str)
+from .ratlin import (ONE, ZERO, RationalMatrix, _cleared, _combo, _over, _vec_json, dot,
+                     lp_feasible_each, lp_solve, lp_solve_each, rat, rat_str)
 
 
 def _vec(xs, d=None, label="vector"):
@@ -309,61 +310,124 @@ class SandwichReport:
                 "contains": self.contains.to_json(), "inside": self.inside.to_json()}
 
 
-def nonneg_solution(F: RationalMatrix, rhs):
-    """Find y >= 0 with F y = rhs, or an exact refutation vector u.
+def nonneg_solutions(F: RationalMatrix, rhss):
+    """For each rhs of rhss, in order, find y >= 0 with F y = rhs or an
+    exact refutation vector u.
 
-    Returns ("ok", y) or ("no", u) with F^T u >= 0 and u . rhs < 0.
+    Yields ("ok", y) or ("no", u) with F^T u >= 0 and u . rhs < 0.  The LPs
+    share F, so they are solved from one basis (ratlin.lp_feasible_each);
+    rhss may be lazy, and a caller that stops early solves no more of them.
     """
     r = F.cols
     if r == 0:
-        if all(x == 0 for x in rhs):
-            return "ok", []
-        # u = -e_i on the first nonzero coordinate, sign-adjusted
-        i = next(i for i, x in enumerate(rhs) if x != 0)
-        u = [ZERO] * F.rows
-        u[i] = -ONE if rhs[i] > 0 else ONE
-        return "no", u
-    res = lp_solve(None, None, F.tolist(), rhs, [ZERO] * r, nonneg=range(r))
-    if res.status == "optimal":
-        return "ok", res.point
-    require(res.status == "infeasible", "a feasibility LP is optimal or infeasible")
-    return "no", res.farkas_eq
+        for rhs in rhss:
+            if all(x == 0 for x in rhs):
+                yield "ok", []
+                continue
+            # u = -e_i on the first nonzero coordinate, sign-adjusted
+            i = next(i for i, x in enumerate(rhs) if x != 0)
+            u = [ZERO] * F.rows
+            u[i] = -ONE if rhs[i] > 0 else ONE
+            yield "no", u
+        return
+    for res in lp_feasible_each(None, None, F.tolist(), rhss, r, nonneg=range(r)):
+        if res.status == "optimal":
+            yield "ok", res.point
+        else:
+            require(res.status == "infeasible", "a feasibility LP is optimal or infeasible")
+            yield "no", res.farkas_eq
+
+
+def nonneg_solution(F: RationalMatrix, rhs):
+    """Find y >= 0 with F y = rhs, or an exact refutation vector u.
+
+    Returns ("ok", y) or ("no", u) with F^T u >= 0 and u . rhs < 0.  This is
+    nonneg_solutions with one right-hand side.
+    """
+    return next(nonneg_solutions(F, [rhs]))
+
+
+class _Cleared:
+    """The rows of [E | F | g] of an EF, each as ints over its own positive
+    denominator (ratlin._cleared), made once per call.  The identities of
+    containment and derivation certificates are tested on these ints, with
+    each vector put over one denominator."""
+
+    def __init__(self, K: ExtendedFormulation):
+        self.d, self.r = K.dim, K.size
+        self.rows = _cleared([K.E.row(k) + K.F.row(k) for k in range(K.nrows)], K.g)
+
+    def lift(self, kind, vec):
+        """g - E vec for a "point", -E vec for a "ray"."""
+        num, dv = _over(_vec(vec, self.d, "generator"))
+        g = dv if kind == "point" else 0
+        return [Fraction(g * ints[-1] - sum(map(mul, ints, num)), d * dv)
+                for ints, d in self.rows]
+
+    def lifts(self, kind, vec, w):
+        """Whether w lifts vec: F w = lift(kind, vec)."""
+        num, dv = _over(vec)
+        wn, dw = _over(w)
+        x = [a * dw for a in num] + [a * dv for a in wn] + [-dv * dw if kind == "point" else 0]
+        return len(w) == self.r and all(sum(map(mul, ints, x)) == 0 for ints, _ in self.rows)
+
+    def combo(self, u):
+        """(E^T u, F^T u, u . g, dz): the first three as ints over the one
+        positive denominator dz."""
+        acc, dz = _combo(self.rows, _vec(u, len(self.rows), "multiplier vector"),
+                         self.d + self.r + 1)
+        return acc[:self.d], acc[self.d:-1], acc[-1], dz
+
+    def refutes(self, kind, vec, u):
+        """Whether u proves that F w = lift(kind, vec) has no w >= 0:
+        F^T u >= 0 and u . lift(kind, vec) < 0."""
+        uE, uF, ug, _ = self.combo(u)
+        num, dv = _over(_vec(vec, self.d, "generator"))
+        urhs = (ug * dv if kind == "point" else 0) - sum(map(mul, uE, num))
+        return all(x >= 0 for x in uF) and urhs < 0
+
+
+def _equals(nums, dz, vec):
+    """Whether the ints nums over dz > 0 are the rationals vec."""
+    return len(nums) == len(vec) and all(
+        x * v.denominator == v.numerator * dz for x, v in zip(nums, vec))
 
 
 def lifting_rhs(K: ExtendedFormulation, kind, vec):
     """The right-hand side a lifting of vec must meet, F w = rhs with w >= 0:
     g - E vec for a "point", -E vec for a "ray" (a recession direction)."""
-    ev = [dot(K.E.row(i), vec) for i in range(K.nrows)]
-    return [gi - e for gi, e in zip(K.g, ev)] if kind == "point" else [-e for e in ev]
+    return _Cleared(K).lift(kind, vec)
 
 
-def refutes(K: ExtendedFormulation, rhs, u):
-    """Whether u proves that F w = rhs has no w >= 0: F^T u >= 0 and u . rhs < 0."""
-    return all(dot(K.F.col(j), u) >= 0 for j in range(K.size)) and dot(u, rhs) < 0
+def refutes(K: ExtendedFormulation, kind, vec, u):
+    """Whether u proves that vec has no lifting, F w = lifting_rhs(K, kind,
+    vec) with w >= 0: F^T u >= 0 and u . rhs < 0."""
+    return _Cleared(K).refutes(kind, vec, u)
 
 
 def ef_contains_points(P: VRep, K: ExtendedFormulation) -> ContainsReport:
     """Prove every generator of P lies in K, or report the first that does not.
 
     A point v needs w >= 0 with F w = g - E v; a ray r needs z >= 0 with
-    F z = -E r (membership in the recession cone of the system).  Witness
-    and refutation vectors are verified exactly before being reported.
+    F z = -E r (membership in the recession cone of the system).  The LPs
+    share F and are solved from one basis.  Witness and refutation vectors
+    are verified exactly before being reported.
     """
     if P.dim != K.dim:
         raise InputError(f"dimension mismatch: P is {P.dim}-dimensional, K expects {K.dim}")
+    rows = _Cleared(K)
     witnesses = []
     gens = [("point", j, v) for j, v in enumerate(P.points)] + \
            [("ray", j, r) for j, r in enumerate(P.rays)]
-    for kind, j, vec in gens:
-        rhs = lifting_rhs(K, kind, vec)
-        status, w = nonneg_solution(K.F, rhs)
+    solutions = nonneg_solutions(K.F, (rows.lift(kind, vec) for kind, _, vec in gens))
+    for (kind, j, vec), (status, w) in zip(gens, solutions):
         if status == "ok":
             require(all(x >= 0 for x in w), "containment witness w >= 0")
-            require([dot(K.F.row(i), w) for i in range(K.nrows)] == rhs,
-                    "containment witness F w = rhs")
+            require(rows.lifts(kind, vec, w), "containment witness F w = rhs")
             witnesses.append((kind, j, w))
         else:
-            require(refutes(K, rhs, w), "containment refutation F^T u >= 0, u . rhs < 0")
+            require(rows.refutes(kind, vec, w),
+                    "containment refutation F^T u >= 0, u . rhs < 0")
             return ContainsReport(ok=False, failing={
                 "kind": kind, "index": j, "generator": vec, "certificate": w})
     return ContainsReport(ok=True, witnesses=witnesses)
@@ -382,6 +446,7 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
     if K.dim != Q.dim:
         raise InputError(f"dimension mismatch: K is {K.dim}-dimensional, Q is {Q.dim}")
     d, r, p = K.dim, K.size, K.nrows
+    rows = _Cleared(K)
     eq_rows = [K.E.row(i) + K.F.row(i) for i in range(p)]
     objectives = [Q.A.row(i) + [ZERO] * r for i in range(Q.nrows)]
     derivations = []
@@ -390,11 +455,10 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
         ai = Q.A.row(i)
         if res.status == "infeasible":
             u = res.farkas_eq
-            et_u = [dot(K.E.col(j), u) for j in range(d)]
-            ft_u = [dot(K.F.col(j), u) for j in range(r)]
-            require(all(x == 0 for x in et_u) and all(x >= 0 for x in ft_u),
+            uE, uF, ug, _ = rows.combo(u)
+            require(not any(uE) and all(x >= 0 for x in uF),
                     "emptiness certificate E^T u = 0, F^T u >= 0")
-            require(dot(u, K.g) < 0, "emptiness certificate u . g < 0")
+            require(ug < 0, "emptiness certificate u . g < 0")
             return InsideReport(ok=True, empty=True, empty_certificate=u)
         if res.status == "unbounded":
             x0 = res.point[:d]
@@ -413,9 +477,11 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
                 "row": i, "point": res.point[:d], "value": val, "bound": Q.b[i]})
         t = res.dual_eq
         ci = Q.b[i] - val
-        require([dot(K.E.col(j), t) for j in range(d)] == ai, "derivation t E = A_i")
-        require(all(dot(K.F.col(j), t) >= 0 for j in range(r)), "derivation t F >= 0")
-        require(dot(t, K.g) + ci == Q.b[i] and ci >= 0, "derivation t g + c_i = b_i, c_i >= 0")
+        tE, tF, tg, dz = rows.combo(t)
+        require(_equals(tE, dz, ai), "derivation t E = A_i")
+        require(all(x >= 0 for x in tF), "derivation t F >= 0")
+        require(Fraction(tg, dz) + ci == Q.b[i] and ci >= 0,
+                "derivation t g + c_i = b_i, c_i >= 0")
         derivations.append((i, t, ci))
     return InsideReport(ok=True, derivations=derivations)
 

@@ -17,11 +17,20 @@ indices marks the variables constrained to be >= 0: each gets one tableau
 column and no bound row, while a free variable is the difference of two
 columns.  `lp_solve_each` optimizes a list of objectives over one region,
 running phase 1 once and starting each phase 2 from the previous optimal
-basis; `lp_solve` is its one-objective case.  The deadline of `errors` is
-polled once per pivot.  Every answer is re-checked as an exact identity,
-on the rows cleared to ints once per call and each certificate vector put
-over one denominator, before it is returned; a failed check raises
-VerificationError in every run mode:
+basis; `lp_solve` is its one-objective case.  `lp_feasible_each` solves a
+family of feasibility LPs (zero objective) that share their matrix and
+differ only in the equality right-hand side.  Phase 1 runs once; each later
+right-hand side is priced through the artificial block, which holds the
+running basis inverse, and made feasible again by dual simplex pivots.  A
+zero objective keeps every basis dual feasible, so no new phase 1 is
+needed, and the dual Bland rule (leave on the negative row of lowest basic
+index, enter on its lowest-index negative column) terminates.  A row left
+negative with no negative entry, or a nonzero row still held by an
+artificial, is a Farkas vector read off the same block.  The deadline of
+`errors` is polled once per pivot.  Every answer is re-checked as an exact
+identity, on the rows cleared to ints once per call and each certificate
+vector put over one denominator, before it is returned; a failed check
+raises VerificationError in every run mode:
 
 * optimal   -- primal feasibility, dual feasibility (reduced costs zero on
                free columns, of the right sign on masked ones), matching
@@ -371,12 +380,16 @@ def _norm_system(M, rhs, n, label):
     if M is None or rhs is None:
         raise InputError(f"{label} and its right-hand side must be given together")
     rows, m, ncols = _as_row_lists(M)
-    rhs = [rat(x) for x in rhs]
     if m and ncols != n:
         raise InputError(f"{label} has {ncols} columns, expected {n}")
+    return rows, _norm_rhs(rhs, m, label)
+
+
+def _norm_rhs(rhs, m, label):
+    rhs = [rat(x) for x in rhs]
     if len(rhs) != m:
         raise InputError(f"{label} has {m} rows but its rhs has {len(rhs)} entries")
-    return rows, rhs
+    return rhs
 
 
 def _norm_mask(nonneg, n):
@@ -442,10 +455,78 @@ def lp_solve_each(A, b, Aeq, beq, objectives, sense="max", nonneg=()):
         yield res
 
 
+def lp_feasible_each(A, b, Aeq, beqs, n, nonneg=()):
+    """Yield lp_solve(A, b, Aeq, beq, [0] * n, nonneg=nonneg) for each beq
+    in beqs: one family of feasibility LPs over n variables that share
+    their matrix and differ only in the equality right-hand side.
+
+    Phase 1 runs on the first beq; each later one restarts from the basis
+    where the previous one stopped (see _Tableau.restart), which is a basis
+    whatever its outcome.  An infeasible phase 1 leaves no basis, so the
+    next beq runs phase 1 again.  Every result is verified exactly before it
+    is yielded, so a caller may stop at any one of them.
+    """
+    if n < 1:
+        raise InputError("lp_solve needs at least one variable")
+    if Aeq is None:
+        raise InputError("a family of right-hand sides needs Aeq")
+    Ar, br = _norm_system(A, b, n, "A")
+    Er, m, ncols = _as_row_lists(Aeq)
+    if m and ncols != n:
+        raise InputError(f"Aeq has {ncols} columns, expected {n}")
+    mask = _norm_mask(nonneg, n)
+    zeros = [ZERO] * n
+    ineq = _cleared(Ar, br)
+    Ec = [_over(row) for row in Er]
+    tab = None
+    for beq in beqs:
+        er = _norm_rhs(beq, m, "Aeq")
+        eq = _appended(Ec, er)
+        if tab is None:
+            tab = _Tableau(ineq + eq, len(ineq), mask)
+            farkas = tab.phase1()
+            if farkas is not None:
+                tab = None
+        else:
+            farkas = tab.restart(br + er)
+        if farkas is None:
+            res = LpResult("optimal", value=ZERO, point=tab.point(),
+                           dual_ineq=[ZERO] * len(ineq), dual_eq=[ZERO] * m)
+        else:
+            res = LpResult("infeasible", farkas_ineq=farkas[0], farkas_eq=farkas[1])
+        _check_lp(ineq, eq, zeros, "max", mask, res)
+        yield res
+
+
 def _cleared(rows, rhs):
     """Each row with its rhs appended, as ints over the row's own positive
     denominator: (ints, d) with ints / d = row + [rhs]."""
-    return [_over(row + [r]) for row, r in zip(rows, rhs)]
+    return _appended([_over(row) for row in rows], rhs)
+
+
+def _appended(cleared, rhs):
+    """_cleared(rows, rhs) from cleared = [_over(row) for row in rows], so
+    that a family of right-hand sides clears its rows once."""
+    out = []
+    for (ints, d), r in zip(cleared, rhs):
+        k = r.denominator // math.gcd(d, r.denominator)
+        scaled = [x * k for x in ints] if k > 1 else ints
+        out.append((scaled + [r.numerator * (d * k // r.denominator)], d * k))
+    return out
+
+
+def _combo(rows, y, width):
+    """sum_i y_i rows_i of width-long rows cleared to ints (see _cleared):
+    numerators over one positive denominator, which is returned with them.
+    A cleared row is its rational row times d_i, so y_i counts as y_i / d_i."""
+    z = [(t.numerator, t.denominator * d) for t, (_, d) in zip(y, rows)]
+    dz = math.lcm(*(q for _, q in z))
+    acc = [0] * width
+    for (p, q), (ints, _) in zip(z, rows):
+        if p:
+            f = p * (dz // q)
+            acc = [a + f * v for a, v in zip(acc, ints)]
+    return acc, dz
 
 
 def _reduced(line):
@@ -508,6 +589,56 @@ class _Tableau:
                     _pivot(T, self.basis, obj, i, enter)
         return None
 
+    def restart(self, rhs):
+        """Move to a new right-hand side rhs (one entry per row, in the
+        signs the rows were given) under a zero objective.  Returns None when
+        it is feasible, leaving a feasible basis, else the Farkas pair (y, w).
+
+        The artificial block, the basis inverse, prices rhs; dual Bland
+        pivots then restore feasibility (every ratio of the dual ratio test
+        is zero, so the entering column is the row's lowest-index negative
+        one).  A row still held by an artificial is zero outside the
+        artificial block and never pivots, so its value is fixed by rhs.
+        """
+        T, basis, art0 = self.T, self.basis, self.art0
+        num, d = _over(rhs)
+        num = [sg * x for sg, x in zip(self.sigma, num)]
+        for i, line in enumerate(T):
+            v = sum(map(mul, line[art0:-2], num))
+            T[i] = _reduced([x * d for x in line[:-2]] + [v, line[-1] * d])
+        for line, bv in zip(T, basis):
+            if bv >= art0 and line[-2]:
+                return self._farkas(line, -1 if line[-2] > 0 else 1)
+        zero = [0] * self.width
+        while True:
+            leave = min((i for i, line in enumerate(T) if line[-2] < 0),
+                        key=basis.__getitem__, default=-1)
+            if leave < 0:
+                return None
+            line = T[leave]
+            enter = next((j for j in range(art0) if line[j] < 0), -1)
+            if enter < 0:
+                return self._farkas(line, 1)
+            check_deadline()
+            _pivot(T, basis, zero, leave, enter)
+
+    def _farkas(self, line, s):
+        """(y, w) = s times the basis-inverse row of line, in the signs the
+        rows were given: with the row's entries >= 0 outside the artificial
+        block and s times its value < 0, a Farkas pair."""
+        y = [Fraction(s * sg * line[self.art0 + i], line[-1]) for i, sg in enumerate(self.sigma)]
+        return y[:self.mi], y[self.mi:]
+
+    def point(self):
+        """The basic solution.  Of a free variable's two columns at most one
+        is basic, since they are opposite."""
+        point, nx = [ZERO] * self.n, len(self.var)
+        for line, bv in zip(self.T, self.basis):
+            if bv < nx:
+                j, s = self.var[bv]
+                point[j] = Fraction(s * line[-2], line[-1])
+        return point
+
     def phase2(self, c, sign):
         """Maximize sign * c.x from the current basis, which is left where
         the objective stopped."""
@@ -516,11 +647,7 @@ class _Tableau:
         cost = [-sign * s * num[j] for j, s in self.var] + [0] * (self.width - nx)
         obj = _priced(cost, dc, T, basis)
         grew = _iterate(T, basis, obj, art0)
-        point = [ZERO] * self.n
-        for line, bv in zip(T, basis):
-            if bv < nx:
-                j, s = self.var[bv]
-                point[j] += Fraction(s * line[-2], line[-1])
+        point = self.point()
         if grew is not None:
             ray = [ZERO] * self.n
             if grew < nx:
@@ -622,17 +749,9 @@ def _check_lp(ineq, eq, c, sense, mask, res):
     cnum, dc = _over(c)
 
     def combo(y, w):
-        """A^T y + E^T w and, at index n, b.y + e.w: numerators over one
-        denominator, which is returned with them."""
+        """A^T y + E^T w and, at index n, b.y + e.w (see _combo)."""
         require(len(y) == len(ineq) and len(w) == len(eq), "multiplier lengths")
-        z = [(t.numerator, t.denominator * d) for t, (_, d) in zip(y + w, ineq + eq)]
-        dz = math.lcm(*(q for _, q in z))
-        acc = [0] * (n + 1)
-        for (p, q), (ints, _) in zip(z, ineq + eq):
-            if p:
-                f = p * (dz // q)
-                acc = [a + f * v for a, v in zip(acc, ints)]
-        return acc, dz
+        return _combo(ineq + eq, y + w, n + 1)
 
     def feasible(x):
         """x as (numerators, denominator) after checking it; also the

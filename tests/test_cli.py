@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from efbound import (
     ExtendedFormulation,
+    HRep,
     NonnegFactorization,
     RationalMatrix,
     SlackMatrix,
+    VRep,
     build_hard_pair,
     build_shift,
     build_slack,
@@ -391,6 +393,41 @@ class TestExitDiscipline:
         assert rc == 3
         assert not (tmp_path / "never.json").exists()
 
+    def test_budget_reaches_restart_pivots(self, tmp_path, monkeypatch):
+        # K = {x : x - y0 + y1 = 0, y >= 0}; the containment family's phase 1
+        # (at v = 1) spends the budget, and v = -1 needs a dual pivot, whose
+        # poll is the first after it
+        from efbound import ratlin
+        from efbound.errors import BudgetError, set_budget_ms
+        phase1, restart = ratlin._Tableau.phase1, ratlin._Tableau.restart
+        stopped = []
+
+        def spent(tab):
+            out = phase1(tab)
+            set_budget_ms(0)
+            return out
+
+        def watched(tab, rhs):
+            try:
+                return restart(tab, rhs)
+            except BudgetError:
+                stopped.append(rhs)
+                raise
+        monkeypatch.setattr(ratlin._Tableau, "phase1", spent)
+        monkeypatch.setattr(ratlin._Tableau, "restart", watched)
+        monkeypatch.delenv("EFBOUND_BUDGET_MS", raising=False)
+        K = ExtendedFormulation(RationalMatrix.from_rows([[1]]),
+                                RationalMatrix.from_rows([[-1, 1]]), [0])
+        write(tmp_path / "p.json", VRep(1, [[1], [-1]]).to_json())
+        write(tmp_path / "q.json", HRep(1, [[1], [-1]], [5, 5]).to_json())
+        write(tmp_path / "k.json", K.to_json())
+        rc = main(["verify-sandwich", "--p", str(tmp_path / "p.json"),
+                   "--q", str(tmp_path / "q.json"), "--rho", "1",
+                   "--ef", str(tmp_path / "k.json"), "--out", str(tmp_path / "never.json")])
+        assert rc == 3
+        assert stopped == [[1]]  # the lifting g - E v of v = -1
+        assert not (tmp_path / "never.json").exists()
+
     def test_budget_reaches_sampled_scan(self, tmp_path):
         rc = main(["--budget-ms", "1", "corruption-scan", "--n", "11", "--eps", "1/2",
                    "--mode", "sample", "--count", "150", "--out", str(tmp_path / "never.json")])
@@ -403,10 +440,10 @@ class TestExitDiscipline:
         # the poll at the next NMF restart can stop the run
         from efbound import nnfact
 
-        def slow_completion(T, rhs):
+        def slow_completion(T, rhss):
             time.sleep(0.3)
-            return "no", None
-        monkeypatch.setattr(nnfact, "nonneg_solution", slow_completion)
+            return iter([("no", None)])
+        monkeypatch.setattr(nnfact, "nonneg_solutions", slow_completion)
         monkeypatch.setattr(nnfact, "verify_factorization", lambda S, fac: False)
         write(tmp_path / "m.json",
               RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]).to_json())

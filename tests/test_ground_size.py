@@ -34,7 +34,7 @@ from efbound.udisj import (
 ENTRY_POINTS = {
     "build_hard_pair": (build_hard_pair, 1, 11),
     "hardpair_slack": (hardpair_slack, 1, 11),
-    "box_ef": (box_ef, 1, None),
+    "box_ef": (box_ef, 1, 17),
     "build_cut_family": (lambda n: build_cut_family("cut_polytope", n), 2, 9),
     "covariance_map": (lambda n: covariance_map([0, 0, 0], n), 2, None),
     "psd_factors": (psd_factors, 1, 11),

@@ -35,7 +35,7 @@ from efbound.nnfact import (
     NonnegFactorization,
     PreconditionError,
     _fooling_at_least,
-    _tight_derivation,
+    _tight_derivations,
     ef_to_factorization,
     factorization_to_ef,
     nnegrk_bounds,
@@ -428,9 +428,9 @@ class TestInternalChecks:
         class Planted:
             status = "optimal"
             point = [F(7)] * K.nrows
-        monkeypatch.setattr(nnfact, "lp_solve", lambda *args: Planted)
+        monkeypatch.setattr(nnfact, "lp_feasible_each", lambda *args: iter([Planted]))
         with pytest.raises(VerificationError, match="t E = a_i"):
-            _tight_derivation(K, Q.A.row(0), Q.b[0])
+            _tight_derivations(K, Q)
 
     def test_ef_to_factorization_result_is_checked(self, monkeypatch):
         P, Q = segment()
@@ -623,12 +623,12 @@ class TestNmfStage:
         (RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]), True)])
     def test_lps_only_after_the_span_test(self, monkeypatch, S, found):
         calls = []
-        genuine = nnfact.nonneg_solution
+        genuine = nnfact.nonneg_solutions
 
-        def spy(T, rhs):
+        def spy(T, rhss):
             calls.append(T)
-            return genuine(T, rhs)
-        monkeypatch.setattr(nnfact, "nonneg_solution", spy)
+            return genuine(T, rhss)
+        monkeypatch.setattr(nnfact, "nonneg_solutions", spy)
         nb = nnegrk_bounds(S)
         assert isinstance(nb.upper_witness, NonnegFactorization) == found
         if found:
@@ -647,12 +647,12 @@ class TestNmfStage:
             stages.append(attempts)
             return genuine(V, r, cfg, attempts)
 
-        def slow_completion(T, rhs):
+        def slow_completion(T, rhss):
             time.sleep(0.3)
-            return "no", None
+            return iter([("no", None)])
         monkeypatch.setattr(nnfact, "_NMF_CHUNK", 1)
         monkeypatch.setattr(nnfact, "_nmf_floats", counted)
-        monkeypatch.setattr(nnfact, "nonneg_solution", slow_completion)
+        monkeypatch.setattr(nnfact, "nonneg_solutions", slow_completion)
         set_budget_ms(200)
         try:
             with pytest.raises(BudgetError):

@@ -23,12 +23,13 @@ from efbound import (
     dilate,
     ef_contains_points,
     ef_inside_hrep,
+    ef_to_factorization,
     homogenize,
     shift_slack,
     trivial_ef,
     verify_sandwich,
 )
-from efbound import encodings, polyhedra, ratlin
+from efbound import encodings, nnfact, polyhedra, ratlin
 from efbound.polyhedra import nonneg_solution, recession_fulldim
 
 
@@ -267,7 +268,7 @@ class TestPivotCounts:
         monkeypatch.setattr(ratlin, "_pivot", counting)
         return count
 
-    @pytest.mark.parametrize("n,expected", [(3, 94), (4, 345)])
+    @pytest.mark.parametrize("n,expected", [(3, 38), (4, 105)])
     def test_hard_pair_trivial_ef(self, pivots, n, expected):
         hp = build_hard_pair(n)
         assert verify_sandwich(hp.P, hp.Q, 1, trivial_ef(hp.Q)).ok
@@ -277,7 +278,13 @@ class TestPivotCounts:
     def test_box_ef(self, pivots, rho, ok):
         hp = build_hard_pair(3)
         assert verify_sandwich(hp.P, hp.Q, rho, box_ef(3)).ok is ok
-        assert pivots[0] == 184
+        assert pivots[0] == 58
+
+    def test_ef_to_factorization(self, pivots):
+        # the sandwich check, then the tight-derivation family
+        hp = build_hard_pair(3)
+        ef_to_factorization(trivial_ef(hp.Q), hp.P, hp.Q)
+        assert pivots[0] == 61
 
 
 class TestHomogenize:
@@ -359,7 +366,8 @@ def _tampered_checks():
     """(check, {(module, attribute): replacement}, call): each call reaches
     the certificate check named check after the replacements plant a wrong
     result.  On the segment [0, 1] with its trivial EF, the LP for row 0
-    (-x <= 0) has the columns x, y0, y1, and E = (-1; 1), F = I, g = (0, 1)."""
+    (-x <= 0) has the columns x, y0, y1, and E = (-1; 1), F = I, g = (0, 1);
+    the first tight derivation looks for t with t E = -1, t F >= 0, t g = 0."""
     P, Q = segment()
     K = trivial_ef(Q)
     zeros = [F(0)] * 3
@@ -370,11 +378,15 @@ def _tampered_checks():
     def contains():
         ef_contains_points(P, K)
 
+    def tight():
+        nnfact._tight_derivations(K, Q)
+
     def psd():
         encodings.psd_factors(2)
 
     def solutions(status, vec):
-        return {(polyhedra, "nonneg_solution"): lambda M, rhs: (status, [F(vec)] * M.cols)}
+        return {(polyhedra, "nonneg_solutions"):
+                lambda M, rhss: iter([(status, [F(vec)] * M.cols)])}
 
     def lp(status, **fields):
         return {(polyhedra, "lp_solve_each"): _yield(LpResult(status, **fields))}
@@ -383,9 +395,13 @@ def _tampered_checks():
         return lp("optimal", value=F(value), point=zeros, dual_ineq=[],
                   dual_eq=[F(x) for x in t])
 
+    def tight_point(t):
+        return {(nnfact, "lp_feasible_each"):
+                _yield(LpResult("optimal", point=[F(x) for x in t]))}
+
     return [
         ("a feasibility LP is optimal or infeasible",
-         {(polyhedra, "lp_solve"): lambda *args, **kwargs: LpResult("unbounded")},
+         {(polyhedra, "lp_feasible_each"): _yield(LpResult("unbounded"))},
          lambda: nonneg_solution(RationalMatrix.identity(1), [F(1)])),
         ("containment witness w >= 0", solutions("ok", -1), contains),
         ("containment witness F w = rhs", solutions("ok", 0), contains),
@@ -401,6 +417,9 @@ def _tampered_checks():
         ("derivation t E = A_i", optimal(0, [0, 0]), inside),
         ("derivation t F >= 0", optimal(0, [0, -1]), inside),
         ("derivation t g + c_i = b_i, c_i >= 0", optimal(-1, [1, 0]), inside),
+        ("tight derivation: t E = a_i", tight_point([7, 7]), tight),
+        ("tight derivation: t F >= 0", tight_point([0, -1]), tight),
+        ("tight derivation: t g = b_i", tight_point([2, 1]), tight),
         ("rank-one factor identity", {(np, "array_equal"): lambda a, b: False}, psd),
         ("sampled <T_a, U^b> = (1 - a.b)^2",
          {(encodings, "_outer"): lambda vec: RationalMatrix(len(vec), len(vec))}, psd),

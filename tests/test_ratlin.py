@@ -16,6 +16,7 @@ from efbound import (
     LpResult,
     RationalMatrix,
     VerificationError,
+    lp_feasible_each,
     lp_solve,
     lp_solve_each,
     mat_rank,
@@ -296,6 +297,24 @@ class TestLpBudget:
         try:
             with pytest.raises(BudgetError):
                 lp_solve([[1, 1], [1, -1]], [4, 2], None, None, [2, 1], nonneg=[0, 1])
+        finally:
+            set_budget_ms(None)
+
+    def test_deadline_polled_per_restart_pivot(self, monkeypatch):
+        # phase 1 on the first rhs spends the budget; the second rhs makes
+        # x0 = -1 and needs a dual pivot, whose poll stops the family
+        genuine = ratlin._Tableau.phase1
+
+        def spent(self):
+            out = genuine(self)
+            set_budget_ms(0)
+            return out
+        monkeypatch.setattr(ratlin._Tableau, "phase1", spent)
+        family = lp_feasible_each(None, None, [[1, -1]], [[1], [-1]], 2, [0, 1])
+        try:
+            assert next(family).point == [1, 0]
+            with pytest.raises(BudgetError):
+                next(family)
         finally:
             set_budget_ms(None)
 
@@ -606,3 +625,73 @@ class TestReferenceSimplex:
         got, pivots = logged_each(A or None, b or None, E or None, e or None, objs, sense, mask)
         assert got == ref
         assert pivots == ref_pivots
+
+
+# --- families of right-hand sides solved from one basis ---
+
+@st.composite
+def rhs_families(draw):
+    """Feasibility LPs in up to four variables that share A x <= b and E,
+    with several equality right-hand sides.  A redundant multiple of the
+    first equality row keeps an artificial basic after phase 1; right-hand
+    sides are either E x for a drawn x, which is feasible when x meets the
+    inequalities and the signs, or drawn freely, which a redundant row
+    mostly makes infeasible, so infeasible ones fall between feasible ones."""
+    n = draw(st.integers(1, 4))
+    coef = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 5]))
+    rows = lambda m: draw(st.lists(st.lists(coef, min_size=n, max_size=n),  # noqa: E731
+                                   min_size=m, max_size=m))
+    mi, me = draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    A, E = rows(mi), rows(me)
+    b = draw(st.lists(coef, min_size=mi, max_size=mi))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([F(-2), F(1), F(3, 2)]))
+        E.append([k * x for x in E[0]])
+    mask = sorted(draw(st.sets(st.integers(0, n - 1))))
+    beqs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            x = [abs(v) if j in mask else v for j, v in enumerate(rows(1)[0])]
+            beqs.append([dot(row, x) for row in E])
+        else:
+            beqs.append(draw(st.lists(coef, min_size=len(E), max_size=len(E))))
+    return A, b, E, beqs, mask
+
+
+class TestFeasibleEach:
+    @settings(max_examples=300, deadline=None)
+    @given(rhs_families())
+    def test_matches_cold(self, lp):
+        A, b, E, beqs, mask = lp
+        n = len(E[0])
+        zeros = [F(0)] * n
+        square = len(E) == n and mat_rank(E) == n
+        warm = list(lp_feasible_each(A or None, b or None, E, beqs, n, mask))
+        assert len(warm) == len(beqs)
+        for e, res in zip(beqs, warm):
+            cold = lp_solve(A or None, b or None, E, e, zeros, nonneg=mask)
+            assert res.status == cold.status
+            _verify_lp(A, b, E, e, zeros, "max", [j in mask for j in range(n)], res)
+            if square and res.status == "optimal":
+                assert res.point == cold.point
+
+    def test_restart_from_any_outcome(self):
+        # x0 - x1 = e, x0 + x1 = f, x >= 0; an infeasible phase 1 (first
+        # rhs) and an infeasible restart (third) each leave the next rhs
+        # solvable
+        E = [[1, -1], [1, 1]]
+        out = list(lp_feasible_each(None, None, E, [[0, -1], [1, 3], [3, 1], [-1, 1]], 2,
+                                    [0, 1]))
+        assert [r.status for r in out] == ["infeasible", "optimal", "infeasible", "optimal"]
+        assert out[1].point == [2, 1] and out[3].point == [0, 1]
+
+    def test_inputs(self):
+        with pytest.raises(InputError):
+            list(lp_feasible_each(None, None, [[1]], [[1]], 0))
+        with pytest.raises(InputError):
+            list(lp_feasible_each(None, None, None, [[1]], 1))
+        with pytest.raises(InputError):
+            list(lp_feasible_each(None, None, [[1, 0]], [[1]], 1))
+        with pytest.raises(InputError):
+            list(lp_feasible_each(None, None, [[1]], [[1], [1, 2]], 1))
+        assert list(lp_feasible_each(None, None, [[1]], [], 1)) == []
