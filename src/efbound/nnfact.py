@@ -5,10 +5,12 @@ size-r extended formulation of the pair are two views of the same object.
 This module makes both directions executable:
 
 * factorization_to_ef writes down the system  A x + T y = b, y >= 0;
-* ef_to_factorization runs the two certificate searches (point witnesses
-  and row derivations) and multiplies them into  [TF | c] [[W, Z], [1, 0]],
-  which has rank at most r+1, or exactly r when every derivation can be
-  made tight (c = 0).
+* ef_to_factorization finds the containment witnesses of P's generators
+  and a tight derivation (c = 0) of each row of Q, which together prove
+  P inside K inside Q, and multiplies them into  T F [W, Z]  of rank r.
+  Only when containment fails or some row has no tight derivation does it
+  run verify_sandwich, whose general derivations fill the missing rows of
+  [TF | c] [[W, Z], [1, 0]], of rank at most r+1.
 
 Because deciding the nonnegative rank exactly is out of reach, the bounds
 reported here are sound by construction: lower bounds come from the linear
@@ -43,14 +45,13 @@ from .polyhedra import (
     ExtendedFormulation,
     HRep,
     VRep,
-    _Cleared,
-    _equals,
     build_slack,
+    ef_contains_points,
     nonneg_solutions,
+    tight_derivations,
     verify_sandwich,
 )
-from .ratlin import (ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, lp_feasible_each,
-                     mat_rank, rat)
+from .ratlin import ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, mat_rank, rat
 
 
 class PreconditionError(Exception):
@@ -147,65 +148,42 @@ def factorization_to_ef(Q: HRep, fac: NonnegFactorization) -> ExtendedFormulatio
     return ExtendedFormulation(Q.A.copy(), fac.T.copy(), list(Q.b))
 
 
-def _tight_derivations(K: ExtendedFormulation, Q: HRep):
-    """For each row i of Q, multipliers t with t E = a_i, t F >= 0 and
-    t g = b_i exactly (a zero-offset derivation), or None.  The LPs differ
-    only in their right-hand sides (a_i, b_i), so they are solved from one
-    basis."""
-    p, r = K.nrows, K.size
-    if p == 0:
-        return [None] * Q.nrows
-    rows = _Cleared(K)
-    eq_rows = [K.E.col(j) for j in range(K.dim)] + [K.g]
-    ineq = [[-x for x in K.F.col(j)] for j in range(r)]
-    beqs = [Q.A.row(i) + [Q.b[i]] for i in range(Q.nrows)]
-    out = []
-    for beq, res in zip(beqs, lp_feasible_each(ineq or None, [ZERO] * r if ineq else None,
-                                               eq_rows, beqs, p)):
-        if res.status != "optimal":
-            out.append(None)
-            continue
-        t = res.point
-        tE, tF, tg, dz = rows.combo(t)
-        require(_equals(tE, dz, beq[:-1]), "tight derivation: t E = a_i")
-        require(all(x >= 0 for x in tF), "tight derivation: t F >= 0")
-        require(Fraction(tg, dz) == beq[-1], "tight derivation: t g = b_i")
-        out.append(t)
-    return out
-
-
 def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFactorization:
     """Turn a size-r EF of the pair (P, Q) into a nonnegative factorization
     of the slack matrix, of rank at most r+1.
 
-    Point witnesses w_j and ray witnesses z_j come from ef_contains_points;
-    row multipliers (t_i, c_i) from the derivation direction.  Then
+    Point witnesses w_j and ray witnesses z_j come from ef_contains_points,
+    row multipliers (t_i, c_i) from a derivation of each row of Q.  Then
 
         S = [T F | c] [[W, Z], [1^t, 0^t]].
 
-    Every row is first tried with a tight derivation (c_i = 0); if all rows
-    succeed the offset column is dropped and the rank is r.  The result is
-    verified against build_slack(P, Q) before being returned.
+    Every row is first derived tightly (c_i = 0, tight_derivations); those
+    derivations alone prove K inside Q, and the offset column is dropped, so
+    the rank is r.  Only when containment fails or some row has no tight
+    derivation does verify_sandwich run at rho = 1: its general derivations
+    fill those rows, or its report goes into a PreconditionError.  The
+    result is verified against build_slack(P, Q) before being returned.
     """
     if P.is_empty:
         raise InputError("P must contain at least one point")
-    report = verify_sandwich(P, Q, 1, K)
-    if not report.ok:
-        raise PreconditionError("EF does not sandwich the pair at rho = 1", report)
+    contains = ef_contains_points(P, K)
+    tight = tight_derivations(K, Q) if contains.ok else None
+    general = {}
+    if tight is None or None in tight:
+        report = verify_sandwich(P, Q, 1, K)
+        if not report.ok:
+            raise PreconditionError("EF does not sandwich the pair at rho = 1", report)
+        general = {i: (t, c) for i, t, c in report.inside.derivations}
     npts, nrays = len(P.points), len(P.rays)
     # the witnesses come in generator order, points then rays: one column each
     WZ = RationalMatrix(npts + nrays, K.size, [
-        x for _, _, w in report.contains.witnesses for x in w]).transpose()
+        x for _, _, w in contains.witnesses for x in w]).transpose()
 
-    general = {i: (t, c) for i, t, c in report.inside.derivations}
     m = Q.nrows
     Tm = RationalMatrix(m, K.nrows)
     cvec = []
-    for i, t in enumerate(_tight_derivations(K, Q)):
-        if t is not None:
-            ci = ZERO
-        else:
-            t, ci = general[i]
+    for i, t in enumerate(tight):
+        t, ci = (t, ZERO) if t is not None else general[i]
         for k, x in enumerate(t):
             Tm[i, k] = x
         cvec.append(ci)

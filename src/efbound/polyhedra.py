@@ -8,8 +8,12 @@ dilating Q by rho shifts only the vertex part (by (rho-1) b_i).
 An extended formulation is a system  E x + F y = g, y >= 0  whose projection
 to x is some set K; its size is the number of y variables.  Containment is
 never eyeballed here: P inside K is proved by one witness vector per
-generator, K inside Q by one multiplier vector per inequality, and both
-kinds of certificate are re-checked as exact rational identities.
+generator, K inside Q by one multiplier vector t_i per inequality, and both
+kinds of certificate are re-checked as exact rational identities.  A row
+A_i x <= b_i is derived with t_i E = A_i, t_i F >= 0 and t_i g + c_i = b_i
+for an offset c_i >= 0: ef_inside_hrep finds the general derivation by LP
+duality, tight_derivations one with c_i = 0 where it exists, and one check
+serves both kinds.
 
 Only polyhedral outer sets are representable.  Pathological nonpolyhedral
 objective sets have no finite H-description, so nothing in this module
@@ -319,17 +323,6 @@ def nonneg_solutions(F: RationalMatrix, rhss):
     rhss may be lazy, and a caller that stops early solves no more of them.
     """
     r = F.cols
-    if r == 0:
-        for rhs in rhss:
-            if all(x == 0 for x in rhs):
-                yield "ok", []
-                continue
-            # u = -e_i on the first nonzero coordinate, sign-adjusted
-            i = next(i for i, x in enumerate(rhs) if x != 0)
-            u = [ZERO] * F.rows
-            u[i] = -ONE if rhs[i] > 0 else ONE
-            yield "no", u
-        return
     for res in lp_feasible_each(None, None, F.tolist(), rhss, r, nonneg=range(r)):
         if res.status == "optimal":
             yield "ok", res.point
@@ -386,11 +379,15 @@ class _Cleared:
         urhs = (ug * dv if kind == "point" else 0) - sum(map(mul, uE, num))
         return all(x >= 0 for x in uF) and urhs < 0
 
-
-def _equals(nums, dz, vec):
-    """Whether the ints nums over dz > 0 are the rationals vec."""
-    return len(nums) == len(vec) and all(
-        x * v.denominator == v.numerator * dz for x, v in zip(nums, vec))
+    def check_derivation(self, t, a, b, c=ZERO):
+        """Require that t derives a x <= b with offset c: t E = a, t F >= 0
+        and t g + c = b with c >= 0.  A tight derivation has c = 0."""
+        tE, tF, tg, dz = self.combo(t)
+        require(len(tE) == len(a) and all(
+            x * v.denominator == v.numerator * dz for x, v in zip(tE, a)),
+            "derivation t E = A_i")
+        require(all(x >= 0 for x in tF), "derivation t F >= 0")
+        require(Fraction(tg, dz) + c == b and c >= 0, "derivation t g + c_i = b_i, c_i >= 0")
 
 
 def lifting_rhs(K: ExtendedFormulation, kind, vec):
@@ -477,13 +474,33 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
                 "row": i, "point": res.point[:d], "value": val, "bound": Q.b[i]})
         t = res.dual_eq
         ci = Q.b[i] - val
-        tE, tF, tg, dz = rows.combo(t)
-        require(_equals(tE, dz, ai), "derivation t E = A_i")
-        require(all(x >= 0 for x in tF), "derivation t F >= 0")
-        require(Fraction(tg, dz) + ci == Q.b[i] and ci >= 0,
-                "derivation t g + c_i = b_i, c_i >= 0")
+        rows.check_derivation(t, ai, Q.b[i], ci)
         derivations.append((i, t, ci))
     return InsideReport(ok=True, derivations=derivations)
+
+
+def tight_derivations(K: ExtendedFormulation, Q: HRep):
+    """For each row i of Q, multipliers t with t E = A_i, t F >= 0 and
+    t g = b_i exactly (a derivation with offset c_i = 0), or None.
+
+    The LPs over t differ only in their right-hand sides (A_i, b_i), so they
+    are solved from one basis.  When every row has one, they alone prove K
+    inside Q.
+    """
+    if K.dim != Q.dim:
+        raise InputError(f"dimension mismatch: K is {K.dim}-dimensional, Q is {Q.dim}")
+    rows = _Cleared(K)
+    r = K.size
+    eq_rows = [K.E.col(j) for j in range(K.dim)] + [K.g]
+    ineq = [[-x for x in K.F.col(j)] for j in range(r)]
+    beqs = [Q.A.row(i) + [Q.b[i]] for i in range(Q.nrows)]
+    out = []
+    for beq, res in zip(beqs, lp_feasible_each(ineq, [ZERO] * r, eq_rows, beqs, K.nrows)):
+        t = res.point if res.status == "optimal" else None
+        if t is not None:
+            rows.check_derivation(t, beq[:-1], beq[-1])
+        out.append(t)
+    return out
 
 
 def _affine_hull_inside(P: VRep, Q: HRep) -> bool:

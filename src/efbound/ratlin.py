@@ -464,10 +464,11 @@ def lp_feasible_each(A, b, Aeq, beqs, n, nonneg=()):
     where the previous one stopped (see _Tableau.restart), which is a basis
     whatever its outcome.  An infeasible phase 1 leaves no basis, so the
     next beq runs phase 1 again.  Every result is verified exactly before it
-    is yielded, so a caller may stop at any one of them.
+    is yielded, so a caller may stop at any one of them.  With n = 0, phase 1
+    or the restart refutes every nonzero beq.
     """
-    if n < 1:
-        raise InputError("lp_solve needs at least one variable")
+    if n < 0:
+        raise InputError(f"a family of LPs needs n >= 0 variables, got {n}")
     if Aeq is None:
         raise InputError("a family of right-hand sides needs Aeq")
     Ar, br = _norm_system(A, b, n, "A")

@@ -167,6 +167,22 @@ class TestVerifySandwich:
         assert cert["kind"] == "contains-failure"
         assert main(["check-cert", "--cert", str(tmp_path / "cert.json")]) == 0
 
+    def test_size_zero_ef_contains_failure_certificate(self, tmp_path):
+        # K = {(1, 2)} has no y variables (F is 2x0), so (0, 0) is refuted
+        # by the feasibility LP over no columns
+        from efbound import HRep, VRep
+        write(tmp_path / "p.json", VRep(2, [[0, 0]]).to_json())
+        write(tmp_path / "q.json", HRep(2, [[1, 0], [0, 1]], [1, 2]).to_json())
+        K = ExtendedFormulation(RationalMatrix.identity(2), RationalMatrix(2, 0), [1, 2])
+        write(tmp_path / "k.json", K.to_json())
+        assert main(["verify-sandwich", "--p", str(tmp_path / "p.json"),
+                     "--q", str(tmp_path / "q.json"), "--rho", "1",
+                     "--ef", str(tmp_path / "k.json"),
+                     "--cert", str(tmp_path / "cert.json")]) == 1
+        cert = json.loads((tmp_path / "cert.json").read_text())
+        assert cert["kind"] == "contains-failure"
+        assert main(["check-cert", "--cert", str(tmp_path / "cert.json")]) == 0
+
     def test_flipped_contains_failure_certificate_rejected(self, tmp_path):
         # the certificate of test_contains_failure_certificate with u -> -u,
         # which no longer refutes the lifting of the far vertex

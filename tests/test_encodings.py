@@ -90,12 +90,6 @@ class TestBuildHardPair:
         with pytest.raises(InputError):
             build_hard_pair(0)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
-    def test_non_integer_n_is_input_error(self, n):
-        # an InputError (exit 2), not a bare TypeError from 1 << n
-        with pytest.raises(InputError):
-            build_hard_pair(n)
-
 
 class TestHardpairSlack:
     def test_udisj_zero_pattern_at_rho_one(self):

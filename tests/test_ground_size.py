@@ -54,7 +54,7 @@ ENTRY_POINTS = {
 }
 
 CASES = [(name, n, InputError) for name, (_, least, _) in ENTRY_POINTS.items()
-         if least is not None for n in (2.5, 7.0, "3", least - 1)] + \
+         if least is not None for n in (2.5, 3.0, 7.0, "3", least - 1, least - 2)] + \
         [(name, big, BudgetError) for name, (_, _, big) in ENTRY_POINTS.items()
          if big is not None]
 

@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from efbound import (
     BudgetError,
+    ExtendedFormulation,
     HRep,
     InputError,
     RationalMatrix,
@@ -27,7 +29,7 @@ from efbound import (
     trivial_ef,
     verify_sandwich,
 )
-from efbound import nnfact
+from efbound import cli, nnfact, polyhedra
 from efbound.errors import set_budget_ms
 from efbound.nnfact import (
     FactorizationCheck,
@@ -35,7 +37,6 @@ from efbound.nnfact import (
     NonnegFactorization,
     PreconditionError,
     _fooling_at_least,
-    _tight_derivations,
     ef_to_factorization,
     factorization_to_ef,
     nnegrk_bounds,
@@ -270,6 +271,16 @@ class TestEfToFactorization:
             ef_to_factorization(trivial_ef(Q), big, Q)
         assert ei.value.report.contains.failing["index"] == 1
 
+    def test_ef_without_equations(self):
+        # K = R^1 has no rows: 0 x <= 1 needs the offset 1, and 0 x <= 0
+        # derives tightly from t = []
+        K = ExtendedFormulation(RationalMatrix(0, 1), RationalMatrix(0, 0), [])
+        P = VRep(1, [[0]])
+        fac = ef_to_factorization(K, P, HRep(1, [[0]], [1]))
+        assert (fac.T.tolist(), fac.U.tolist()) == ([[1]], [[1]])
+        fac = ef_to_factorization(K, P, HRep(1, [[0]], [0]))
+        assert (fac.T.rows, fac.T.cols, fac.U.rows, fac.U.cols) == (1, 0, 0, 1)
+
     @pytest.mark.parametrize("pair", ["segment", "hard1", "hard2", "cone"])
     def test_roundtrip_rank_bound(self, pair):
         if pair == "segment":
@@ -288,6 +299,96 @@ class TestEfToFactorization:
         assert fac1.rank <= fac0.rank + 1
         assert verify_factorization(S, fac0)
         assert verify_factorization(S, fac1)
+
+    @pytest.mark.parametrize("kind, path", [
+        ("own", "tight"), ("fac", "tight"), ("point", "fallback"),
+        ("half", "contains-failure"), ("double", "row-violation")])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_sandwich_first_flow(self, kind, path, data):
+        K, P, Q = data.draw(ef_cases(kind))
+        with mock.patch.object(nnfact, "verify_sandwich", wraps=verify_sandwich) as spy:
+            got = _factorization_or_cert(ef_to_factorization, K, P, Q)
+        assert got == _factorization_or_cert(sandwich_first, K, P, Q)
+        assert got.get("kind", "fallback" if spy.called else "tight") == path
+
+
+def lattice_polygon(pts):
+    """(P, Q) of the convex hull of the lattice points pts, which must span
+    the plane: its vertices counterclockwise, facet i from vertex i to i+1."""
+    pts = sorted(set(pts))
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                                    - (out[-1][1] - out[-2][1]) * (x - out[-2][0])) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+    vs = chain(pts) + chain(reversed(pts))
+    rows = [((y2 - y1, x1 - x2), (y2 - y1) * x1 + (x1 - x2) * y1)
+            for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1])]
+    return VRep(2, [list(v) for v in vs]), HRep(2, [a for a, _ in rows], [b for _, b in rows])
+
+
+@st.composite
+def ef_cases(draw, kind):
+    """(K, P, Q) of one kind: a lattice polygon around the origin with its
+    trivial EF ("own"), with factorization_to_ef of S = S I ("fac"), or with
+    the trivial EF of Q halved ("half": P leaves K) or of 2Q ("double": K
+    leaves Q); or ("point") K = {p}, written as +-x_k <= +-p_k, inside the
+    box Q of the rows +-x_k <= +-p_k + s_i.  A row with s_i > 0 derives
+    only with an offset, and s_0 > 0; the other rows may derive tightly."""
+    if kind == "point":
+        d = draw(st.integers(1, 3))
+        p = [draw(st.integers(-3, 3)) for _ in range(d)]
+        s = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(2 * d - 1)]
+        signs = [[sg * (j == k) for j in range(d)] for sg in (1, -1) for k in range(d)]
+        b = [sg * x for sg in (1, -1) for x in p]
+        K = trivial_ef(HRep(d, signs, b))
+        return K, VRep(d, [p]), HRep(d, signs, [bi + si for bi, si in zip(b, s)])
+    extra = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=5))
+    P, Q = lattice_polygon([(1, 0), (0, 1), (-1, 0), (0, -1)] + extra)
+    if kind == "fac":
+        S = build_slack(P, Q).full()
+        K = factorization_to_ef(Q, NonnegFactorization(S, RationalMatrix.identity(S.cols)))
+    else:
+        K = trivial_ef({"own": Q, "half": HRep(2, Q.A, [b / 2 for b in Q.b]),
+                        "double": dilate(Q, 2)}[kind])
+    return K, P, Q
+
+
+def sandwich_first(K, P, Q):
+    """ef_to_factorization as it was before it skipped the sandwich check:
+    verify_sandwich at rho = 1 first, then each row's tight derivation, else
+    its general one."""
+    report = verify_sandwich(P, Q, 1, K)
+    if not report.ok:
+        raise PreconditionError("EF does not sandwich the pair at rho = 1", report)
+    WZ = RationalMatrix(len(P.points) + len(P.rays), K.size, [
+        x for _, _, w in report.contains.witnesses for x in w]).transpose()
+    general = {i: (t, c) for i, t, c in report.inside.derivations}
+    Tm, cvec = RationalMatrix(Q.nrows, K.nrows), []
+    for i, t in enumerate(polyhedra.tight_derivations(K, Q)):
+        t, c = (t, F(0)) if t is not None else general[i]
+        for k, x in enumerate(t):
+            Tm[i, k] = x
+        cvec.append(c)
+    if not any(cvec):
+        return NonnegFactorization(Tm @ K.F, WZ)
+    bottom = [F(1)] * len(P.points) + [F(0)] * len(P.rays)
+    return NonnegFactorization(
+        RationalMatrix.hstack([Tm @ K.F, RationalMatrix(Q.nrows, 1, cvec)]),
+        RationalMatrix.vstack([WZ, RationalMatrix(1, len(bottom), bottom)]))
+
+
+def _factorization_or_cert(flow, K, P, Q):
+    """The factorization's JSON, or the CLI certificate of a failed sandwich."""
+    try:
+        return flow(K, P, Q).to_json()
+    except PreconditionError as exc:
+        return cli._sandwich_cert(exc.report, K, Q)
 
 
 class TestRectCover:
@@ -428,9 +529,9 @@ class TestInternalChecks:
         class Planted:
             status = "optimal"
             point = [F(7)] * K.nrows
-        monkeypatch.setattr(nnfact, "lp_feasible_each", lambda *args: iter([Planted]))
-        with pytest.raises(VerificationError, match="t E = a_i"):
-            _tight_derivations(K, Q)
+        monkeypatch.setattr(polyhedra, "lp_feasible_each", lambda *args: iter([Planted]))
+        with pytest.raises(VerificationError, match="t E = A_i"):
+            polyhedra.tight_derivations(K, Q)
 
     def test_ef_to_factorization_result_is_checked(self, monkeypatch):
         P, Q = segment()

@@ -29,8 +29,8 @@ from efbound import (
     trivial_ef,
     verify_sandwich,
 )
-from efbound import encodings, nnfact, polyhedra, ratlin
-from efbound.polyhedra import nonneg_solution, recession_fulldim
+from efbound import encodings, polyhedra, ratlin
+from efbound.polyhedra import nonneg_solution, nonneg_solutions, recession_fulldim
 
 
 def segment():
@@ -170,6 +170,41 @@ class TestEfContainsPoints:
         assert kinds == ["point", "ray", "ray", "ray"]
 
 
+class TestZeroColumns:
+    """F with no columns: y = [] solves F y = rhs iff rhs = 0, and the LP
+    family's phase 1 or restart refutes any other rhs."""
+
+    def test_zero_rhs(self):
+        assert nonneg_solution(RationalMatrix(2, 0), [F(0), F(0)]) == ("ok", [])
+
+    def test_no_rows(self):
+        assert nonneg_solution(RationalMatrix(0, 0), []) == ("ok", [])
+
+    @pytest.mark.parametrize("rhs", [[0, 3], [-2, 3], [2, 0], [-1, -1]])
+    def test_refuted_by_phase1_and_restart(self, rhs):
+        rhs = [F(x) for x in rhs]
+        first = nonneg_solution(RationalMatrix(2, 0), rhs)
+        _, later = nonneg_solutions(RationalMatrix(2, 0), [[F(0), F(0)], rhs])
+        for status, u in (first, later):
+            assert status == "no"
+            assert sum(ui * ri for ui, ri in zip(u, rhs)) < 0
+
+    def test_refutation_vectors(self):
+        # phase 1 signs every row against its rhs; a restart names the
+        # first row whose rhs is nonzero
+        assert nonneg_solution(RationalMatrix(2, 0), [F(0), F(3)]) == ("no", [-1, -1])
+        assert list(nonneg_solutions(RationalMatrix(2, 0), [[0, 0], [0, 3]])) == \
+            [("ok", []), ("no", [0, -1])]
+
+    def test_size_zero_ef(self):
+        # K = {(1, 2)}: E = I, F is 2x0, g = (1, 2)
+        K = ExtendedFormulation(RationalMatrix.identity(2), RationalMatrix(2, 0), [1, 2])
+        assert ef_contains_points(VRep(2, [[1, 2]]), K).ok
+        rep = ef_contains_points(VRep(2, [[0, 0]]), K)
+        assert not rep.ok
+        assert polyhedra.refutes(K, "point", [F(0), F(0)], rep.failing["certificate"])
+
+
 class TestEfInsideHrep:
     def test_slack_constant(self):
         _, Q = segment()
@@ -281,10 +316,11 @@ class TestPivotCounts:
         assert pivots[0] == 58
 
     def test_ef_to_factorization(self, pivots):
-        # the sandwich check, then the tight-derivation family
+        # the containment family, then the tight-derivation family; every
+        # row derives tightly, so the rest of the sandwich check never runs
         hp = build_hard_pair(3)
         ef_to_factorization(trivial_ef(hp.Q), hp.P, hp.Q)
-        assert pivots[0] == 61
+        assert pivots[0] == 31
 
 
 class TestHomogenize:
@@ -379,7 +415,7 @@ def _tampered_checks():
         ef_contains_points(P, K)
 
     def tight():
-        nnfact._tight_derivations(K, Q)
+        polyhedra.tight_derivations(K, Q)
 
     def psd():
         encodings.psd_factors(2)
@@ -396,7 +432,7 @@ def _tampered_checks():
                   dual_eq=[F(x) for x in t])
 
     def tight_point(t):
-        return {(nnfact, "lp_feasible_each"):
+        return {(polyhedra, "lp_feasible_each"):
                 _yield(LpResult("optimal", point=[F(x) for x in t]))}
 
     return [
@@ -417,9 +453,9 @@ def _tampered_checks():
         ("derivation t E = A_i", optimal(0, [0, 0]), inside),
         ("derivation t F >= 0", optimal(0, [0, -1]), inside),
         ("derivation t g + c_i = b_i, c_i >= 0", optimal(-1, [1, 0]), inside),
-        ("tight derivation: t E = a_i", tight_point([7, 7]), tight),
-        ("tight derivation: t F >= 0", tight_point([0, -1]), tight),
-        ("tight derivation: t g = b_i", tight_point([2, 1]), tight),
+        ("derivation t E = A_i", tight_point([7, 7]), tight),
+        ("derivation t F >= 0", tight_point([0, -1]), tight),
+        ("derivation t g + c_i = b_i, c_i >= 0", tight_point([2, 1]), tight),
         ("rank-one factor identity", {(np, "array_equal"): lambda a, b: False}, psd),
         ("sampled <T_a, U^b> = (1 - a.b)^2",
          {(encodings, "_outer"): lambda vec: RationalMatrix(len(vec), len(vec))}, psd),

@@ -689,6 +689,8 @@ class TestFeasibleEach:
         with pytest.raises(InputError):
             list(lp_feasible_each(None, None, [[1]], [[1]], 0))
         with pytest.raises(InputError):
+            list(lp_feasible_each(None, None, [[]], [[0]], -1))
+        with pytest.raises(InputError):
             list(lp_feasible_each(None, None, None, [[1]], 1))
         with pytest.raises(InputError):
             list(lp_feasible_each(None, None, [[1, 0]], [[1]], 1))
