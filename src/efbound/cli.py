@@ -34,7 +34,7 @@ from .errors import (BudgetError, InputError, VerificationError, check_deadline,
 from .nnfact import (NmfConfig, NonnegFactorization, PreconditionError, ef_to_factorization,
                      factorization_to_ef, nnegrk_bounds, verify_factorization)
 from .polyhedra import (ExtendedFormulation, HRep, SlackMatrix, VRep, build_slack, dilate,
-                        lifting_rhs, nonneg_solution, refutes, shift_slack, verify_sandwich)
+                        lifts, refutes, shift_slack, verify_sandwich)
 from .ratlin import RationalMatrix, _vec_json, dot, rat, rat_str
 from .udisj import (CorruptionParams, FunctionTable, ShiftSpec, UdisjParams, build_shift,
                     corruption_rhs, parse_function, razborov_identities,
@@ -166,7 +166,7 @@ def _sandwich_cert(report, K: ExtendedFormulation, Q: HRep):
     f = report.inside.failing
     return {"kind": "row-violation", "ef": K.to_json(),
             "row": _vec_json(Q.A.row(f["row"])), "bound": rat_str(f["bound"]),
-            "point": _vec_json(f["point"])}
+            "point": _vec_json(f["point"]), "lifting": _vec_json(f["lifting"])}
 
 
 # Each checker reads its fields under `decoding`, so a certificate with a
@@ -183,13 +183,12 @@ def _verify_contains_failure(d):
 
 
 def _verify_row_violation(d):
-    with decoding("row-violation certificate needs ef, row, bound, point"):
+    with decoding("row-violation certificate needs ef, row, bound, point, lifting"):
         K = ExtendedFormulation.from_json(d["ef"])
         row, bound, point = _vec_load(d["row"]), rat(d["bound"]), _vec_load(d["point"])
-    if dot(row, point) <= bound:
-        return False
-    status, _ = nonneg_solution(K.F, lifting_rhs(K, "point", point))
-    return status == "ok"
+        w = _vec_load(d["lifting"])
+    lifted = lifts(K, "point", point, w)  # a wrong length exits 2 even below the bound
+    return dot(row, point) > bound and lifted
 
 
 def _verify_qall_violation(d):

@@ -13,7 +13,9 @@ kinds of certificate are re-checked as exact rational identities.  A row
 A_i x <= b_i is derived with t_i E = A_i, t_i F >= 0 and t_i g + c_i = b_i
 for an offset c_i >= 0: ef_inside_hrep finds the general derivation by LP
 duality, tight_derivations one with c_i = 0 where it exists, and one check
-serves both kinds.
+serves both kinds.  A row that fails is shown by a point x of K above it
+together with its lifting w >= 0, F w = g - E x, so every certificate here,
+failures included, is re-checked by arithmetic alone (lifts, refutes).
 
 Only polyhedral outer sets are representable.  Pathological nonpolyhedral
 objective sets have no finite H-description, so nothing in this module
@@ -274,7 +276,8 @@ class InsideReport:
     row of Q with  t_i E = A_i,  t_i F >= 0,  t_i g + c_i = b_i,  c_i >= 0.
     An empty EF makes every row hold vacuously; then ``empty_certificate``
     is a u with E^T u = 0, F^T u >= 0, u . g < 0 proving emptiness.
-    When not ok, ``failing`` carries a point of K violating one row.
+    When not ok, ``failing`` carries a point x of K violating one row and
+    its lifting w: w >= 0 and F w = g - E x, so lifts(K, "point", x, w).
     """
 
     ok: bool
@@ -293,6 +296,7 @@ class InsideReport:
         else:
             f = dict(self.failing)
             f["point"] = _vec_json(f["point"])
+            f["lifting"] = _vec_json(f["lifting"])
             f["value"] = rat_str(f["value"])
             f["bound"] = rat_str(f["bound"])
             out["failing"] = f
@@ -329,15 +333,6 @@ def nonneg_solutions(F: RationalMatrix, rhss):
         else:
             require(res.status == "infeasible", "a feasibility LP is optimal or infeasible")
             yield "no", res.farkas_eq
-
-
-def nonneg_solution(F: RationalMatrix, rhs):
-    """Find y >= 0 with F y = rhs, or an exact refutation vector u.
-
-    Returns ("ok", y) or ("no", u) with F^T u >= 0 and u . rhs < 0.  This is
-    nonneg_solutions with one right-hand side.
-    """
-    return next(nonneg_solutions(F, [rhs]))
 
 
 class _Cleared:
@@ -390,15 +385,17 @@ class _Cleared:
         require(Fraction(tg, dz) + c == b and c >= 0, "derivation t g + c_i = b_i, c_i >= 0")
 
 
-def lifting_rhs(K: ExtendedFormulation, kind, vec):
-    """The right-hand side a lifting of vec must meet, F w = rhs with w >= 0:
-    g - E vec for a "point", -E vec for a "ray" (a recession direction)."""
-    return _Cleared(K).lift(kind, vec)
+def lifts(K: ExtendedFormulation, kind, vec, w):
+    """Whether w lifts vec into K: w >= 0 and F w = rhs, with rhs = g - E vec
+    for a "point" and -E vec for a "ray" (a recession direction)."""
+    rows = _Cleared(K)
+    vec, w = _vec(vec, rows.d, "generator"), _vec(w, rows.r, "lifting")
+    return all(x >= 0 for x in w) and rows.lifts(kind, vec, w)
 
 
 def refutes(K: ExtendedFormulation, kind, vec, u):
-    """Whether u proves that vec has no lifting, F w = lifting_rhs(K, kind,
-    vec) with w >= 0: F^T u >= 0 and u . rhs < 0."""
+    """Whether u proves that vec has no lifting w >= 0 with F w = rhs (rhs
+    as in lifts): F^T u >= 0 and u . rhs < 0."""
     return _Cleared(K).refutes(kind, vec, u)
 
 
@@ -436,9 +433,9 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
     Row i is certified by multipliers t_i on the equality rows:
     t_i E = A_i, t_i F >= 0, and t_i g + c_i = b_i with c_i >= 0.  The t_i
     come from LP duality (maximize A_i x over the system); a maximum above
-    b_i, or an unbounded direction, yields an explicit point of K violating
-    the row.  An empty system satisfies everything vacuously and is reported
-    as such with an emptiness certificate.
+    b_i, or an unbounded direction, yields an LP point (x, y) with x in K
+    violating the row and y >= 0 its lifting.  An empty system satisfies
+    everything vacuously and is reported with an emptiness certificate.
     """
     if K.dim != Q.dim:
         raise InputError(f"dimension mismatch: K is {K.dim}-dimensional, Q is {Q.dim}")
@@ -457,23 +454,21 @@ def ef_inside_hrep(K: ExtendedFormulation, Q: HRep) -> InsideReport:
                     "emptiness certificate E^T u = 0, F^T u >= 0")
             require(ug < 0, "emptiness certificate u . g < 0")
             return InsideReport(ok=True, empty=True, empty_certificate=u)
-        if res.status == "unbounded":
-            x0 = res.point[:d]
-            rx = res.ray[:d]
-            gain = dot(ai, rx)
-            require(gain > 0, "unbounded direction raises A_i x")
-            t = max(ONE, (Q.b[i] - dot(ai, x0) + 1) / gain)
-            x_bad = [x0[k] + t * rx[k] for k in range(d)]
-            val = dot(ai, x_bad)
+        if res.status == "unbounded" or res.value > Q.b[i]:
+            z = res.point
+            if res.status == "unbounded":
+                gain = dot(ai, res.ray[:d])
+                require(gain > 0, "unbounded direction raises A_i x")
+                t = max(ONE, (Q.b[i] - dot(ai, z[:d]) + 1) / gain)
+                z = [zk + t * rk for zk, rk in zip(z, res.ray)]
+            x, w = z[:d], z[d:]
+            val = dot(ai, x)
             require(val > Q.b[i], "violating point exceeds b_i")
+            require(all(v >= 0 for v in w) and rows.lifts("point", x, w),
+                    "violating point lifts: w >= 0, F w = g - E x")
             return InsideReport(ok=False, failing={
-                "row": i, "point": x_bad, "value": val, "bound": Q.b[i]})
-        val = res.value
-        if val > Q.b[i]:
-            return InsideReport(ok=False, failing={
-                "row": i, "point": res.point[:d], "value": val, "bound": Q.b[i]})
-        t = res.dual_eq
-        ci = Q.b[i] - val
+                "row": i, "point": x, "lifting": w, "value": val, "bound": Q.b[i]})
+        t, ci = res.dual_eq, Q.b[i] - res.value
         rows.check_derivation(t, ai, Q.b[i], ci)
         derivations.append((i, t, ci))
     return InsideReport(ok=True, derivations=derivations)

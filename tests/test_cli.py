@@ -26,7 +26,7 @@ from efbound import (
     hardpair_slack,
     trivial_ef,
 )
-from efbound import cli
+from efbound import cli, ratlin
 from efbound.cli import main
 from efbound.udisj import ShiftSpec
 
@@ -147,6 +147,14 @@ class TestVerifySandwich:
         write(d / "tampered.json", cert)
         assert main(["check-cert", "--cert", str(d / "tampered.json"),
                      "--out", str(d / "cc.json")]) == 1
+
+    def test_negative_lifting_rejected(self, tmp_path):
+        # on K = {x : x + w = 0, w >= 0} = (-inf, 0], x = 1 breaks x <= 0,
+        # and w = -1 solves F w = g - E x but is negative
+        write(tmp_path / "c.json", dict(WELL_FORMED["row-violation"], kind="row-violation",
+                                        row=["1"], point=["1"], lifting=["-1"]))
+        assert main(["check-cert", "--cert", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "cc.json")]) == 1
 
     def test_contains_failure_certificate(self, tmp_path):
         # K = {0} cannot contain the segment's far vertex
@@ -679,8 +687,8 @@ def lp_artifacts(tmp_path_factory):
 # integer tableau must reproduce them byte for byte
 PINNED_LP = {
     "box_cc.json": "603aa9d09c3a26b7b812176ec823485ec7a6fadfd813eb485aa0b8f5f2000b5e",
-    "box_cert.json": "a8fd7c8866ae94210b254c1a57d52c65df354e91a56c16bd00ab53e253b09c8f",
-    "box_vs.json": "a488c05a48137c7f8aebc4e44e3cf19f0fed590d55c5156fd10c800bbd145cd1",
+    "box_cert.json": "ae9020c4e3680d844464be56a5d103c2891ff4e17d116aac7f5e937a06d59fb6",
+    "box_vs.json": "4ca33a0dbef5bd549f2c22150665d7c5d510469352cd07c7933a4914542480c2",
     "ef3.json": "45a7e7d32e1081d13990fb4fe7e7b20117f43a9e5d2d95545f6c97cf989a6d5d",
     "fac3.json": "8c8339fa79c7637c1c8cf0831f3e7ebe7baa3cff4268b81e9c25b5172886b5bf",
     "nb3.json": "3aa8c58c76d472eef1d22423ec3c304a99f307eec21c7f110b3dd071e42047bb",
@@ -987,7 +995,8 @@ def _mat(rows, cols, entries):
 _EF = {"E": _mat(1, 1, ["1"]), "F": _mat(1, 1, ["1"]), "g": ["0"]}
 WELL_FORMED = {
     "contains-failure": {"ef": _EF, "target_kind": "point", "target": ["1"], "u": ["1"]},
-    "row-violation": {"ef": _EF, "row": ["-1"], "bound": "0", "point": ["-1"]},
+    "row-violation": {"ef": _EF, "row": ["-1"], "bound": "0", "point": ["-1"],
+                      "lifting": ["1"]},
     "qall-violation": {"x": _mat(2, 2, ["1", "-1", "-1", "1"]),
                        "constraint": {"kind": "sign", "entry": [1, 2]}},
     "factorization-invalid": {"matrix": _mat(1, 1, ["1"]),
@@ -1037,6 +1046,7 @@ class TestMalformedCertificate:
         ("razborov-failure", {"n": 3.0}),
         ("razborov-failure", {"f": {"n": 3, "values": ["1"] * 7}}),
         ("razborov-failure", {"f": {"n": 3.5, "values": ["1"] * 8}}),
+        ("row-violation", {"lifting": ["1", "0"]}),
     ])
     def test_wrong_value(self, tmp_path, kind, patch):
         assert self.check(tmp_path, dict(WELL_FORMED[kind], kind=kind, **patch)) == 2
@@ -1047,6 +1057,24 @@ class TestMalformedCertificate:
         assert self.check(tmp_path, data) == 2
         assert "input error" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+
+def test_check_cert_is_solver_free(lp_artifacts, tmp_path, monkeypatch):
+    """check-cert re-checks every kind by arithmetic alone: with no LP
+    tableau to be had, each well-formed certificate and the refuted box
+    n=3 certificate get the verdicts they get with one, and a lifting with
+    one entry changed is still rejected."""
+    box = json.loads((lp_artifacts / "box_cert.json").read_text())
+    bad = dict(box, lifting=["7"] + box["lifting"][1:])
+
+    def no_tableau(*args, **kwargs):
+        raise RuntimeError("check-cert built an LP tableau")
+    monkeypatch.setattr(ratlin._Tableau, "__init__", no_tableau)
+    for kind, body in WELL_FORMED.items():
+        assert TestMalformedCertificate.check(tmp_path, dict(body, kind=kind)) == (
+            1 if kind == "razborov-failure" else 0), kind
+    assert TestMalformedCertificate.check(tmp_path, box) == 0
+    assert TestMalformedCertificate.check(tmp_path, bad) == 1
 
 
 class TestPathRule:

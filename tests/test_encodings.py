@@ -129,19 +129,6 @@ class TestHardpairSlack:
         with pytest.raises(BudgetError):
             hardpair_slack(12)
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_nonpositive_n_is_input_error(self, n):
-        # as for build_hard_pair: no 1x1 matrix at n = 0, no bare ValueError below
-        with pytest.raises(InputError):
-            hardpair_slack(n)
-        with pytest.raises(InputError):
-            build_hard_pair(n)
-
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
-    def test_non_integer_n_is_input_error(self, n):
-        with pytest.raises(InputError):
-            hardpair_slack(n)
-
     def test_is_the_shift_matrix(self):
         S = hardpair_slack(3, Fraction(3, 2))
         assert S.vertex_block == build_shift(ShiftSpec(3, Fraction(3, 2)))

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import random
@@ -22,6 +23,7 @@ from efbound import (
     RationalMatrix,
     VerificationError,
     VRep,
+    box_ef,
     build_slack,
     dilate,
     hardpair_slack,
@@ -389,6 +391,73 @@ def _factorization_or_cert(flow, K, P, Q):
         return flow(K, P, Q).to_json()
     except PreconditionError as exc:
         return cli._sandwich_cert(exc.report, K, Q)
+
+
+@functools.cache
+def _box_certificate(n, rho):
+    """The row-violation certificate of the box EF n against the hard pair
+    at rho < n, as JSON text."""
+    P, Q = hard_pair(n)
+    K = box_ef(n)
+    report = verify_sandwich(P, Q, rho, K)
+    assert not report.ok
+    return json.dumps(cli._sandwich_cert(report, K, Q))
+
+
+@st.composite
+def refuted_sandwiches(draw):
+    """A row-violation certificate: the box EF n at rho < n, or the trivial
+    EF of 2Q for a lattice polygon Q (ef_cases "double") at rho = 1."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        rho = draw(st.fractions(1, n, max_denominator=4).filter(lambda r: r < n))
+        return json.loads(_box_certificate(n, rho))
+    K, P, Q = draw(ef_cases("double"))
+    report = verify_sandwich(P, Q, 1, K)
+    assert not report.ok
+    return cli._sandwich_cert(report, K, Q)
+
+
+def reference_row_violation(cert):
+    """The row-violation check in plain Fractions: row . x > bound, w >= 0
+    and F w = g - E x."""
+    def rows(m):
+        e = [F(v) for v in m["entries"]]
+        return [e[i * m["cols"]:(i + 1) * m["cols"]] for i in range(m["rows"])]
+    ef = cert["ef"]
+    row, x, w = ([F(v) for v in cert[k]] for k in ("row", "point", "lifting"))
+    return (sum(a * b for a, b in zip(row, x)) > F(cert["bound"])
+            and all(v >= 0 for v in w)
+            and all(sum(f * v for f, v in zip(fr, w)) == F(g) - sum(e * v for e, v in zip(er, x))
+                    for er, fr, g in zip(rows(ef["E"]), rows(ef["F"]), ef["g"])))
+
+
+def test_mutated_row_violation_matches_reference(tmp_path_factory):
+    """check-cert accepts each drawn certificate, and with one entry of the
+    point or the lifting changed by a nonzero rational its verdict is the
+    plain Fraction check's."""
+    d = tmp_path_factory.mktemp("rowviol")
+    verdicts = []
+
+    def check_cert(cert):
+        (d / "c.json").write_text(json.dumps(cert))
+        rc = cli.main(["check-cert", "--cert", str(d / "c.json"), "--out", str(d / "o.json")])
+        assert rc in (0, 1)
+        return rc == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(cert=refuted_sandwiches(), data=st.data())
+    def prop(cert, data):
+        assert check_cert(cert) and reference_row_violation(cert)
+        field = data.draw(st.sampled_from(["point", "lifting"]))
+        k = data.draw(st.integers(0, len(cert[field]) - 1))
+        delta = data.draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+        cert[field][k] = str(F(cert[field][k]) + delta)
+        verdict = check_cert(cert)
+        assert verdict == reference_row_violation(cert)
+        verdicts.append(verdict)
+    prop()
+    assert False in verdicts
 
 
 class TestRectCover:

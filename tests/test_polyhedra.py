@@ -30,7 +30,7 @@ from efbound import (
     verify_sandwich,
 )
 from efbound import encodings, polyhedra, ratlin
-from efbound.polyhedra import nonneg_solution, nonneg_solutions, recession_fulldim
+from efbound.polyhedra import nonneg_solutions, recession_fulldim
 
 
 def segment():
@@ -175,15 +175,15 @@ class TestZeroColumns:
     family's phase 1 or restart refutes any other rhs."""
 
     def test_zero_rhs(self):
-        assert nonneg_solution(RationalMatrix(2, 0), [F(0), F(0)]) == ("ok", [])
+        assert next(nonneg_solutions(RationalMatrix(2, 0), [[F(0), F(0)]])) == ("ok", [])
 
     def test_no_rows(self):
-        assert nonneg_solution(RationalMatrix(0, 0), []) == ("ok", [])
+        assert next(nonneg_solutions(RationalMatrix(0, 0), [[]])) == ("ok", [])
 
     @pytest.mark.parametrize("rhs", [[0, 3], [-2, 3], [2, 0], [-1, -1]])
     def test_refuted_by_phase1_and_restart(self, rhs):
         rhs = [F(x) for x in rhs]
-        first = nonneg_solution(RationalMatrix(2, 0), rhs)
+        first = next(nonneg_solutions(RationalMatrix(2, 0), [rhs]))
         _, later = nonneg_solutions(RationalMatrix(2, 0), [[F(0), F(0)], rhs])
         for status, u in (first, later):
             assert status == "no"
@@ -192,7 +192,7 @@ class TestZeroColumns:
     def test_refutation_vectors(self):
         # phase 1 signs every row against its rhs; a restart names the
         # first row whose rhs is nonzero
-        assert nonneg_solution(RationalMatrix(2, 0), [F(0), F(3)]) == ("no", [-1, -1])
+        assert next(nonneg_solutions(RationalMatrix(2, 0), [[F(0), F(3)]])) == ("no", [-1, -1])
         assert list(nonneg_solutions(RationalMatrix(2, 0), [[0, 0], [0, 3]])) == \
             [("ok", []), ("no", [0, -1])]
 
@@ -403,7 +403,9 @@ def _tampered_checks():
     the certificate check named check after the replacements plant a wrong
     result.  On the segment [0, 1] with its trivial EF, the LP for row 0
     (-x <= 0) has the columns x, y0, y1, and E = (-1; 1), F = I, g = (0, 1);
-    the first tight derivation looks for t with t E = -1, t F >= 0, t g = 0."""
+    the first tight derivation looks for t with t E = -1, t F >= 0, t g = 0.
+    The point x = -1 breaks row 0, and its only solution of F w = g - E x,
+    w = (-1, 2), is negative."""
     P, Q = segment()
     K = trivial_ef(Q)
     zeros = [F(0)] * 3
@@ -431,6 +433,10 @@ def _tampered_checks():
         return lp("optimal", value=F(value), point=zeros, dual_ineq=[],
                   dual_eq=[F(x) for x in t])
 
+    def violator(w):
+        return lp("optimal", value=F(1), point=[F(-1)] + [F(x) for x in w], dual_ineq=[],
+                  dual_eq=zeros[:2])
+
     def tight_point(t):
         return {(polyhedra, "lp_feasible_each"):
                 _yield(LpResult("optimal", point=[F(x) for x in t]))}
@@ -438,7 +444,7 @@ def _tampered_checks():
     return [
         ("a feasibility LP is optimal or infeasible",
          {(polyhedra, "lp_feasible_each"): _yield(LpResult("unbounded"))},
-         lambda: nonneg_solution(RationalMatrix.identity(1), [F(1)])),
+         lambda: next(nonneg_solutions(RationalMatrix.identity(1), [[F(1)]]))),
         ("containment witness w >= 0", solutions("ok", -1), contains),
         ("containment witness F w = rhs", solutions("ok", 0), contains),
         ("containment refutation F^T u >= 0, u . rhs < 0", solutions("no", 0), contains),
@@ -450,6 +456,8 @@ def _tampered_checks():
         ("violating point exceeds b_i",
          {**lp("unbounded", point=zeros, ray=[F(-1), F(0), F(0)]),
           (polyhedra, "dot"): _dot_failing_third_call()}, inside),
+        ("violating point lifts: w >= 0, F w = g - E x", violator([-1, 2]), inside),
+        ("violating point lifts: w >= 0, F w = g - E x", violator([0, 0]), inside),
         ("derivation t E = A_i", optimal(0, [0, 0]), inside),
         ("derivation t F >= 0", optimal(0, [0, -1]), inside),
         ("derivation t g + c_i = b_i, c_i >= 0", optimal(-1, [1, 0]), inside),
