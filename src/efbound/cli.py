@@ -11,34 +11,40 @@ Every subcommand is one entry of `_COMMANDS`; `_run` checks its paths,
 loads its inputs, calls its handler, checks the budget and only then
 writes, so a run that fails, or overruns its budget, before the writes
 leaves no file behind.
+
+The module imports only the standard library and `errors`; every other
+module of the package is imported by the first command that calls it.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
-import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, NamedTuple
 
-from .encodings import (Graph, _as_mask, box_approx_report, box_ef, build_cut_family,
-                        build_hard_pair, clique_number, clique_weight, covariance_map,
-                        graph_row, hardpair_slack, psd_factors, qall_separate,
-                        spectra_vertex_witness)
 from .errors import (BudgetError, InputError, VerificationError, check_deadline, decoding,
                      set_budget_ms)
-from .nnfact import (NmfConfig, NonnegFactorization, PreconditionError, ef_to_factorization,
-                     factorization_to_ef, nnegrk_bounds, verify_factorization)
-from .polyhedra import (ExtendedFormulation, HRep, SlackMatrix, VRep, build_slack, dilate,
-                        lifts, refutes, shift_slack, verify_sandwich)
-from .ratlin import RationalMatrix, _vec_json, dot, rat, rat_str
-from .udisj import (CorruptionParams, FunctionTable, ShiftSpec, UdisjParams, build_shift,
-                    corruption_rhs, parse_function, razborov_identities,
-                    rectangle_corruption_scan, shift_rank_lb)
+
+
+def _lib(name):
+    """The library module efbound.<name>, imported on the first call.
+
+    Loaders, checkers and handlers look each library name up on its
+    defining module when they run, so a command imports only the modules it
+    calls, and a wrapper or patch installed on a module's name
+    (perfbench/tracing.py, the tests) sees every call."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+def rat(text):
+    """argparse type for a rational option: ratlin.rat."""
+    return _lib("ratlin").rat(text)
 
 
 def _load_json(path):
@@ -54,8 +60,8 @@ def _load_json(path):
 def _load_matrix(data):
     """Plain matrix JSON, or a slack artifact (then the full block matrix)."""
     if isinstance(data, dict) and "vertex_block" in data:
-        return SlackMatrix.from_json(data).full()
-    return RationalMatrix.from_json(data)
+        return _lib("polyhedra").SlackMatrix.from_json(data).full()
+    return _lib("ratlin").RationalMatrix.from_json(data)
 
 
 def _json_object(data):
@@ -67,7 +73,7 @@ def _json_object(data):
 def _vec_load(v):
     if not isinstance(v, list):
         raise TypeError("expected a JSON list of rationals")
-    return [rat(x) for x in v]
+    return list(map(_lib("ratlin").rat, v))
 
 
 def _vec_file(data):
@@ -156,8 +162,10 @@ def _cert_path(args):
 # ---------------------------------------------------------------------------
 # certificates
 
-def _sandwich_cert(report, K: ExtendedFormulation, Q: HRep):
-    """Self-contained certificate for the failing half of a sandwich check."""
+def _sandwich_cert(report, K, Q):
+    """Self-contained certificate for the failing half of a sandwich check
+    of the EF K against the H-rep Q."""
+    _vec_json = _lib("ratlin")._vec_json
     if not report.contains.ok:
         f = report.contains.failing
         return {"kind": "contains-failure", "ef": K.to_json(),
@@ -165,7 +173,8 @@ def _sandwich_cert(report, K: ExtendedFormulation, Q: HRep):
                 "u": _vec_json(f["certificate"])}
     f = report.inside.failing
     return {"kind": "row-violation", "ef": K.to_json(),
-            "row": _vec_json(Q.A.row(f["row"])), "bound": rat_str(f["bound"]),
+            "row": _vec_json(Q.A.row(f["row"])),
+            "bound": _lib("ratlin").rat_str(f["bound"]),
             "point": _vec_json(f["point"]), "lifting": _vec_json(f["lifting"])}
 
 
@@ -175,26 +184,27 @@ def _sandwich_cert(report, K: ExtendedFormulation, Q: HRep):
 def _verify_contains_failure(d):
     with decoding("contains-failure certificate needs ef, target_kind "
                   "(point or ray), target, u"):
-        K = ExtendedFormulation.from_json(d["ef"])
+        K = _lib("polyhedra").ExtendedFormulation.from_json(d["ef"])
         target, u = _vec_load(d["target"]), _vec_load(d["u"])
         if d["target_kind"] not in ("point", "ray"):
             raise ValueError("target_kind")
-    return refutes(K, d["target_kind"], target, u)
+    return _lib("polyhedra").refutes(K, d["target_kind"], target, u)
 
 
 def _verify_row_violation(d):
     with decoding("row-violation certificate needs ef, row, bound, point, lifting"):
-        K = ExtendedFormulation.from_json(d["ef"])
+        K = _lib("polyhedra").ExtendedFormulation.from_json(d["ef"])
         row, bound, point = _vec_load(d["row"]), rat(d["bound"]), _vec_load(d["point"])
         w = _vec_load(d["lifting"])
-    lifted = lifts(K, "point", point, w)  # a wrong length exits 2 even below the bound
-    return dot(row, point) > bound and lifted
+    # a wrong length exits 2 even below the bound
+    lifted = _lib("polyhedra").lifts(K, "point", point, w)
+    return _lib("ratlin").dot(row, point) > bound and lifted
 
 
 def _verify_qall_violation(d):
     with decoding("qall-violation certificate needs a square x and a constraint "
                   "of kind sign (with entry) or graph (with graph on its ground set)"):
-        x = RationalMatrix.from_json(d["x"])
+        x = _lib("ratlin").RationalMatrix.from_json(d["x"])
         c = d["constraint"]
         if x.rows != x.cols:
             raise ValueError("x is not square")
@@ -203,20 +213,20 @@ def _verify_qall_violation(d):
             if not all(type(v) is int and 1 <= v <= x.rows for v in (i, j)):
                 raise ValueError("entry outside x")
         else:
-            G = Graph.from_json(c["graph"])
+            G = _lib("encodings").Graph.from_json(c["graph"])
             if G.n != x.rows:
                 raise ValueError("graph ground set")
     if c["kind"] == "sign":
         return i != j and x[i - 1, j - 1] < 0
-    lhs, rhs = graph_row(G, x)
+    lhs, rhs = _lib("encodings").graph_row(G, x)
     return lhs > rhs
 
 
 def _verify_factorization_invalid(d):
     with decoding("factorization-invalid certificate needs matrix, fac"):
-        S = RationalMatrix.from_json(d["matrix"])
-        fac = NonnegFactorization.from_json(d["fac"])
-    return not verify_factorization(S, fac).ok
+        S = _lib("ratlin").RationalMatrix.from_json(d["matrix"])
+        fac = _lib("nnfact").NonnegFactorization.from_json(d["fac"])
+    return not _lib("nnfact").verify_factorization(S, fac).ok
 
 
 def _verify_spectra_failure(d):
@@ -225,16 +235,17 @@ def _verify_spectra_failure(d):
         n, b = d["n"], d["b"]
         if not isinstance(b, (int, list)):
             raise TypeError("b")
-        Y = RationalMatrix.from_json(d["y"]) if d.get("y") else None
-    return not spectra_vertex_witness(b, n, Y=Y)
+        Y = _lib("ratlin").RationalMatrix.from_json(d["y"]) if d.get("y") else None
+    return not _lib("encodings").spectra_vertex_witness(b, n, Y=Y)
 
 
 def _verify_razborov_failure(d):
     with decoding("razborov-failure certificate needs an integer n, f, g"):
-        params = UdisjParams(d["n"])
-        f = FunctionTable.from_json(d["f"])
-        g = FunctionTable.from_json(d["g"])
-    return not razborov_identities(f, g, params).ok
+        udisj = _lib("udisj")
+        params = udisj.UdisjParams(d["n"])
+        f = udisj.FunctionTable.from_json(d["f"])
+        g = udisj.FunctionTable.from_json(d["g"])
+    return not udisj.razborov_identities(f, g, params).ok
 
 
 _CERT_CHECKERS = {
@@ -250,44 +261,55 @@ _CERT_CHECKERS = {
 # ---------------------------------------------------------------------------
 # handlers: each takes the parsed arguments, input files already loaded, and
 # returns (artifacts by output dest, failure); failure is None on success, a
-# certificate to write, or True for a failure without one.  They call library
-# functions through this module's globals, so a wrapper installed on those
-# names (perfbench/tracing.py) sees every call.
+# certificate to write, or True for a failure without one.  They reach every
+# library name through `_lib`, on its defining module at call time.
 
 def _fac2ef(a):
+    nnfact = _lib("nnfact")
     if a.slack is not None:
-        check = verify_factorization(a.slack, a.fac)
+        check = nnfact.verify_factorization(a.slack, a.fac)
         if not check.ok:
             return {}, {"kind": "factorization-invalid", "matrix": a.slack.to_json(),
                         "fac": a.fac.to_json(), "reason": check.reason,
                         "where": list(check.where) if check.where else None}
-    return {"out": factorization_to_ef(a.q, a.fac).to_json()}, None
+    return {"out": nnfact.factorization_to_ef(a.q, a.fac).to_json()}, None
 
 
 def _ef2fac(a):
+    nnfact = _lib("nnfact")
     try:
-        return {"out": ef_to_factorization(a.ef, a.p, a.q).to_json()}, None
-    except PreconditionError as exc:
+        return {"out": nnfact.ef_to_factorization(a.ef, a.p, a.q).to_json()}, None
+    except nnfact.PreconditionError as exc:
         return {}, _sandwich_cert(exc.report, a.ef, a.q)
 
 
 def _nnegrk_bounds(a):
-    cfg = NmfConfig(seed=a.seed, iterations=a.iterations,
-                    restarts=a.restarts, max_denominator=a.max_denominator)
-    bounds = nnegrk_bounds(a.matrix, cfg)
+    nnfact = _lib("nnfact")
+    cfg = nnfact.NmfConfig(seed=a.seed, iterations=a.iterations,
+                           restarts=a.restarts, max_denominator=a.max_denominator)
+    bounds = nnfact.nnegrk_bounds(a.matrix, cfg)
     out = {"op": "nnegrk_bounds", "lower": bounds.lower, "upper": bounds.upper,
            "provenance": bounds.provenance()}
-    if isinstance(bounds.upper_witness, NonnegFactorization):
+    if isinstance(bounds.upper_witness, nnfact.NonnegFactorization):
         out["upper_witness"] = bounds.upper_witness.to_json()
     return {"out": out}, None
 
 
+def _udisj_shift(a):
+    udisj = _lib("udisj")
+    spec = udisj.ShiftSpec(a.n, a.rho, fill=a.fill, fill_value=a.fill_value)
+    return {"out": udisj.build_shift(spec).to_json()}, None
+
+
 def _razborov_check(a):
-    params = UdisjParams(a.n)
+    import random
+
+    udisj, _vec_json = _lib("udisj"), _lib("ratlin")._vec_json
+    params = udisj.UdisjParams(a.n)
     if a.f or a.g:
         if not (a.f and a.g):
             raise InputError("--f and --g must be given together")
-        pairs = [(parse_function(a.f, a.n), parse_function(a.g, a.n))]
+        pairs = [(udisj.parse_function(a.f, a.n), udisj.parse_function(a.g, a.n))]
     else:
         rng = random.Random(a.seed)
         # values p/q with p in 0..4 and q in 1..3, drawn p first; each pair
@@ -295,13 +317,13 @@ def _razborov_check(a):
         shared = {(p, q): Fraction(p, q) for p in range(5) for q in range(1, 4)}
 
         def table():
-            return FunctionTable(a.n, [shared[rng.randrange(0, 5), rng.randrange(1, 4)]
-                                       for _ in range(1 << a.n)])
+            return udisj.FunctionTable(a.n, [shared[rng.randrange(0, 5), rng.randrange(1, 4)]
+                                             for _ in range(1 << a.n)])
         pairs = [(table(), table()) for _ in range(a.trials)]
     checks = []
     first_bad = None
     for f, g in pairs:
-        rep = razborov_identities(f, g, params)
+        rep = udisj.razborov_identities(f, g, params)
         checks.append({"ok": rep.ok,
                        "expectation_a": _vec_json(rep.expectation_a),
                        "expectation_b": _vec_json(rep.expectation_b)})
@@ -318,33 +340,36 @@ def _razborov_check(a):
 
 def _corruption_scan(a):
     csv = a.format == "csv"
-    rep = rectangle_corruption_scan(UdisjParams(a.n), a.eps, mode=a.mode, seed=a.seed,
-                                    count=a.count, keep_records=csv)
+    udisj = _lib("udisj")
+    rep = udisj.rectangle_corruption_scan(udisj.UdisjParams(a.n), a.eps, mode=a.mode,
+                                          seed=a.seed, count=a.count, keep_records=csv)
     return {"out": rep.csv_text() if csv else rep.to_json()}, None
 
 
 def _corruption_bound(a):
-    p = CorruptionParams(a.eps, C=a.C)
+    udisj, rat_str = _lib("udisj"), _lib("ratlin").rat_str
+    p = udisj.CorruptionParams(a.eps, C=a.C)
     return {"out": {"op": "corruption_rhs", "epsilon": rat_str(p.epsilon),
                     "C": rat_str(p.C), "ell": a.ell,
-                    "value": corruption_rhs(p, a.ell)}}, None
+                    "value": udisj.corruption_rhs(p, a.ell)}}, None
 
 
 def _shift_lb(a):
-    p = CorruptionParams(a.eps, C=a.C) if a.eps is not None else None
-    value = shift_rank_lb(a.n, a.rho, p)
+    udisj, rat_str = _lib("udisj"), _lib("ratlin").rat_str
+    p = udisj.CorruptionParams(a.eps, C=a.C) if a.eps is not None else None
+    value = udisj.shift_rank_lb(a.n, a.rho, p)
     eps = a.eps if a.eps is not None else Fraction(1, 2) / a.rho
     return {"out": {"op": "shift_rank_lb", "n": a.n, "rho": rat_str(a.rho),
                     "C": rat_str(a.C), "value": value, "epsilon": rat_str(eps)}}, None
 
 
 def _hardpair(a):
-    hp = build_hard_pair(a.n)
+    hp = _lib("encodings").build_hard_pair(a.n)
     return {"out_p": hp.P.to_json(), "out_q": hp.Q.to_json()}, None
 
 
 def _qall_separate(a):
-    rep = qall_separate(a.x, mode=a.mode, seed=a.seed, count=a.count)
+    rep = _lib("encodings").qall_separate(a.x, mode=a.mode, seed=a.seed, count=a.count)
     out = {"out": rep.to_json()}
     if rep.status != "violated":
         return out, None
@@ -354,16 +379,17 @@ def _qall_separate(a):
 
 
 def _box_ef(a):
+    encodings = _lib("encodings")
     if a.graph is not None and a.graph.n != a.n:
         raise InputError(f"graph ambient bound {a.graph.n} differs from --n {a.n}")
-    out = {"out": box_ef(a.n).to_json()}
+    out = {"out": encodings.box_ef(a.n).to_json()}
     if a.graph is not None:
-        out["report"] = box_approx_report(clique_weight(a.graph)).to_json()
+        out["report"] = encodings.box_approx_report(encodings.clique_weight(a.graph)).to_json()
     return out, None
 
 
 def _psd_check(a):
-    psd_factors(a.n)  # raises if the identity ever failed
+    _lib("encodings").psd_factors(a.n)  # raises if the identity ever failed
     return {"out": {"op": "psd_factors", "n": a.n, "pairs": 4 ** a.n, "ok": True}}, None
 
 
@@ -378,17 +404,18 @@ def _parse_b(text, n):
 
 
 def _spectra_witness(a):
+    encodings = _lib("encodings")
     b = _parse_b(a.b, a.n)
-    ok = spectra_vertex_witness(b, a.n, Y=a.y)
+    ok = encodings.spectra_vertex_witness(b, a.n, Y=a.y)
     out = {"out": {"op": "spectra_vertex_witness", "n": a.n, "b": a.b, "ok": ok}}
     if ok:
         return out, None
-    return out, {"kind": "spectra-failure", "n": a.n, "b": _as_mask(b, a.n),
+    return out, {"kind": "spectra-failure", "n": a.n, "b": encodings._as_mask(b, a.n),
                  "y": a.y.to_json() if a.y is not None else None}
 
 
 def _verify_sandwich(a):
-    rep = verify_sandwich(a.p, a.q, a.rho, a.ef)
+    rep = _lib("polyhedra").verify_sandwich(a.p, a.q, a.rho, a.ef)
     return {"out": rep.to_json()}, (None if rep.ok else _sandwich_cert(rep, a.ef, a.q))
 
 
@@ -427,6 +454,11 @@ def _in(flag, load, required=True, **kw):
     return flag, dict(kw, load=load, required=required)
 
 
+def _from_json(module, cls):
+    """Loader for an input file that holds a `cls` of library `module`."""
+    return lambda data: getattr(_lib(module), cls).from_json(data)
+
+
 OUT = ("--out", {"output": True})
 CERT = ("--cert", {"output": True})
 N = ("--n", {"type": _positive_int, "required": True})
@@ -434,25 +466,27 @@ RHO = ("--rho", {"type": rat, "required": True})
 SEED = ("--seed", {"type": int, "default": 0})
 MODE = ("--mode", {"choices": ["exhaustive", "sample"], "default": "exhaustive"})
 C = ("--C", {"type": rat, "default": Fraction(0)})
+P = _in("--p", _from_json("polyhedra", "VRep"))
+Q = _in("--q", _from_json("polyhedra", "HRep"))
+EF = _in("--ef", _from_json("polyhedra", "ExtendedFormulation"))
 
 _COMMANDS = {c.name: c for c in [
     _Command("slack", "slack matrix of a polyhedron pair",
-             [_in("--p", VRep.from_json), _in("--q", HRep.from_json), OUT],
-             lambda a: ({"out": build_slack(a.p, a.q).to_json()}, None)),
+             [P, Q, OUT],
+             lambda a: ({"out": _lib("polyhedra").build_slack(a.p, a.q).to_json()}, None)),
     _Command("dilate", "scale the right-hand sides of an H-rep",
-             [_in("--q", HRep.from_json), RHO, OUT],
-             lambda a: ({"out": dilate(a.q, a.rho).to_json()}, None)),
+             [Q, RHO, OUT],
+             lambda a: ({"out": _lib("polyhedra").dilate(a.q, a.rho).to_json()}, None)),
     _Command("shift-slack", "shift a slack matrix by rho-1",
-             [_in("--slack", SlackMatrix.from_json), RHO, OUT],
-             lambda a: ({"out": shift_slack(a.slack, a.rho).to_json()}, None)),
+             [_in("--slack", _from_json("polyhedra", "SlackMatrix")), RHO, OUT],
+             lambda a: ({"out": _lib("polyhedra").shift_slack(a.slack, a.rho).to_json()}, None)),
     _Command("fac2ef", "extended formulation from a nonnegative factorization",
-             [_in("--q", HRep.from_json), _in("--fac", NonnegFactorization.from_json),
+             [Q, _in("--fac", _from_json("nnfact", "NonnegFactorization")),
               _in("--slack", _load_matrix, required=False,
                   help="optional slack matrix to verify the factorization against first"),
               OUT], _fac2ef, cert=True),
     _Command("ef2fac", "nonnegative factorization from a sandwiched EF",
-             [_in("--ef", ExtendedFormulation.from_json), _in("--p", VRep.from_json),
-              _in("--q", HRep.from_json), OUT], _ef2fac, cert=True),
+             [EF, P, Q, OUT], _ef2fac, cert=True),
     _Command("nnegrk-bounds", "lower and upper bounds on nonnegative rank",
              [_in("--matrix", _load_matrix), SEED,
               ("--iterations", {"type": _positive_int, "default": 400}),
@@ -462,9 +496,7 @@ _COMMANDS = {c.name: c for c in [
     _Command("udisj-shift", "rho-shift matrix of unique disjointness",
              [N, RHO, ("--fill", {"choices": ["hardpair", "constant"], "default": "hardpair"}),
               ("--fill-value", {"type": rat, "default": Fraction(0)}), OUT],
-             lambda a: ({"out": build_shift(ShiftSpec(a.n, a.rho, fill=a.fill,
-                                                       fill_value=a.fill_value)).to_json()},
-                        None)),
+             _udisj_shift),
     _Command("razborov-check", "verify the conditional-expectation identities",
              [N, ("--trials", {"type": _positive_int, "default": 5}), SEED,
               ("--f", {"help": "function spec: ones | set:MASK | contains:K | avoids:K"}),
@@ -485,39 +517,38 @@ _COMMANDS = {c.name: c for c in [
               ("--out-q", {"required": True, "output": True})], _hardpair),
     _Command("hardpair-slack", "shifted slack matrix of the hard pair",
              [N, ("--rho", {"type": rat, "default": Fraction(1)}), OUT],
-             lambda a: ({"out": hardpair_slack(a.n, a.rho).to_json()}, None)),
+             lambda a: ({"out": _lib("encodings").hardpair_slack(a.n, a.rho).to_json()}, None)),
     _Command("clique-weight", "clique objective matrix",
-             [_in("--graph", Graph.from_json), OUT],
-             lambda a: ({"out": clique_weight(a.graph).to_json()}, None)),
+             [_in("--graph", _from_json("encodings", "Graph")), OUT],
+             lambda a: ({"out": _lib("encodings").clique_weight(a.graph).to_json()}, None)),
     _Command("clique-omega", "exact clique number",
-             [_in("--graph", Graph.from_json), OUT],
-             lambda a: ({"out": {"op": "clique_number", "omega": clique_number(a.graph)}},
-                        None)),
+             [_in("--graph", _from_json("encodings", "Graph")), OUT],
+             lambda a: ({"out": {"op": "clique_number",
+                                 "omega": _lib("encodings").clique_number(a.graph)}}, None)),
     _Command("qall-separate", "separate a point from the all-graphs relaxation",
-             [_in("--x", RationalMatrix.from_json), MODE, SEED,
+             [_in("--x", _from_json("ratlin", "RationalMatrix")), MODE, SEED,
               ("--count", {"type": _positive_int, "default": 200}), OUT],
              _qall_separate, cert=True),
     _Command("box-ef", "box extension and approximation report",
-             [N, _in("--graph", Graph.from_json, required=False,
+             [N, _in("--graph", _from_json("encodings", "Graph"), required=False,
                      help="clique objective to report on"),
               OUT, ("--report", {"output": True})], _box_ef),
     _Command("cut-family", "cut polytope, cut cone or correlation cone generators",
              [("--kind", {"required": True,
                           "choices": ["cut_polytope", "cut_cone", "correlation_cone"]}),
               N, OUT],
-             lambda a: ({"out": build_cut_family(a.kind, a.n).to_json()}, None)),
+             lambda a: ({"out": _lib("encodings").build_cut_family(a.kind, a.n).to_json()}, None)),
     _Command("covmap", "covariance image of an edge vector",
              [N, _in("--vec", _vec_file), OUT],
-             lambda a: ({"out": covariance_map(a.vec, a.n).to_json()}, None)),
+             lambda a: ({"out": _lib("encodings").covariance_map(a.vec, a.n).to_json()}, None)),
     _Command("psd-check", "verify the rank-one PSD factor identity", [N, OUT], _psd_check),
     _Command("spectra-witness", "check the vertex witness equation",
              [N, ("--b", {"required": True, "help": "bitstring b_1...b_n or integer mask"}),
-              _in("--y", RationalMatrix.from_json, required=False,
+              _in("--y", _from_json("ratlin", "RationalMatrix"), required=False,
                   help="alternative Y matrix JSON"), OUT],
              _spectra_witness, cert=True),
     _Command("verify-sandwich", "verify P inside K inside rho Q",
-             [_in("--p", VRep.from_json), _in("--q", HRep.from_json), RHO,
-              _in("--ef", ExtendedFormulation.from_json), OUT],
+             [P, Q, RHO, EF, OUT],
              _verify_sandwich, cert=True),
     _Command("check-cert", "re-verify a certificate file",
              [_in("--cert", _json_object, dest="cert_file"), OUT], _check_cert),

@@ -20,7 +20,6 @@ from itertools import combinations
 from .errors import InputError, check_deadline, decoding, ground_size, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
 from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
-from .udisj import ShiftSpec, build_shift
 
 
 def _as_mask(b, n):
@@ -131,6 +130,8 @@ def hardpair_slack(n, rho=1) -> SlackMatrix:
     Built from the closed form; agreement with the build_slack/shift_slack
     pipeline on the actual polyhedra is a checked property, not an input.
     """
+    from .udisj import ShiftSpec, build_shift  # only this function needs udisj
+
     spec = ShiftSpec(ground_size(n, limit=10), rho)
     S = build_shift(spec)
     return SlackMatrix(S, RationalMatrix(S.rows, 0), [spec.rho] * S.rows)

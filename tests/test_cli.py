@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import efbound
 from efbound import (
     ExtendedFormulation,
     HRep,
@@ -26,13 +27,21 @@ from efbound import (
     hardpair_slack,
     trivial_ef,
 )
-from efbound import cli, ratlin
+from efbound import cli, nnfact, ratlin, udisj
 from efbound.cli import main
 from efbound.udisj import ShiftSpec
 
 
 def write(path, obj):
     path.write_text(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def child_env():
+    """The environment for a child interpreter that imports the efbound
+    under test, installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.fixture
@@ -49,12 +58,12 @@ def pair_files(tmp_path):
 def slow_scan(monkeypatch):
     """corruption-scan made slow on purpose: it sleeps 20 ms before the
     scan, so it outlasts a 1 ms budget however fast the scan itself is."""
-    genuine = cli.rectangle_corruption_scan
+    genuine = udisj.rectangle_corruption_scan
 
     def slow(*args, **kwargs):
         time.sleep(0.02)
         return genuine(*args, **kwargs)
-    monkeypatch.setattr(cli, "rectangle_corruption_scan", slow)
+    monkeypatch.setattr(udisj, "rectangle_corruption_scan", slow)
 
 
 class TestBuildCommands:
@@ -495,12 +504,12 @@ class TestExitDiscipline:
         hp = build_hard_pair(2)
         S = build_slack(hp.P, hp.Q).full()
         write(d / "fac.json", NonnegFactorization(S, RationalMatrix.identity(S.cols)).to_json())
-        genuine = cli.factorization_to_ef
+        genuine = nnfact.factorization_to_ef
 
         def slow(Q, fac):
             time.sleep(0.02)
             return genuine(Q, fac)
-        monkeypatch.setattr(cli, "factorization_to_ef", slow)
+        monkeypatch.setattr(nnfact, "factorization_to_ef", slow)
         argv = ["fac2ef", "--q", str(d / "q.json"), "--fac", str(d / "fac.json"),
                 "--out", str(d / "never.json")]
         assert main(["--budget-ms", "5"] + argv) == 3
@@ -766,10 +775,7 @@ class TestParserReuse:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # the child imports the efbound under test, installed or not
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = child_env()
         out = tmp_path / "s.json"
         proc = subprocess.run(
             [sys.executable, "-m", "efbound.cli", "hardpair-slack",
@@ -783,9 +789,7 @@ class TestEntryPoint:
         # the NMF heuristic and the PSD kernel may load it, and nnegrk-bounds
         # only when it tries a rank
         d = tmp_path
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env = child_env()
         write(d / "k.json", trivial_ef(build_hard_pair(3).Q).to_json())
         write(d / "rank2.json", RationalMatrix.from_rows(_RANK2).to_json())
         write(d / "id.json", RationalMatrix.identity(3).to_json())
@@ -812,6 +816,74 @@ class TestEntryPoint:
         assert run(["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"],
                    ["psd-check", "--n", "2", "--out", "psd.json"]) == [[0, 0], True]
         assert json.loads((d / "psd.json").read_text())["ok"] is True
+
+    def test_modules_loaded_only_by_their_commands(self, tmp_path):
+        # a fresh interpreter compiles every module it imports, so importing
+        # the package or the CLI loads no library module, and each command
+        # loads only the modules it calls
+        d = tmp_path
+        env = child_env()
+        hp = build_hard_pair(2)
+        write(d / "p.json", hp.P.to_json())
+        write(d / "q.json", hp.Q.to_json())
+        write(d / "k.json", trivial_ef(hp.Q).to_json())
+        write(d / "id.json", RationalMatrix.identity(3).to_json())
+        write(d / "rv.json", dict(WELL_FORMED["row-violation"], kind="row-violation"))
+        # argv None: import efbound only; []: import efbound.cli only
+        code = ("import json, sys\n"
+                "argv = json.loads(sys.argv[1])\n"
+                "import efbound\n"
+                "rc = None\n"
+                "if argv is not None:\n"
+                "    from efbound.cli import main\n"
+                "    if argv:\n"
+                "        try:\n"
+                "            rc = main(argv)\n"
+                "        except SystemExit as exc:\n"
+                "            rc = exc.code\n"
+                "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+                "                             if m.partition('.')[0] == 'efbound')]))\n")
+
+        def run(argv):
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                                  capture_output=True, text=True, env=env, cwd=d,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        def cli_and(*modules):
+            return sorted(["efbound", "efbound.cli", "efbound.errors"]
+                          + [f"efbound.{m}" for m in modules])
+
+        assert run(None) == [None, ["efbound"]]
+        assert run([]) == [None, cli_and()]
+        assert run(["frobnicate"]) == [2, cli_and()]
+        for argv, modules in [
+                (["corruption-scan", "--n", "3", "--eps", "1/2", "--out", "scan.json"],
+                 ["ratlin", "udisj"]),
+                (["verify-sandwich", "--p", "p.json", "--q", "q.json", "--rho", "1",
+                  "--ef", "k.json", "--out", "rep.json"], ["polyhedra", "ratlin"]),
+                (["hardpair", "--n", "2", "--out-p", "p2.json", "--out-q", "q2.json"],
+                 ["encodings", "polyhedra", "ratlin"]),
+                (["hardpair-slack", "--n", "2", "--out", "s.json"],
+                 ["encodings", "polyhedra", "ratlin", "udisj"]),
+                (["nnegrk-bounds", "--matrix", "id.json", "--out", "nb.json"],
+                 ["nnfact", "polyhedra", "ratlin"]),
+                (["check-cert", "--cert", "rv.json", "--out", "cc.json"],
+                 ["polyhedra", "ratlin"])]:
+            assert run(argv) == [0, cli_and(*modules)], argv
+        assert json.loads((d / "rep.json").read_text())["ok"] is True
+        assert json.loads((d / "cc.json").read_text())["valid"] is True
+
+        # each name the package exports is the object its defining module holds
+        for name in efbound.__all__:
+            module = f"efbound.{efbound._MODULE_OF[name]}"
+            value = getattr(efbound, name)
+            assert value is getattr(sys.modules[module], name), name
+            assert getattr(value, "__module__", module) in (module, "fractions"), name
+        assert set(efbound.__all__) <= set(dir(efbound))
+        with pytest.raises(AttributeError):
+            efbound.no_such_name
 
     def test_console_script(self, tmp_path):
         exe = shutil.which("efbound")
