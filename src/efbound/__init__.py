@@ -27,7 +27,7 @@ _EXPORTS = {
     "polyhedra": ["ExtendedFormulation", "HRep", "SlackMatrix", "VRep", "build_slack",
                   "dilate", "ef_contains_points", "ef_inside_hrep", "homogenize",
                   "shift_slack", "trivial_ef", "verify_sandwich"],
-    "ratlin": ["LpResult", "Rational", "RationalMatrix", "dot", "lp_feasible_each", "lp_solve",
+    "ratlin": ["LpResult", "RationalMatrix", "dot", "lp_feasible_each", "lp_solve",
                "lp_solve_each", "mat_rank", "rat", "rat_str"],
     "udisj": ["CorruptionParams", "FunctionTable", "PartitionT", "ShiftSpec", "UdisjParams",
               "build_shift", "cond_expect", "corruption_rhs", "entropy_gap", "enum_classes",

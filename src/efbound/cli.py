@@ -162,16 +162,15 @@ def _cert_path(args):
 # ---------------------------------------------------------------------------
 # certificates
 
-def _sandwich_cert(report, K, Q):
+def _sandwich_cert(failed, K, Q):
     """Self-contained certificate for the failing half of a sandwich check
-    of the EF K against the H-rep Q."""
+    of the EF K against the H-rep Q: its ContainsReport or InsideReport."""
     _vec_json = _lib("ratlin")._vec_json
-    if not report.contains.ok:
-        f = report.contains.failing
+    f = failed.failing
+    if isinstance(failed, _lib("polyhedra").ContainsReport):
         return {"kind": "contains-failure", "ef": K.to_json(),
                 "target_kind": f["kind"], "target": _vec_json(f["generator"]),
                 "u": _vec_json(f["certificate"])}
-    f = report.inside.failing
     return {"kind": "row-violation", "ef": K.to_json(),
             "row": _vec_json(Q.A.row(f["row"])),
             "bound": _lib("ratlin").rat_str(f["bound"]),
@@ -416,7 +415,8 @@ def _spectra_witness(a):
 
 def _verify_sandwich(a):
     rep = _lib("polyhedra").verify_sandwich(a.p, a.q, a.rho, a.ef)
-    return {"out": rep.to_json()}, (None if rep.ok else _sandwich_cert(rep, a.ef, a.q))
+    failed = rep.inside if rep.contains.ok else rep.contains
+    return {"out": rep.to_json()}, (None if rep.ok else _sandwich_cert(failed, a.ef, a.q))
 
 
 def _check_cert(a):

@@ -8,9 +8,10 @@ This module makes both directions executable:
 * ef_to_factorization finds the containment witnesses of P's generators
   and a tight derivation (c = 0) of each row of Q, which together prove
   P inside K inside Q, and multiplies them into  T F [W, Z]  of rank r.
-  Only when containment fails or some row has no tight derivation does it
-  run verify_sandwich, whose general derivations fill the missing rows of
-  [TF | c] [[W, Z], [1, 0]], of rank at most r+1.
+  Only when some row has no tight derivation does it run ef_inside_hrep,
+  whose general derivations fill the missing rows of
+  [TF | c] [[W, Z], [1, 0]], of rank at most r+1.  A half that fails is
+  the report it raises.
 
 Because deciding the nonnegative rank exactly is out of reach, the bounds
 reported here are sound by construction: lower bounds come from the linear
@@ -47,15 +48,15 @@ from .polyhedra import (
     VRep,
     build_slack,
     ef_contains_points,
+    ef_inside_hrep,
     nonneg_solutions,
     tight_derivations,
-    verify_sandwich,
 )
 from .ratlin import ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, mat_rank, rat
 
 
 class PreconditionError(Exception):
-    """A construction's precondition failed; carries the certificate report."""
+    """A construction's precondition failed; carries the failed check's report."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -159,21 +160,23 @@ def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFacto
 
     Every row is first derived tightly (c_i = 0, tight_derivations); those
     derivations alone prove K inside Q, and the offset column is dropped, so
-    the rank is r.  Only when containment fails or some row has no tight
-    derivation does verify_sandwich run at rho = 1: its general derivations
-    fill those rows, or its report goes into a PreconditionError.  The
-    result is verified against build_slack(P, Q) before being returned.
+    the rank is r.  Only when some row has no tight derivation does
+    ef_inside_hrep run: its general derivations fill those rows.  A failed
+    containment or inside check raises PreconditionError with its report.
+    The result is verified against build_slack(P, Q) before being returned.
     """
     if P.is_empty:
         raise InputError("P must contain at least one point")
     contains = ef_contains_points(P, K)
-    tight = tight_derivations(K, Q) if contains.ok else None
+    if not contains.ok:
+        raise PreconditionError("P is not inside the EF", contains)
+    tight = tight_derivations(K, Q)
     general = {}
-    if tight is None or None in tight:
-        report = verify_sandwich(P, Q, 1, K)
-        if not report.ok:
-            raise PreconditionError("EF does not sandwich the pair at rho = 1", report)
-        general = {i: (t, c) for i, t, c in report.inside.derivations}
+    if None in tight:
+        inside = ef_inside_hrep(K, Q)
+        if not inside.ok:
+            raise PreconditionError("the EF is not inside Q", inside)
+        general = {i: (t, c) for i, t, c in inside.derivations}
     npts, nrays = len(P.points), len(P.rays)
     # the witnesses come in generator order, points then rays: one column each
     WZ = RationalMatrix(npts + nrays, K.size, [

@@ -33,7 +33,7 @@ vector put over one denominator, before it is returned; a failed check
 raises VerificationError in every run mode:
 
 * optimal   -- primal feasibility, dual feasibility (reduced costs zero on
-               free columns, of the right sign on masked ones), matching
+               free columns, >= 0 on masked ones), matching
                objective values, and complementary slackness on rows and
                masked columns;
 * infeasible -- a Farkas vector: y_in >= 0 with A^T y_in + Aeq^T y_eq zero
@@ -55,7 +55,6 @@ from operator import mul
 
 from .errors import InputError, check_deadline, decoding, require
 
-Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -352,16 +351,15 @@ class LpResult:
 
     status is "optimal", "infeasible" or "unbounded".
 
-    optimal:    point, value, dual_ineq, dual_eq.  With s = 1 for "max"
-                and -1 for "min", d = s (A^T dual_ineq + Aeq^T dual_eq - c)
-                is zero on free columns and >= 0 on nonneg ones,
-                b.dual_ineq + beq.dual_eq = value, and s dual_ineq >= 0.
+    optimal:    point, value, dual_ineq, dual_eq.  The reduced costs
+                d = A^T dual_ineq + Aeq^T dual_eq - c are zero on free
+                columns and >= 0 on nonneg ones,
+                b.dual_ineq + beq.dual_eq = value, and dual_ineq >= 0.
     infeasible: farkas_ineq >= 0 and farkas_eq with
                 A^T farkas_ineq + Aeq^T farkas_eq zero on free columns and
                 >= 0 on nonneg ones, and b.farkas_ineq + beq.farkas_eq < 0.
     unbounded:  point is feasible and ray satisfies A ray <= 0,
-                Aeq ray = 0, ray >= 0 on nonneg columns, with c.ray > 0
-                ("max") or < 0 ("min").
+                Aeq ray = 0, ray >= 0 on nonneg columns, with c.ray > 0.
     """
 
     status: str
@@ -401,8 +399,8 @@ def _norm_mask(nonneg, n):
     return mask
 
 
-def lp_solve(A, b, Aeq, beq, c, sense="max", nonneg=()) -> LpResult:
-    """Solve max (or min) c.x subject to A x <= b, Aeq x = beq and
+def lp_solve(A, b, Aeq, beq, c, nonneg=()) -> LpResult:
+    """Solve max c.x subject to A x <= b, Aeq x = beq and
     x_j >= 0 for every column index j in nonneg.
 
     Columns outside nonneg are free.  Pass sign constraints through nonneg,
@@ -412,10 +410,10 @@ def lp_solve(A, b, Aeq, beq, c, sense="max", nonneg=()) -> LpResult:
     share one phase 1.  Bland's rule makes the run deterministic, and the
     returned result has already been verified exactly (see LpResult).
     """
-    return next(lp_solve_each(A, b, Aeq, beq, [c], sense, nonneg))
+    return next(lp_solve_each(A, b, Aeq, beq, [c], nonneg))
 
 
-def lp_solve_each(A, b, Aeq, beq, objectives, sense="max", nonneg=()):
+def lp_solve_each(A, b, Aeq, beq, objectives, nonneg=()):
     """Yield one lp_solve result per objective, all over the same region.
 
     Phase 1 runs once; each objective's phase 2 starts from the basis where
@@ -424,8 +422,6 @@ def lp_solve_each(A, b, Aeq, beq, objectives, sense="max", nonneg=()):
     result is verified exactly before it is yielded, so a caller may stop
     at any one of them.
     """
-    if sense not in ("max", "min"):
-        raise InputError(f"sense must be 'max' or 'min', got {sense!r}")
     objs = []
     for c in objectives:
         if c is None:
@@ -445,13 +441,12 @@ def lp_solve_each(A, b, Aeq, beq, objectives, sense="max", nonneg=()):
     ineq, eq = _cleared(Ar, br), _cleared(Er, er)
     tab = _Tableau(ineq + eq, len(ineq), mask)
     farkas = tab.phase1()
-    sign = 1 if sense == "max" else -1
     for c in objs:
         if farkas is None:
-            res = tab.phase2(c, sign)
+            res = tab.phase2(c)
         else:
             res = LpResult("infeasible", farkas_ineq=farkas[0][:], farkas_eq=farkas[1][:])
-        _check_lp(ineq, eq, c, sense, mask, res)
+        _check_lp(ineq, eq, c, mask, res)
         yield res
 
 
@@ -495,7 +490,7 @@ def lp_feasible_each(A, b, Aeq, beqs, n, nonneg=()):
                            dual_ineq=[ZERO] * len(ineq), dual_eq=[ZERO] * m)
         else:
             res = LpResult("infeasible", farkas_ineq=farkas[0], farkas_eq=farkas[1])
-        _check_lp(ineq, eq, zeros, "max", mask, res)
+        _check_lp(ineq, eq, zeros, mask, res)
         yield res
 
 
@@ -640,12 +635,12 @@ class _Tableau:
                 point[j] = Fraction(s * line[-2], line[-1])
         return point
 
-    def phase2(self, c, sign):
-        """Maximize sign * c.x from the current basis, which is left where
+    def phase2(self, c):
+        """Maximize c.x from the current basis, which is left where
         the objective stopped."""
         T, basis, art0, nx = self.T, self.basis, self.art0, len(self.var)
         num, dc = _over(c)
-        cost = [-sign * s * num[j] for j, s in self.var] + [0] * (self.width - nx)
+        cost = [-s * num[j] for j, s in self.var] + [0] * (self.width - nx)
         obj = _priced(cost, dc, T, basis)
         grew = _iterate(T, basis, obj, art0)
         point = self.point()
@@ -660,7 +655,7 @@ class _Tableau:
                     ray[j] -= Fraction(s * line[grew], line[-1])
             return LpResult("unbounded", point=point, ray=ray)
         # obj[art0+i] = -pi_i, the multiplier of row i in the normalized system
-        y = [Fraction(sign * sg * obj[art0 + i], obj[-1]) for i, sg in enumerate(self.sigma)]
+        y = [Fraction(sg * obj[art0 + i], obj[-1]) for i, sg in enumerate(self.sigma)]
         return LpResult("optimal", value=dot(c, point), point=point,
                         dual_ineq=y[:self.mi], dual_eq=y[self.mi:])
 
@@ -728,23 +723,21 @@ def _eliminate(line, prow, j):
     return _reduced(new)
 
 
-def _verify_lp(A, b, E, e, c, sense, mask, res):
+def _verify_lp(A, b, E, e, c, mask, res):
     """Exact post-check of every lp_solve outcome; a failure here is a bug.
 
-    With s = +1 for "max" and -1 for "min", the reduced cost of column j is
-    s ((A^T y + E^T w)_j - c_j): zero on free columns, nonnegative on masked
-    ones and complementary to x_j there.
+    The reduced cost of column j is (A^T y + E^T w)_j - c_j: zero on free
+    columns, nonnegative on masked ones and complementary to x_j there.
     """
-    _check_lp(_cleared(A, b), _cleared(E, e), c, sense, mask, res)
+    _check_lp(_cleared(A, b), _cleared(E, e), c, mask, res)
 
 
-def _check_lp(ineq, eq, c, sense, mask, res):
+def _check_lp(ineq, eq, c, mask, res):
     """_verify_lp on rows cleared to ints (see _cleared).  A row scaled by
     its positive denominator d_i holds the same inequality, and its
     multiplier becomes y_i / d_i; each vector is put over one denominator,
     so every identity is tested on ints."""
     n = len(c)
-    s = 1 if sense == "max" else -1
     free = [j for j in range(n) if not mask[j]]
     masked = [j for j in range(n) if mask[j]]
     cnum, dc = _over(c)
@@ -770,9 +763,9 @@ def _check_lp(ineq, eq, c, sense, mask, res):
         x, y, w = res.point, res.dual_ineq, res.dual_eq
         num, dx, slack = feasible(x)
         require(Fraction(sum(map(mul, cnum, num)), dc * dx) == res.value, "objective value")
-        require(all(s * v >= 0 for v in y), "dual signs")
+        require(all(v >= 0 for v in y), "dual signs")
         acc, dz = combo(y, w)
-        red = [s * (a * dc - cj * dz) for a, cj in zip(acc, cnum)]
+        red = [a * dc - cj * dz for a, cj in zip(acc, cnum)]
         require(all(red[j] == 0 for j in free), "dual equalities on free columns")
         require(all(red[j] >= 0 for j in masked), "dual inequalities on masked columns")
         require(Fraction(acc[n], dz) == res.value, "strong duality")
@@ -797,6 +790,6 @@ def _check_lp(ineq, eq, c, sense, mask, res):
         require(all(sum(map(mul, ints, rnum)) == 0 for ints, _ in eq),
                 "ray keeps the equality rows")
         require(all(rnum[j] >= 0 for j in masked), "ray keeps the sign constraints")
-        require(s * sum(map(mul, cnum, rnum)) > 0, "ray improves the objective")
+        require(sum(map(mul, cnum, rnum)) > 0, "ray improves the objective")
     else:
         require(False, f"unknown status {res.status!r}")

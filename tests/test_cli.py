@@ -521,8 +521,8 @@ class TestExitDiscipline:
         from efbound import ratlin
         genuine = ratlin._Tableau.phase2
 
-        def off_by_one(self, c, sign):
-            res = genuine(self, c, sign)
+        def off_by_one(self, c):
+            res = genuine(self, c)
             if res.status == "optimal":
                 res.value += 1
             return res

@@ -319,7 +319,7 @@ class TestBoxEf:
         ineq = RationalMatrix.hstack(
             [RationalMatrix.zeros(s, d), RationalMatrix.identity(s) * Fraction(-1)])
         c = [w[i, j] for i in range(2) for j in range(2)] + [Fraction(0)] * s
-        res = lp_solve(ineq, [Fraction(0)] * s, Aeq, ef.g, c, sense="max")
+        res = lp_solve(ineq, [Fraction(0)] * s, Aeq, ef.g, c)
         assert res.status == "optimal" and res.value == rep.box_max
 
     def test_edgeless_ratio_is_n(self):

@@ -26,6 +26,7 @@ from efbound import (
     box_ef,
     build_slack,
     dilate,
+    ef_inside_hrep,
     hardpair_slack,
     shift_slack,
     trivial_ef,
@@ -271,7 +272,7 @@ class TestEfToFactorization:
         big = VRep(1, [[0], [5]])
         with pytest.raises(PreconditionError) as ei:
             ef_to_factorization(trivial_ef(Q), big, Q)
-        assert ei.value.report.contains.failing["index"] == 1
+        assert ei.value.report.failing["index"] == 1
 
     def test_ef_without_equations(self):
         # K = R^1 has no rows: 0 x <= 1 needs the offset 1, and 0 x <= 0
@@ -309,10 +310,35 @@ class TestEfToFactorization:
     @given(data=st.data())
     def test_matches_sandwich_first_flow(self, kind, path, data):
         K, P, Q = data.draw(ef_cases(kind))
-        with mock.patch.object(nnfact, "verify_sandwich", wraps=verify_sandwich) as spy:
+        with mock.patch.object(nnfact, "ef_inside_hrep", wraps=ef_inside_hrep) as spy:
             got = _factorization_or_cert(ef_to_factorization, K, P, Q)
         assert got == _factorization_or_cert(sandwich_first, K, P, Q)
         assert got.get("kind", "fallback" if spy.called else "tight") == path
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_each_half_proved_once(self, data):
+        """A fallback solves the containment family once and runs neither
+        verify_sandwich's recession-cone LP nor its affine-hull check."""
+        K, P, Q = data.draw(ef_cases("point"))
+        with mock.patch.object(polyhedra, "recession_fulldim", side_effect=AssertionError), \
+                mock.patch.object(polyhedra, "_affine_hull_inside", side_effect=AssertionError), \
+                mock.patch.object(nnfact, "ef_contains_points",
+                                  wraps=polyhedra.ef_contains_points) as contains:
+            fac = ef_to_factorization(K, P, Q)
+        assert contains.call_count == 1
+        assert verify_factorization(build_slack(P, Q).full(), fac)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_failed_containment_is_the_report(self, data):
+        K, P, Q = data.draw(ef_cases("half"))
+        with mock.patch.object(nnfact, "tight_derivations") as tight, \
+                mock.patch.object(nnfact, "ef_inside_hrep") as inside, \
+                pytest.raises(PreconditionError) as ei:
+            ef_to_factorization(K, P, Q)
+        assert isinstance(ei.value.report, polyhedra.ContainsReport)
+        assert not (tight.called or inside.called)
 
 
 def lattice_polygon(pts):
@@ -364,10 +390,11 @@ def ef_cases(draw, kind):
 def sandwich_first(K, P, Q):
     """ef_to_factorization as it was before it skipped the sandwich check:
     verify_sandwich at rho = 1 first, then each row's tight derivation, else
-    its general one."""
+    its general one.  A failed check raises with the half that failed."""
     report = verify_sandwich(P, Q, 1, K)
     if not report.ok:
-        raise PreconditionError("EF does not sandwich the pair at rho = 1", report)
+        raise PreconditionError("EF does not sandwich the pair at rho = 1",
+                                report.inside if report.contains.ok else report.contains)
     WZ = RationalMatrix(len(P.points) + len(P.rays), K.size, [
         x for _, _, w in report.contains.witnesses for x in w]).transpose()
     general = {i: (t, c) for i, t, c in report.inside.derivations}
@@ -401,7 +428,7 @@ def _box_certificate(n, rho):
     K = box_ef(n)
     report = verify_sandwich(P, Q, rho, K)
     assert not report.ok
-    return json.dumps(cli._sandwich_cert(report, K, Q))
+    return json.dumps(cli._sandwich_cert(report.inside, K, Q))
 
 
 @st.composite
@@ -415,7 +442,7 @@ def refuted_sandwiches(draw):
     K, P, Q = draw(ef_cases("double"))
     report = verify_sandwich(P, Q, 1, K)
     assert not report.ok
-    return cli._sandwich_cert(report, K, Q)
+    return cli._sandwich_cert(report.inside, K, Q)
 
 
 def reference_row_violation(cert):

@@ -165,15 +165,6 @@ class TestLpSolve:
         assert r.ray[0] > 0
         assert -r.ray[0] <= 0
 
-    def test_equalities_and_min(self):
-        r = lp_solve([[1, 0], [-1, 0], [0, -1]], [5, 0, 0], [[1, 1]], [2],
-                     [1, 1], sense="min")
-        assert r.status == "optimal"
-        assert r.value == 2
-        assert sum(r.point) == 2
-        # min-sense duals are <= 0 on inequality rows
-        assert all(v <= 0 for v in r.dual_ineq)
-
     def test_fractional_optimum(self):
         r = lp_solve([[1, 1], [1, -1]], [F(4, 3), 0], None, None, [3, 2])
         assert r.status == "optimal"
@@ -193,8 +184,6 @@ class TestLpSolve:
             lp_solve([[1, 2]], [1], None, None, [1])
         with pytest.raises(InputError):
             lp_solve([[1]], [1, 2], None, None, [1])
-        with pytest.raises(InputError):
-            lp_solve([[1]], [1], None, None, [1], sense="maximize")
         with pytest.raises(InputError):
             lp_solve([[1]], None, None, None, [1])
 
@@ -258,13 +247,6 @@ class TestNonnegMask:
         w = r.farkas_eq
         assert w[0] >= 0 and w[0] * -1 < 0
 
-    def test_min_sense_reduced_costs(self):
-        # min x0 + 2 x1 with x0 + x1 = 1, x >= 0: optimum at x0 = 1
-        r = lp_solve(None, None, [[1, 1]], [1], [1, 2], sense="min", nonneg=[0, 1])
-        assert r.status == "optimal" and r.value == 1 and r.point == [F(1), F(0)]
-        w = r.dual_eq[0]
-        assert [1 - w, 2 - w] == [0, 1]  # zero where x > 0, positive where x = 0
-
     def test_bad_mask(self):
         with pytest.raises(InputError):
             lp_solve([[1]], [1], None, None, [1], nonneg=[1])
@@ -325,7 +307,7 @@ def _checked_lp():
     A, b, E, e, c = [[F(1), F(2)]], [F(4)], [[F(1), F(-1)]], [F(1)], [F(1), F(1)]
     mask = [False, True]
     res = lp_solve(A, b, E, e, c, nonneg=[1])
-    return (A, b, E, e, c, "max", mask), res
+    return (A, b, E, e, c, mask), res
 
 
 TAMPERS = {
@@ -365,7 +347,7 @@ class TestVerifyLp:
             "bad = LpResult('optimal', r.value + 1, r.point, r.dual_ineq, r.dual_eq)\n"
             "try:\n"
             "    _verify_lp([[F(1), F(2)]], [F(4)], [[F(1), F(-1)]], [F(1)],\n"
-            "               [F(1), F(1)], 'max', [False, True], bad)\n"
+            "               [F(1), F(1)], [False, True], bad)\n"
             "except VerificationError:\n"
             "    print('rejected', sys.flags.optimize)\n")
         env = dict(os.environ, PYTHONPATH=src)
@@ -414,20 +396,18 @@ def _box_max(A, b, E, e, c, mask, box):
     return best
 
 
-def _brute_force(A, b, E, e, c, sense, mask):
+def _brute_force(A, b, E, e, c, mask):
     """(status, value) of the LP.  Data of absolute value <= 3 in at most
     three variables put a feasible point, and an optimal one when the LP is
     bounded, inside the box 162 (Cramer's rule), and the boxed optimum is
     concave in the box size: it grows from box 1000 to 2000 iff the LP is
     unbounded."""
-    s = 1 if sense == "max" else -1
-    c = [s * v for v in c]
     lo = _box_max(A, b, E, e, c, mask, 1000)
     if lo is None:
         return "infeasible", None
     if _box_max(A, b, E, e, c, mask, 2000) > lo:
         return "unbounded", None
-    return "optimal", s * lo
+    return "optimal", lo
 
 
 @st.composite
@@ -447,22 +427,22 @@ def tiny_lps(draw):
 
 class TestLpProperties:
     @settings(max_examples=100, deadline=None)
-    @given(tiny_lps(), st.sampled_from(["max", "min"]))
-    def test_matches_vertex_enumeration(self, lp, sense):
+    @given(tiny_lps())
+    def test_matches_vertex_enumeration(self, lp):
         A, b, E, e, mask, objs = lp
         c = objs[0]
-        r = lp_solve(A or None, b or None, E or None, e or None, c, sense, mask)
-        status, value = _brute_force(A, b, E, e, c, sense, mask)
+        r = lp_solve(A or None, b or None, E or None, e or None, c, mask)
+        status, value = _brute_force(A, b, E, e, c, mask)
         assert r.status == status
         assert r.value == value
 
     @settings(max_examples=100, deadline=None)
-    @given(tiny_lps(), st.sampled_from(["max", "min"]))
-    def test_each_matches_cold(self, lp, sense):
+    @given(tiny_lps())
+    def test_each_matches_cold(self, lp):
         A, b, E, e, mask, objs = lp
         system = (A or None, b or None, E or None, e or None)
-        warm = list(lp_solve_each(*system, objs, sense, mask))
-        cold = [lp_solve(*system, c, sense, mask) for c in objs]
+        warm = list(lp_solve_each(*system, objs, mask))
+        cold = [lp_solve(*system, c, mask) for c in objs]
         assert [(r.status, r.value) for r in warm] == [(r.status, r.value) for r in cold]
 
 
@@ -510,9 +490,9 @@ class RefTableau:
                     self.pivot(obj, i, enter)
         return None
 
-    def phase2(self, c, sign):
+    def phase2(self, c):
         T, basis, nx = self.T, self.basis, len(self.var)
-        cost = [-sign * s * c[j] for j, s in self.var] + [F(0)] * (self.width - nx)
+        cost = [-s * c[j] for j, s in self.var] + [F(0)] * (self.width - nx)
         obj = cost[:]
         for line, bv in zip(T, basis):
             for k, v in enumerate(line):
@@ -530,7 +510,7 @@ class RefTableau:
                     j, s = self.var[col]
                     ray[j] += s * coef
             return LpResult("unbounded", point=point, ray=ray)
-        y = [sign * sg * obj[self.art0 + i] for i, sg in enumerate(self.sigma)]
+        y = [sg * obj[self.art0 + i] for i, sg in enumerate(self.sigma)]
         return LpResult("optimal", value=dot(c, point), point=point,
                         dual_ineq=y[:self.mi], dual_eq=y[self.mi:])
 
@@ -563,16 +543,15 @@ class RefTableau:
         self.basis[r] = j
 
 
-def reference_each(A, b, E, e, objs, sense, nonneg):
+def reference_each(A, b, E, e, objs, nonneg):
     """lp_solve_each on the reference tableau: (results, pivots)."""
     mask = [j in nonneg for j in range(len(objs[0]))]
     tab = RefTableau(A, b, E, e, mask)
     farkas = tab.phase1()
-    sign = F(1) if sense == "max" else F(-1)
     out = []
     for c in objs:
         if farkas is None:
-            out.append(tab.phase2(c, sign))
+            out.append(tab.phase2(c))
         else:
             out.append(LpResult("infeasible", farkas_ineq=farkas[0], farkas_eq=farkas[1]))
     return out, tab.pivots
@@ -618,11 +597,11 @@ def small_lps(draw):
 
 class TestReferenceSimplex:
     @settings(max_examples=300, deadline=None)
-    @given(small_lps(), st.sampled_from(["max", "min"]))
-    def test_matches_reference(self, lp, sense):
+    @given(small_lps())
+    def test_matches_reference(self, lp):
         A, b, E, e, mask, objs = lp
-        ref, ref_pivots = reference_each(A, b, E, e, objs, sense, mask)
-        got, pivots = logged_each(A or None, b or None, E or None, e or None, objs, sense, mask)
+        ref, ref_pivots = reference_each(A, b, E, e, objs, mask)
+        got, pivots = logged_each(A or None, b or None, E or None, e or None, objs, mask)
         assert got == ref
         assert pivots == ref_pivots
 
@@ -671,7 +650,7 @@ class TestFeasibleEach:
         for e, res in zip(beqs, warm):
             cold = lp_solve(A or None, b or None, E, e, zeros, nonneg=mask)
             assert res.status == cold.status
-            _verify_lp(A, b, E, e, zeros, "max", [j in mask for j in range(n)], res)
+            _verify_lp(A, b, E, e, zeros, [j in mask for j in range(n)], res)
             if square and res.status == "optimal":
                 assert res.point == cold.point
 
