@@ -446,10 +446,10 @@ def psd_factors(n) -> PsdFactorPair:
     require(np.array_equal(inner ** 2, (1 - dots) ** 2), "rank-one factor identity")
     T = [_outer([-1] + list(map(int, bits[m]))) for m in range(size)]
     U = [_outer([1] + list(map(int, bits[m]))) for m in range(size)]
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(min(64, size * size)):
-        a = int(rng.integers(size))
-        b = int(rng.integers(size))
+        a = rng.randrange(size)
+        b = rng.randrange(size)
         frob = sum((T[a][i, j] * U[b][i, j]
                     for i in range(n + 1) for j in range(n + 1)), ZERO)
         require(frob == (1 - (a & b).bit_count()) ** 2, "sampled <T_a, U^b> = (1 - a.b)^2")

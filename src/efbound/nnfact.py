@@ -26,7 +26,8 @@ restart's T is rounded to nearby rationals by integer continued fractions;
 one exact elimination refutes a T whose span misses a column of S before
 any LP, and only a T that survives has U solved exactly in its cone.  numpy
 is imported only when the float stage runs, so a call that tries no rank
-below min(m, n) never loads it.
+below min(m, n) never loads it, and numpy.random is never loaded: the
+starts come from _uniform_floats, numpy's PCG64 stream redone in Python.
 
 The rectangle cover is a branch and bound over the maximal rectangles of
 the support, whose column sets are found as the intersection closure of the
@@ -369,13 +370,18 @@ class NmfConfig:
     Each rank tried gets `restarts` shots; a shot runs `iterations`
     multiplicative updates from its own seeded start, and its float T is
     rounded to the nearest rationals with denominators at most
-    `max_denominator`.
+    `max_denominator`.  `seed` must be >= 0 (InputError otherwise), so
+    that every start's seed + 1009 a + 9176 r is a valid generator seed.
     """
 
     seed: int = 0
     iterations: int = 400
     restarts: int = 3
     max_denominator: int = 64
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"--seed must be >= 0 for the NMF heuristic, got {self.seed}")
 
 
 @dataclass
@@ -425,27 +431,105 @@ def _nearest(x, qmax):
     return Fraction(p0 + k * p1, q0 + k * q1)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# PCG's default 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_floats(seed, count):
+    """np.random.default_rng(seed).uniform(0.1, 1.0, count), bit for bit, as
+    a list of Python floats, for an int seed >= 0.
+
+    numpy's SeedSequence hash-mixes the seed's 32-bit words, least
+    significant first, into a pool of four; generate_state(4, uint64) draws
+    (initstate, initseq) from the pool, and PCG64 (O'Neill 2014) steps its
+    128-bit LCG before each XSL-RR output x, whose double is
+    0.1 + 0.9 (x >> 11) 2^-53.  numpy.random itself is never imported.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hconst = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal hconst
+        v ^= hconst
+        hconst = hconst * 0x931E8875 & _MASK32
+        v = v * hconst & _MASK32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        v = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return v ^ v >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    hconst = 0x8B51F9DD
+    state = 0
+    for i in range(8):  # eight 32-bit words, little-endian into one integer
+        v = pool[i % 4] ^ hconst
+        hconst = hconst * 0x58F38DED & _MASK32
+        v = v * hconst & _MASK32
+        state |= (v ^ v >> 16) << 32 * i
+    # its 64-bit words u0..u3 give initstate = u0 u1 and initseq = u2 u3,
+    # high word first; seeding steps from 0 (to inc), adds initstate, steps
+    u = [state >> 64 * k & _MASK64 for k in range(4)]
+    initstate, initseq = u[0] << 64 | u[1], u[2] << 64 | u[3]
+    inc = (initseq << 1 | 1) & _MASK128
+    s = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+    out = []
+    for _ in range(count):
+        s = (s * _PCG_MULT + inc) & _MASK128
+        x = (s >> 64 ^ s) & _MASK64
+        rot = s >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append(0.1 + 0.9 * ((x >> 11) * 2.0 ** -53))
+    return out
+
+
 def _nmf_floats(V, r, cfg: NmfConfig, attempts):
     """Float W factors of the restarts in `attempts`, as one (k, m, r) stack.
 
-    Restart a draws W (m x r), then H (r x n), uniformly from [0.1, 1) with
-    default_rng(seed + 1009 a + 9176 r).  The stacks run the multiplicative
-    updates with the same products, left to right, as one restart alone, so
-    each restart's W is bit for bit the one its own loop would give.
+    Restart a draws W (m x r), then H (r x n), in one stream: the values of
+    np.random.default_rng(seed + 1009 a + 9176 r).uniform(0.1, 1.0, m r + r n),
+    from _uniform_floats.  The stacks run the multiplicative updates with the
+    same products, left to right, as one restart alone, into buffers made
+    once, so each restart's W is bit for bit the one its own loop would give.
     """
     import numpy as np
 
     m, n = V.shape
-    W = np.empty((len(attempts), m, r))
-    H = np.empty((len(attempts), r, n))
-    for k, attempt in enumerate(attempts):
-        rng = np.random.default_rng(cfg.seed + 1009 * attempt + 9176 * r)
-        W[k] = rng.uniform(0.1, 1.0, (m, r))
-        H[k] = rng.uniform(0.1, 1.0, (r, n))
+    k = len(attempts)
+    W = np.empty((k, m, r))
+    H = np.empty((k, r, n))
+    Wflat, Hflat = W.reshape(k, m * r), H.reshape(k, r * n)  # views
+    for i, attempt in enumerate(attempts):
+        draws = _uniform_floats(cfg.seed + 1009 * attempt + 9176 * r, m * r + r * n)
+        Wflat[i], Hflat[i] = draws[:m * r], draws[m * r:]
     Wt, Ht = W.transpose(0, 2, 1), H.transpose(0, 2, 1)  # views: they follow W, H
+    WtV, WtW, WtWH = np.empty((k, r, n)), np.empty((k, r, r)), np.empty((k, r, n))
+    VHt, WH, WHHt = np.empty((k, m, r)), np.empty((k, m, n)), np.empty((k, m, r))
     for _ in range(cfg.iterations):
-        H *= (Wt @ V) / (Wt @ W @ H + 1e-12)
-        W *= (V @ Ht) / (W @ H @ Ht + 1e-12)
+        np.matmul(Wt, V, out=WtV)
+        np.matmul(np.matmul(Wt, W, out=WtW), H, out=WtWH)
+        WtWH += 1e-12
+        WtV /= WtWH
+        H *= WtV
+        np.matmul(V, Ht, out=VHt)
+        np.matmul(np.matmul(W, H, out=WH), Ht, out=WHHt)
+        WHHt += 1e-12
+        VHt /= WHHt
+        W *= VHt
     return np.nan_to_num(W, nan=0.0, posinf=0.0, neginf=0.0)
 
 

@@ -549,6 +549,16 @@ class TestExitDiscipline:
                      "--out", str(tmp_path / "never.json")]) == 3
         assert not (tmp_path / "never.json").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "-9176", "-100000"])
+    def test_negative_nmf_seed_is_input_error(self, tmp_path, capsys, seed):
+        # seeds -9176..-1 once ran, as every start's seed got 9176 r >= 9176
+        # added; each negative seed is now refused before any work
+        write(tmp_path / "m.json", RationalMatrix.from_rows(_RANK2).to_json())
+        assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
+                     "--seed", seed, "--out", str(tmp_path / "nb.json")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "nb.json").exists()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -787,7 +797,8 @@ class TestEntryPoint:
     def test_numpy_loaded_only_by_nmf_and_psd(self, tmp_path):
         # importing numpy takes longer than most commands' own work, so only
         # the NMF heuristic and the PSD kernel may load it, and nnegrk-bounds
-        # only when it tries a rank
+        # only when it tries a rank; numpy.random, 6.5 MB more, no command
+        # loads: each main call's pair is [exit code, numpy.random loaded]
         d = tmp_path
         env = child_env()
         write(d / "k.json", trivial_ef(build_hard_pair(3).Q).to_json())
@@ -795,7 +806,8 @@ class TestEntryPoint:
         write(d / "id.json", RationalMatrix.identity(3).to_json())
         code = ("import json, sys\n"
                 "from efbound.cli import main\n"
-                "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                "codes = [[main(argv), 'numpy.random' in sys.modules]\n"
+                "         for argv in json.loads(sys.argv[1])]\n"
                 "print(json.dumps([codes, 'numpy' in sys.modules]))\n")
 
         def run(*argvs):
@@ -811,10 +823,11 @@ class TestEntryPoint:
                    ["corruption-scan", "--n", "3", "--eps", "1/2", "--out", "scan.json"],
                    ["udisj-shift", "--n", "3", "--rho", "2", "--out", "shift.json"],
                    ["nnegrk-bounds", "--matrix", "id.json", "--out", "nb_id.json"]
-                   ) == [[0] * 5, False]
+                   ) == [[[0, False]] * 5, False]
         assert json.loads((d / "rep.json").read_text())["ok"] is True
         assert run(["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"],
-                   ["psd-check", "--n", "2", "--out", "psd.json"]) == [[0, 0], True]
+                   ["psd-check", "--n", "2", "--out", "psd.json"]) == [[[0, False]] * 2, True]
+        assert "upper_witness" in json.loads((d / "nb.json").read_text())
         assert json.loads((d / "psd.json").read_text())["ok"] is True
 
     def test_modules_loaded_only_by_their_commands(self, tmp_path):

@@ -702,6 +702,12 @@ class TestNnegrkBounds:
         with pytest.raises(InputError):
             nnegrk_bounds(RationalMatrix.from_rows([[1, -1]]))
 
+    @pytest.mark.parametrize("seed", [-1, -100000])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="--seed"):
+            nnegrk_bounds(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]),
+                          NmfConfig(seed=seed))
+
     def test_provenance_lines(self):
         nb = nnegrk_bounds(RationalMatrix.identity(2))
         lines = nb.provenance()
@@ -759,6 +765,19 @@ class TestNmfStage:
         got = nnfact._nearest(x, q)
         assert isinstance(got, F)
         assert got == max(ZERO, F(x).limit_denominator(q))
+
+    @settings(max_examples=300, deadline=None)
+    @example(0, 600)
+    @example(2 ** 32 - 1, 1)
+    @example(2 ** 32, 7)
+    @example(2 ** 64, 64)
+    @example(2 ** 128 + 7, 600)
+    @given(st.integers(0, 2 ** 130), st.integers(1, 600))
+    def test_uniform_floats_are_numpys_stream(self, seed, count):
+        # the starts are numpy's frozen stream: should a numpy release change
+        # it, this fails and the artifacts keep the stream they had
+        want = np.random.default_rng(seed).uniform(0.1, 1.0, count).tolist()
+        assert nnfact._uniform_floats(seed, count) == want
 
     @pytest.mark.parametrize("m,n,r,restarts,seed", [
         (3, 3, 1, 1, 0), (3, 3, 2, 3, 0), (4, 6, 3, 5, 7), (6, 4, 2, 17, 3),
