@@ -551,8 +551,8 @@ class TestExitDiscipline:
 
     @pytest.mark.parametrize("seed", ["-1", "-9176", "-100000"])
     def test_negative_nmf_seed_is_input_error(self, tmp_path, capsys, seed):
-        # seeds -9176..-1 once ran, as every start's seed got 9176 r >= 9176
-        # added; each negative seed is now refused before any work
+        # a seed in -9176..-1 still gives every start a seed >= 0, as each
+        # adds 9176 r with r >= 1; it is refused all the same, before any work
         write(tmp_path / "m.json", RationalMatrix.from_rows(_RANK2).to_json())
         assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
                      "--seed", seed, "--out", str(tmp_path / "nb.json")]) == 2
@@ -797,8 +797,8 @@ class TestEntryPoint:
     def test_numpy_loaded_only_by_nmf_and_psd(self, tmp_path):
         # importing numpy takes longer than most commands' own work, so only
         # the NMF heuristic and the PSD kernel may load it, and nnegrk-bounds
-        # only when it tries a rank; numpy.random, 6.5 MB more, no command
-        # loads: each main call's pair is [exit code, numpy.random loaded]
+        # only when it tries a rank; numpy.random, several MB on top of
+        # numpy, no command loads: each call gives [exit code, loaded]
         d = tmp_path
         env = child_env()
         write(d / "k.json", trivial_ef(build_hard_pair(3).Q).to_json())
