@@ -21,7 +21,7 @@ _EXPORTS = {
                   "spectra_vertex_witness"],
     "errors": ["BudgetError", "InputError", "VerificationError", "check_deadline",
                "set_budget_ms"],
-    "nnfact": ["FactorizationCheck", "NmfConfig", "NnegrkBounds", "NonnegFactorization",
+    "nnfact": ["FactorizationCheck", "NnegrkBounds", "NonnegFactorization",
                "PreconditionError", "ef_to_factorization", "factorization_to_ef",
                "nnegrk_bounds", "rect_cover_lb", "verify_factorization"],
     "polyhedra": ["ExtendedFormulation", "HRep", "SlackMatrix", "VRep", "build_slack",

@@ -284,9 +284,7 @@ def _ef2fac(a):
 
 def _nnegrk_bounds(a):
     nnfact = _lib("nnfact")
-    cfg = nnfact.NmfConfig(seed=a.seed, iterations=a.iterations,
-                           restarts=a.restarts, max_denominator=a.max_denominator)
-    bounds = nnfact.nnegrk_bounds(a.matrix, cfg)
+    bounds = nnfact.nnegrk_bounds(a.matrix)
     out = {"op": "nnegrk_bounds", "lower": bounds.lower, "upper": bounds.upper,
            "provenance": bounds.provenance()}
     if isinstance(bounds.upper_witness, nnfact.NonnegFactorization):
@@ -488,10 +486,9 @@ _COMMANDS = {c.name: c for c in [
     _Command("ef2fac", "nonnegative factorization from a sandwiched EF",
              [EF, P, Q, OUT], _ef2fac, cert=True),
     _Command("nnegrk-bounds", "lower and upper bounds on nonnegative rank",
-             [_in("--matrix", _load_matrix), SEED,
-              ("--iterations", {"type": _positive_int, "default": 400}),
-              ("--restarts", {"type": _positive_int, "default": 3}),
-              ("--max-denominator", {"type": _positive_int, "default": 64}), OUT],
+             [_in("--matrix", _load_matrix),
+              ("--seed", dict(SEED[1], help="has no effect: the bounds are deterministic")),
+              OUT],
              _nnegrk_bounds),
     _Command("udisj-shift", "rho-shift matrix of unique disjointness",
              [N, RHO, ("--fill", {"choices": ["hardpair", "constant"], "default": "hardpair"}),

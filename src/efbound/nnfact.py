@@ -16,18 +16,13 @@ This module makes both directions executable:
 Because deciding the nonnegative rank exactly is out of reach, the bounds
 reported here are sound by construction: lower bounds come from the linear
 rank and from an exact minimum rectangle cover of the support, upper bounds
-only ever drop below min(m, n) when a candidate factorization verifies as an
-exact rational identity.  Floating-point appears solely inside the NMF
-heuristic, and anything it produces is either made exact or thrown away.
-
-The NMF heuristic runs the multiplicative updates of a chunk of restarts
-at once on stacked arrays, bit for bit as each restart alone would.  Each
-restart's T is rounded to nearby rationals by integer continued fractions;
-one exact elimination refutes a T whose span misses a column of S before
-any LP, and only a T that survives has U solved exactly in its cone.  numpy
-is imported only when the float stage runs, so a call that tries no rank
-below min(m, n) never loads it, and numpy.random is never loaded: the
-starts come from _uniform_floats, numpy's PCG64 stream redone in Python.
+only ever drop below min(m, n) through a factorization that verifies as an
+exact rational identity.  That witness is built from the extreme columns of
+S: they form the left factor, and the right one is solved exactly in their
+cone.  When they outnumber the lower bound, the extreme rows are tried the
+same way and the smaller factorization is kept.  No floating point is
+involved.  Where rank <= 2 the extreme columns number the rank, which is
+then the nonnegative rank (Cohen and Rothblum 1993).
 
 The rectangle cover is a branch and bound over the maximal rectangles of
 the support, whose column sets are found as the intersection closure of the
@@ -40,7 +35,6 @@ branch also covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetError, InputError, check_deadline, decoding, require
 from .polyhedra import (
@@ -53,7 +47,7 @@ from .polyhedra import (
     nonneg_solutions,
     tight_derivations,
 )
-from .ratlin import ONE, ZERO, RationalMatrix, _eliminate_cols, _over, dot, mat_rank, rat
+from .ratlin import ONE, ZERO, RationalMatrix, dot, mat_rank, rat
 
 
 class PreconditionError(Exception):
@@ -364,27 +358,6 @@ def rect_cover_lb(S, max_side=16) -> int:
 
 
 @dataclass
-class NmfConfig:
-    """Knobs for the floating NMF heuristic inside nnegrk_bounds.
-
-    Each rank tried gets `restarts` shots; a shot runs `iterations`
-    multiplicative updates from its own seeded start, and its float T is
-    rounded to the nearest rationals with denominators at most
-    `max_denominator`.  `seed` must be >= 0 (InputError otherwise), so
-    that every start's seed + 1009 a + 9176 r is a valid generator seed.
-    """
-
-    seed: int = 0
-    iterations: int = 400
-    restarts: int = 3
-    max_denominator: int = 64
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise InputError(f"--seed must be >= 0 for the NMF heuristic, got {self.seed}")
-
-
-@dataclass
 class NnegrkBounds:
     lower: int
     upper: int
@@ -397,200 +370,49 @@ class NnegrkBounds:
                 f"upper={self.upper} via {upper_via}"]
 
 
-# restarts whose float stage runs as one stacked array; it bounds the memory
-# of a run with many restarts and the time between two deadline polls
-_NMF_CHUNK = 16
+def _extreme_columns(S: RationalMatrix) -> NonnegFactorization:
+    """S = T U with T the extreme columns of S, in order, and U >= 0.
 
-
-def _nearest(x, qmax):
-    """max(0, Fraction(x).limit_denominator(qmax)) for a finite float x.
-
-    The same continued-fraction steps on x.as_integer_ratio(), with the
-    same tie rule: of the two best one-sided approximations with
-    denominator at most qmax, the convergent p1/q1 wins unless the
-    semiconvergent is strictly closer.
+    The cone of the columns of a nonnegative S is pointed, so its extreme
+    rays are unique.  Walking the columns in order, column j is dropped when
+    it lies in the cone of the columns kept before it and all after it; that
+    cone is the cone of S, so what is left holds each extreme ray once.  Each
+    column of S then gets u >= 0 with T u = S_j.  The product is verified
+    exactly before it is returned.
     """
-    if not x > 0:
-        return ZERO
-    n, d = x.as_integer_ratio()
-    if d <= qmax:
-        return Fraction(n, d)
-    den = d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > qmax:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (qmax - q0) // q1
-    # |p1/q1 - x| = d / (q1 den) against half the gap 1 / (q1 (q0 + k q1))
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+    m = S.rows
+    cols = [S.col(j) for j in range(S.cols)]
 
+    def matrix(vecs, rows=m):
+        return RationalMatrix(rows, len(vecs), [v[i] for i in range(rows) for v in vecs])
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# PCG's default 128-bit LCG multiplier
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uniform_floats(seed, count):
-    """np.random.default_rng(seed).uniform(0.1, 1.0, count), bit for bit, as
-    a list of Python floats, for an int seed >= 0.
-
-    numpy's SeedSequence hash-mixes the seed's 32-bit words, least
-    significant first, into a pool of four; generate_state(4, uint64) draws
-    (initstate, initseq) from the pool, and PCG64 (O'Neill 2014) steps its
-    128-bit LCG before each XSL-RR output x, whose double is
-    0.1 + 0.9 (x >> 11) 2^-53.  numpy.random itself is never imported.
-    """
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    hconst = 0x43B0D7E5
-
-    def hashmix(v):
-        nonlocal hconst
-        v ^= hconst
-        hconst = hconst * 0x931E8875 & _MASK32
-        v = v * hconst & _MASK32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        v = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return v ^ v >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    hconst = 0x8B51F9DD
-    state = 0
-    for i in range(8):  # eight 32-bit words, little-endian into one integer
-        v = pool[i % 4] ^ hconst
-        hconst = hconst * 0x58F38DED & _MASK32
-        v = v * hconst & _MASK32
-        state |= (v ^ v >> 16) << 32 * i
-    # its 64-bit words u0..u3 give initstate = u0 u1 and initseq = u2 u3,
-    # high word first; seeding steps from 0 (to inc), adds initstate, steps
-    u = [state >> 64 * k & _MASK64 for k in range(4)]
-    initstate, initseq = u[0] << 64 | u[1], u[2] << 64 | u[3]
-    inc = (initseq << 1 | 1) & _MASK128
-    s = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-    out = []
-    for _ in range(count):
-        s = (s * _PCG_MULT + inc) & _MASK128
-        x = (s >> 64 ^ s) & _MASK64
-        rot = s >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        out.append(0.1 + 0.9 * ((x >> 11) * 2.0 ** -53))
-    return out
-
-
-def _nmf_floats(V, r, cfg: NmfConfig, attempts):
-    """Float W factors of the restarts in `attempts`, as one (k, m, r) stack.
-
-    Restart a draws W (m x r), then H (r x n), in one stream: the values of
-    np.random.default_rng(seed + 1009 a + 9176 r).uniform(0.1, 1.0, m r + r n),
-    from _uniform_floats.  The stacks run the multiplicative updates with the
-    same products, left to right, as one restart alone, into buffers made
-    once, so each restart's W is bit for bit the one its own loop would give.
-    """
-    import numpy as np
-
-    m, n = V.shape
-    k = len(attempts)
-    W = np.empty((k, m, r))
-    H = np.empty((k, r, n))
-    Wflat, Hflat = W.reshape(k, m * r), H.reshape(k, r * n)  # views
-    for i, attempt in enumerate(attempts):
-        draws = _uniform_floats(cfg.seed + 1009 * attempt + 9176 * r, m * r + r * n)
-        Wflat[i], Hflat[i] = draws[:m * r], draws[m * r:]
-    Wt, Ht = W.transpose(0, 2, 1), H.transpose(0, 2, 1)  # views: they follow W, H
-    WtV, WtW, WtWH = np.empty((k, r, n)), np.empty((k, r, r)), np.empty((k, r, n))
-    VHt, WH, WHHt = np.empty((k, m, r)), np.empty((k, m, n)), np.empty((k, m, r))
-    for _ in range(cfg.iterations):
-        np.matmul(Wt, V, out=WtV)
-        np.matmul(np.matmul(Wt, W, out=WtW), H, out=WtWH)
-        WtWH += 1e-12
-        WtV /= WtWH
-        H *= WtV
-        np.matmul(V, Ht, out=VHt)
-        np.matmul(np.matmul(W, H, out=WH), Ht, out=WHHt)
-        WHHt += 1e-12
-        VHt /= WHHt
-        W *= VHt
-    return np.nan_to_num(W, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-def _int_columns(M: RationalMatrix):
-    """The rows of M with each column scaled to ints by the lcm of its
-    denominators.  Scaling a column by a nonzero number keeps its span."""
-    cols = [_over(M.col(j))[0] for j in range(M.cols)]
-    return [[c[i] for c in cols] for i in range(M.rows)]
-
-
-def _outside_span(T: RationalMatrix, s_rows):
-    """Whether some column of S, given as _int_columns(S), lies outside the
-    column span of T.  Then T U = S has no solution at all, let alone one
-    with U >= 0.  One Bareiss pass over [T | S] pivots in T's columns only;
-    a nonzero left in S's columns below rank(T) is the refutation."""
-    rows = [t + s for t, s in zip(_int_columns(T), s_rows)]
-    rank = _eliminate_cols(rows, T.cols)
-    return any(any(row[T.cols:]) for row in rows[rank:])
-
-
-def _nmf_attempt(S: RationalMatrix, V, s_rows, r, cfg: NmfConfig):
-    """One heuristic shot at a verified rank-r factorization of S, whose
-    float copy is V and whose columns, scaled to ints, are s_rows.
-
-    The float stage runs a chunk of restarts at a time.  Then each restart,
-    in order, gets the exact completion: T is rounded by continued
-    fractions; a T whose span misses a column of S is refuted by one exact
-    elimination, with no LP; otherwise U is solved exactly column by column
-    in cone(T).  The first restart whose U exists wins, and only exactly
-    verified results escape this function.
-    """
-    m, n = S.rows, S.cols
-    for start in range(0, cfg.restarts, _NMF_CHUNK):
+    kept = []
+    for j, col in enumerate(cols):
         check_deadline()
-        stack = _nmf_floats(V, r, cfg, range(start, min(start + _NMF_CHUNK, cfg.restarts)))
-        for Wf in stack.tolist():
-            check_deadline()
-            T = RationalMatrix(m, r, [_nearest(x, cfg.max_denominator) for row in Wf for x in row])
-            if _outside_span(T, s_rows):
-                continue
-            cols = []
-            for status, u in nonneg_solutions(T, (S.col(j) for j in range(n))):
-                if status != "ok":
-                    break
-                cols.append(u)
-            if len(cols) == n:
-                U = RationalMatrix(r, n, [cols[j][k] for k in range(r) for j in range(n)])
-                fac = NonnegFactorization(T, U)
-                if verify_factorization(S, fac):
-                    return fac
-    return None
+        status, _ = next(nonneg_solutions(matrix(kept + cols[j + 1:]), [col]))
+        if status != "ok":
+            kept.append(col)
+    us = []
+    for status, u in nonneg_solutions(matrix(kept), cols):
+        require(status == "ok", "every column lies in the cone of the extreme columns")
+        us.append(u)
+    fac = NonnegFactorization(matrix(kept), matrix(us, len(kept)))
+    check = verify_factorization(S, fac)
+    require(check, f"the extreme-column factorization verifies ({check.reason})")
+    return fac
 
 
-def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
+def nnegrk_bounds(S) -> NnegrkBounds:
     """Sound lower and upper bounds on the nonnegative rank of S.
 
-    lower = max(linear rank, exact rectangle cover of the support); upper is
-    min(rows, cols) unless the NMF heuristic finds a factorization that
-    verifies exactly, in which case that rank (witnessed) is reported.  A
-    support too large for the exact cover degrades to its partial fooling
-    bound rather than failing the whole call; the deadline still raises.
+    lower = max(linear rank, exact rectangle cover of the support).  Unless
+    lower already is min(rows, cols), the extreme columns of S give an exact
+    factorization, and when their number stays above lower so do the extreme
+    rows; the smaller of the two, if below min(rows, cols), is the upper
+    bound with its witness.  For rank <= 2 the extreme columns number the
+    rank, so there upper = rank.  A support too large for the exact cover
+    degrades to its partial fooling bound rather than failing the whole call;
+    the deadline still raises.
     """
     if not isinstance(S, RationalMatrix):
         S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
@@ -598,7 +420,6 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
         raise InputError("nonnegative rank is defined for nonnegative matrices only")
     if S.rows == 0 or S.cols == 0 or all(x == 0 for row in S.tolist() for x in row):
         return NnegrkBounds(0, 0, "rank", "trivial")
-    cfg = config or NmfConfig()
     rank = mat_rank(S)
     try:
         cover = rect_cover_lb(S)
@@ -610,17 +431,13 @@ def nnegrk_bounds(S, config: NmfConfig | None = None) -> NnegrkBounds:
     lower_witness = "rectangle-cover" if cover > rank else "rank"
     upper = min(S.rows, S.cols)
     upper_witness = "trivial"
-    ranks = range(max(lower, 1), upper)
-    if ranks:
-        import numpy as np
-
-        V = np.array([[float(x) for x in row] for row in S.tolist()])
-        s_rows = _int_columns(S)
-        for r in ranks:
-            fac = _nmf_attempt(S, V, s_rows, r, cfg)
-            if fac is not None:
-                upper = r
-                upper_witness = fac
-                break
+    if lower < upper:
+        fac = _extreme_columns(S)
+        if fac.rank > lower:
+            rows = _extreme_columns(S.transpose())
+            fac = min(fac, NonnegFactorization(rows.U.transpose(), rows.T.transpose()),
+                      key=lambda f: f.rank)
+        if fac.rank < upper:
+            upper, upper_witness = fac.rank, fac
     require(lower <= upper, "lower bound <= upper bound")
     return NnegrkBounds(lower, upper, lower_witness, upper_witness)

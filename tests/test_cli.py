@@ -467,34 +467,24 @@ class TestExitDiscipline:
         assert rc == 3
         assert not (tmp_path / "never.json").exists()
 
-    def test_budget_reaches_nmf_restarts(self, tmp_path, monkeypatch):
-        # rank 2 < 3 = upper, so the NMF loop runs; every exact completion
-        # outlasts the budget without polling it and none verifies, so only
-        # the poll at the next NMF restart can stop the run
-        from efbound import nnfact
+    def test_budget_reaches_cone_pass(self, tmp_path, monkeypatch):
+        # rank 2 < 3 = min(m, n), so the extreme-column pass runs; its first
+        # column outlasts the budget after its LP, so only the poll before
+        # the next column can stop the pass
+        calls = []
+        genuine = nnfact.nonneg_solutions
 
-        def slow_completion(T, rhss):
+        def slow(F, rhss):
+            calls.append(F)
+            results = list(genuine(F, rhss))
             time.sleep(0.3)
-            return iter([("no", None)])
-        monkeypatch.setattr(nnfact, "nonneg_solutions", slow_completion)
-        monkeypatch.setattr(nnfact, "verify_factorization", lambda S, fac: False)
-        write(tmp_path / "m.json",
-              RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]).to_json())
+            return iter(results)
+        monkeypatch.setattr(nnfact, "nonneg_solutions", slow)
+        write(tmp_path / "m.json", RationalMatrix.from_rows(_RANK2).to_json())
         rc = main(["--budget-ms", "200", "nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
-                   "--restarts", "3", "--out", str(tmp_path / "never.json")])
+                   "--out", str(tmp_path / "never.json")])
         assert rc == 3
-        assert not (tmp_path / "never.json").exists()
-
-    def test_budget_polled_between_nmf_chunks(self, tmp_path):
-        # restarts run in fixed chunks with a poll before each chunk and each
-        # completion, so a huge --restarts neither outlasts the budget nor
-        # allocates its float stage at once
-        assert main(["hardpair-slack", "--n", "3", "--out", str(tmp_path / "s.json")]) == 0
-        start = time.perf_counter()
-        rc = main(["--budget-ms", "50", "nnegrk-bounds", "--matrix", str(tmp_path / "s.json"),
-                   "--restarts", "100000", "--out", str(tmp_path / "never.json")])
-        assert rc == 3
-        assert time.perf_counter() - start < 5
+        assert len(calls) == 1
         assert not (tmp_path / "never.json").exists()
 
     def test_budget_checked_after_the_command(self, pair_files, monkeypatch):
@@ -548,16 +538,6 @@ class TestExitDiscipline:
         assert main(["corruption-scan", "--n", "3", "--eps", "1/2",
                      "--out", str(tmp_path / "never.json")]) == 3
         assert not (tmp_path / "never.json").exists()
-
-    @pytest.mark.parametrize("seed", ["-1", "-9176", "-100000"])
-    def test_negative_nmf_seed_is_input_error(self, tmp_path, capsys, seed):
-        # a seed in -9176..-1 still gives every start a seed >= 0, as each
-        # adds 9176 r with r >= 1; it is refused all the same, before any work
-        write(tmp_path / "m.json", RationalMatrix.from_rows(_RANK2).to_json())
-        assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
-                     "--seed", seed, "--out", str(tmp_path / "nb.json")]) == 2
-        assert "--seed" in capsys.readouterr().err
-        assert not (tmp_path / "nb.json").exists()
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
@@ -721,33 +701,28 @@ def test_lp_artifacts_pinned(lp_artifacts, name):
     assert hashlib.sha256((lp_artifacts / name).read_bytes()).hexdigest() == PINNED_LP[name]
 
 
-# sha256 of nnegrk-bounds reports as written by the per-restart NMF loop with
-# Fraction.limit_denominator rounding; they fix the float stage's bits, the
-# restart order and the rounding of T.  All but "rank2_tuned" carry an
-# upper_witness (7 iterations at seed 5 find none); "rank2_den8" finds its
-# witness at a later restart.
+# sha256 of nnegrk-bounds reports whose witness is made of the extreme
+# columns of S; they fix the order of those columns and the LP solutions
+# that make U.  "rank3_dupcol" repeats a column, which is not extreme, so its
+# witness has rank 3 < 4.
 _RANK2 = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
 PINNED_NNEGRK = {
-    "rank2": (_RANK2, [],
-              "93fa2c80908c97d29d3fe2e8e342c64e8b649217fae62f01eccf0bc7ba02f3ae"),
-    "rank2_tuned": (_RANK2, ["--seed", "5", "--iterations", "7"],
-                    "8bd5a84e83b456d2938849c9f00502e6b69fbd4cced34f1e41ddc4d7d777dd93"),
-    "ones4": ([[1] * 4] * 4, [],
-              "7089e98bf5cd63ad0f937523d293396d857296f89276e649e2b615d97b21c05c"),
-    "ones4_den8": ([[1] * 4] * 4, ["--restarts", "5", "--max-denominator", "8"],
-                   "fc835f5226be5093ea3601c16f0455c6407e877edffd53e78d90f1388cde30fc"),
-    "rank2_den8": (_RANK2, ["--seed", "3", "--restarts", "5", "--max-denominator", "8"],
-                   "054263044be0208912c61e906367a2110eba5574c9ca849e7ab1bc4e5a43cd1e"),
+    "rank2": (_RANK2,
+              "1ecf14b4d6d2752bd9166a0aca4dac43e84cc3545e42a45433a28546ff8756bd"),
+    "ones4": ([[1] * 4] * 4,
+              "47931daa51bf2c12e7678bb55f59509a56041762280d8bdb6c01c228bd96d8fe"),
+    "rank3_dupcol": ([[1, 4, 1, 4], [2, 4, 2, 5], [2, 0, 2, 6], [0, 4, 0, 1]],
+                     "e15704d8547343b2b517610989a3e8d6927f805953967a3e439626831d4b5ab8"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_NNEGRK))
 def test_nnegrk_witnesses_pinned(tmp_path, name):
-    rows, options, digest = PINNED_NNEGRK[name]
+    rows, digest = PINNED_NNEGRK[name]
     write(tmp_path / "m.json", RationalMatrix.from_rows(rows).to_json())
     out = tmp_path / "nb.json"
     assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
-                 "--out", str(out)] + options) == 0
+                 "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -755,15 +730,11 @@ class TestParserReuse:
     """main builds its parser once per process; no call may leak into the next."""
 
     def test_options_do_not_carry_over(self, tmp_path):
-        # rank 2 < 3 = upper: the NMF runs, and 7 iterations find no witness
-        # where the default 400 do
         d = tmp_path
-        write(d / "m.json",
-              RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]).to_json())
-        default = ["nnegrk-bounds", "--matrix", str(d / "m.json")]
+        default = ["udisj-shift", "--n", "3", "--rho", "2"]
         cli._build_parser.cache_clear()
         assert main(default + ["--out", str(d / "alone.json")]) == 0
-        assert main(default + ["--seed", "5", "--iterations", "7",
+        assert main(default + ["--fill", "constant", "--fill-value", "3",
                                "--out", str(d / "tuned.json")]) == 0
         assert main(default + ["--out", str(d / "after.json")]) == 0
         assert (d / "tuned.json").read_bytes() != (d / "alone.json").read_bytes()
@@ -794,10 +765,9 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         SlackMatrix.from_json(json.loads(out.read_text()))
 
-    def test_numpy_loaded_only_by_nmf_and_psd(self, tmp_path):
+    def test_numpy_loaded_only_by_psd(self, tmp_path):
         # importing numpy takes longer than most commands' own work, so only
-        # the NMF heuristic and the PSD kernel may load it, and nnegrk-bounds
-        # only when it tries a rank; numpy.random, several MB on top of
+        # the PSD kernel may load it; numpy.random, several MB on top of
         # numpy, no command loads: each call gives [exit code, loaded]
         d = tmp_path
         env = child_env()
@@ -822,12 +792,12 @@ class TestEntryPoint:
                     "--ef", "k.json", "--out", "rep.json"],
                    ["corruption-scan", "--n", "3", "--eps", "1/2", "--out", "scan.json"],
                    ["udisj-shift", "--n", "3", "--rho", "2", "--out", "shift.json"],
-                   ["nnegrk-bounds", "--matrix", "id.json", "--out", "nb_id.json"]
-                   ) == [[[0, False]] * 5, False]
+                   ["nnegrk-bounds", "--matrix", "id.json", "--out", "nb_id.json"],
+                   ["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"]
+                   ) == [[[0, False]] * 6, False]
         assert json.loads((d / "rep.json").read_text())["ok"] is True
-        assert run(["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"],
-                   ["psd-check", "--n", "2", "--out", "psd.json"]) == [[[0, False]] * 2, True]
         assert "upper_witness" in json.loads((d / "nb.json").read_text())
+        assert run(["psd-check", "--n", "2", "--out", "psd.json"]) == [[[0, False]], True]
         assert json.loads((d / "psd.json").read_text())["ok"] is True
 
     def test_modules_loaded_only_by_their_commands(self, tmp_path):
@@ -947,9 +917,6 @@ CLI_SURFACE = {
     "nnegrk-bounds": {
         "--matrix": ("matrix", True, None, None, None),
         "--seed": ("seed", False, 0, None, "int"),
-        "--iterations": ("iterations", False, 400, None, "_positive_int"),
-        "--restarts": ("restarts", False, 3, None, "_positive_int"),
-        "--max-denominator": ("max_denominator", False, 64, None, "_positive_int"),
         "--out": ("out", False, None, None, None),
     },
     "udisj-shift": {

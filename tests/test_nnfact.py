@@ -5,14 +5,12 @@ import os
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction as F
 from itertools import combinations, product
 from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efbound import (
@@ -36,7 +34,6 @@ from efbound import cli, nnfact, polyhedra
 from efbound.errors import set_budget_ms
 from efbound.nnfact import (
     FactorizationCheck,
-    NmfConfig,
     NonnegFactorization,
     PreconditionError,
     _fooling_at_least,
@@ -641,6 +638,12 @@ class TestInternalChecks:
         with pytest.raises(VerificationError):
             nnegrk_bounds(RationalMatrix.identity(3))
 
+    def test_extreme_column_factorization_is_checked(self, monkeypatch):
+        monkeypatch.setattr(nnfact, "verify_factorization",
+                            lambda S, fac: FactorizationCheck(False, "planted"))
+        with pytest.raises(VerificationError, match="planted"):
+            nnegrk_bounds(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
+
     def test_bounds_order_checked_under_python_O(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(nnfact.__file__)))
         code = (
@@ -675,7 +678,7 @@ class TestNnegrkBounds:
     def test_hard_pair_n3(self):
         P, Q = hard_pair(3)
         S = build_slack(P, Q).full()
-        nb = nnegrk_bounds(S, NmfConfig(iterations=60, restarts=1))
+        nb = nnegrk_bounds(S)
         assert nb.lower == 7  # max of rank 7 and cover 7, both frozen by oracle
         assert 7 <= nb.upper <= 8
         assert nb.lower >= 7
@@ -702,12 +705,6 @@ class TestNnegrkBounds:
         with pytest.raises(InputError):
             nnegrk_bounds(RationalMatrix.from_rows([[1, -1]]))
 
-    @pytest.mark.parametrize("seed", [-1, -100000])
-    def test_negative_seed_rejected(self, seed):
-        with pytest.raises(InputError, match="--seed"):
-            nnegrk_bounds(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]),
-                          NmfConfig(seed=seed))
-
     def test_provenance_lines(self):
         nb = nnegrk_bounds(RationalMatrix.identity(2))
         lines = nb.provenance()
@@ -728,151 +725,42 @@ class TestNnegrkBounds:
                 assert verify_factorization(S, nb.upper_witness)
                 assert nb.upper == nb.upper_witness.rank
 
-
-def reference_floats(V, r, cfg, attempt):
-    """The float stage of one restart alone, as the per-restart loop ran it:
-    W, then H, drawn from its own generator, 2-D products left to right."""
-    m, n = V.shape
-    rng = np.random.default_rng(cfg.seed + 1009 * attempt + 9176 * r)
-    W = rng.uniform(0.1, 1.0, (m, r))
-    H = rng.uniform(0.1, 1.0, (r, n))
-    for _ in range(cfg.iterations):
-        H *= (W.T @ V) / (W.T @ W @ H + 1e-12)
-        W *= (V @ H.T) / (W @ H @ H.T + 1e-12)
-    return np.nan_to_num(W, nan=0.0, posinf=0.0, neginf=0.0)
-
-
-class TestNmfStage:
-    """The batched float stage, the integer rounding and the span refutation
-    against the per-restart loop and Fraction.limit_denominator."""
-
-    @settings(max_examples=1500, deadline=None)
-    @example(0.0, 7)
-    @example(-0.0, 7)
-    @example(5e-324, 1)
-    @example(-5e-324, 1000)
-    @example(0.5, 1)
-    @example(2.5, 1)
-    @example(1.0, 64)
-    @example(2.0 ** 62, 2)
-    @example(1e308, 1000)
-    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                     st.floats(min_value=2.0 ** 60, max_value=1e300),
-                     st.integers(-2 ** 70, 2 ** 70).map(float),
-                     st.fractions(min_value=-3, max_value=3).map(float)),
-           st.integers(1, 1000))
-    def test_nearest_is_limit_denominator(self, x, q):
-        got = nnfact._nearest(x, q)
-        assert isinstance(got, F)
-        assert got == max(ZERO, F(x).limit_denominator(q))
-
-    @settings(max_examples=300, deadline=None)
-    @example(0, 600)
-    @example(2 ** 32 - 1, 1)
-    @example(2 ** 32, 7)
-    @example(2 ** 64, 64)
-    @example(2 ** 128 + 7, 600)
-    @given(st.integers(0, 2 ** 130), st.integers(1, 600))
-    def test_uniform_floats_are_numpys_stream(self, seed, count):
-        # the starts are numpy's frozen stream: should a numpy release change
-        # it, this fails and the artifacts keep the stream they had
-        want = np.random.default_rng(seed).uniform(0.1, 1.0, count).tolist()
-        assert nnfact._uniform_floats(seed, count) == want
-
-    @pytest.mark.parametrize("m,n,r,restarts,seed", [
-        (3, 3, 1, 1, 0), (3, 3, 2, 3, 0), (4, 6, 3, 5, 7), (6, 4, 2, 17, 3),
-        (8, 8, 7, 33, 11), (5, 9, 4, 16, 2), (16, 16, 11, 3, 5)])
-    def test_batched_floats_match_per_restart_loop(self, m, n, r, restarts, seed):
-        rng = random.Random(seed)
-        V = np.array([[float(rng.randint(0, 9)) for _ in range(n)] for _ in range(m)])
-        cfg = NmfConfig(seed=seed, iterations=60, restarts=restarts)
-        chunk = nnfact._NMF_CHUNK
-        batched = np.concatenate([
-            nnfact._nmf_floats(V, r, cfg, range(start, min(start + chunk, restarts)))
-            for start in range(0, restarts, chunk)])
-        assert batched.shape == (restarts, m, r)
-        for attempt in range(restarts):
-            ref = reference_floats(V, r, cfg, attempt)
-            assert batched[attempt].tobytes() == ref.tobytes(), attempt
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
-    def test_chunk_size_keeps_the_witness(self, monkeypatch, chunk):
-        # the witness of seed 3 comes from a later restart, so with small
-        # chunks it lies beyond the first one
-        S = RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-        cfg = NmfConfig(seed=3, restarts=5, max_denominator=8)
-        want = nnegrk_bounds(S, cfg).upper_witness.to_json()
-        monkeypatch.setattr(nnfact, "_NMF_CHUNK", chunk)
-        assert nnegrk_bounds(S, cfg).upper_witness.to_json() == want
-
-    def test_outside_span_by_rank(self):
-        def outside(T, S):
-            return nnfact._outside_span(T, nnfact._int_columns(S))
-        T = RationalMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
-        assert not outside(T, RationalMatrix.from_rows([[1], [2], [0]]))
-        assert outside(T, RationalMatrix.from_rows([[1], [2], [3]]))
-        # T has rank 1 < r = 2: [T | S] has rank 2 = r, yet S is outside span(T)
-        T = RationalMatrix.from_rows([[1, 0], [0, 0], [0, 0]])
-        assert outside(T, RationalMatrix.from_rows([[0], [1], [0]]))
-        assert not outside(T, RationalMatrix.from_rows([[3], [0], [0]]))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_outside_span_matches_two_ranks(self, data):
-        # T = A B has rank at most k <= r, so rank-deficient T are common;
-        # S is either in span(T) by construction or drawn freely
-        m, r, k, n = (data.draw(st.integers(1, hi)) for hi in (5, 4, 4, 4))
-        k = min(k, r)
-        entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-        def matrix(rows, cols):
-            return RationalMatrix.from_rows(
-                data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                                   min_size=rows, max_size=rows)))
-        T = matrix(m, k) @ matrix(k, r)
-        S = T @ matrix(r, n) if data.draw(st.booleans()) else matrix(m, n)
-        by_ranks = mat_rank(RationalMatrix.hstack([T, S])) > mat_rank(T)
-        assert nnfact._outside_span(T, nnfact._int_columns(S)) == by_ranks
-
-    @pytest.mark.parametrize("S,found", [
-        (hardpair_slack(4, 2).full(), False),
-        (RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]), True)])
-    def test_lps_only_after_the_span_test(self, monkeypatch, S, found):
-        calls = []
-        genuine = nnfact.nonneg_solutions
-
-        def spy(T, rhss):
-            calls.append(T)
-            return genuine(T, rhss)
-        monkeypatch.setattr(nnfact, "nonneg_solutions", spy)
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_repeated_row_is_not_extreme(self, transpose):
+        # row 3 repeats row 0 and all four columns are extreme, so the
+        # witness comes from the three extreme rows; transposed, from the
+        # three extreme columns
+        S = RationalMatrix.from_rows([[3, 1, 3, 0], [1, 3, 3, 1], [2, 1, 1, 3], [3, 1, 3, 0]])
+        assert nnfact._extreme_columns(S).rank == 4
+        S = S.transpose() if transpose else S
         nb = nnegrk_bounds(S)
-        assert isinstance(nb.upper_witness, NonnegFactorization) == found
-        if found:
-            assert calls  # the witness's U comes from the LPs
-        else:
-            assert calls == []  # every attempt is refuted by rank
-        assert all(not nnfact._outside_span(T, nnfact._int_columns(S)) for T in calls)
+        assert (nb.lower, nb.upper) == (3, 3)
+        assert verify_factorization(S, nb.upper_witness)
 
-    def test_deadline_polled_before_each_chunk(self, monkeypatch):
-        # restart 0's completion outlasts the budget; the poll before the next
-        # chunk stops the run before that chunk's float stage
-        stages = []
-        genuine = nnfact._nmf_floats
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_extreme_columns_of_products(self, data):
+        # S = T U of small nonnegative ints: the witness verifies, rank <= 2
+        # is met exactly, and a zero column or a positive multiple of a
+        # column, inserted anywhere, leaves the upper bound as it is
+        m, r, n = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 6), (1, 4), (1, 6)))
 
-        def counted(V, r, cfg, attempts):
-            stages.append(attempts)
-            return genuine(V, r, cfg, attempts)
-
-        def slow_completion(T, rhss):
-            time.sleep(0.3)
-            return iter([("no", None)])
-        monkeypatch.setattr(nnfact, "_NMF_CHUNK", 1)
-        monkeypatch.setattr(nnfact, "_nmf_floats", counted)
-        monkeypatch.setattr(nnfact, "nonneg_solutions", slow_completion)
-        set_budget_ms(200)
-        try:
-            with pytest.raises(BudgetError):
-                nnegrk_bounds(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
-        finally:
-            set_budget_ms(None)
-        assert stages == [range(0, 1)]
+        def ints(rows, cols):
+            return RationalMatrix.from_rows(data.draw(st.lists(
+                st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+                min_size=rows, max_size=rows)))
+        S = ints(m, r) @ ints(r, n)
+        nb = nnegrk_bounds(S)
+        assert nb.lower <= nb.upper
+        if isinstance(nb.upper_witness, NonnegFactorization):
+            assert nb.upper == nb.upper_witness.rank
+            assert verify_factorization(S, nb.upper_witness)
+        rank = mat_rank(S)
+        if rank <= 2:
+            assert nb.upper == rank
+        scale = data.draw(st.fractions(min_value=F(1, 4), max_value=4).filter(bool))
+        for extra in ([ZERO] * m, [scale * x for x in S.col(data.draw(st.integers(0, n - 1)))]):
+            cols = [S.col(j) for j in range(n)]
+            cols.insert(data.draw(st.integers(0, n)), extra)
+            wider = RationalMatrix(m, n + 1, [c[i] for i in range(m) for c in cols])
+            assert nnegrk_bounds(wider).upper == nb.upper
