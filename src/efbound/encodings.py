@@ -4,10 +4,7 @@ cones, and the rank-one PSD factor families.
 Vectors a, b range over {0,1}^n and are handled as bitmasks (LSB = index 1)
 or 0/1 sequences interchangeably.  Matrix variables are vectorized row-major
 into R^(n^2) and every matrix inner product is Frobenius.  All constructions
-are exact; the one numpy kernel, in psd_factors, works on small integers
-where int64 arithmetic is exact, and a sampled rational cross-check ties it
-back to the Fraction world.  numpy is imported there, not at module level,
-so no other construction loads it.
+and checks are exact.
 """
 
 from __future__ import annotations
@@ -429,30 +426,38 @@ def psd_factors(n) -> PsdFactorPair:
 
         <T_a, U^b> = (1 - a.b)^2   for all 4^n pairs, 1 <= n <= 10,
 
-    with an exact int64 kernel (entries are tiny integers), plus a sampled
-    rational cross-check against the stored matrices.
+    exactly, on the matrices returned.  Every entry lies in {-1, 0, 1} and
+    U^b >= 0, both checked, so each matrix is read as two bitmasks of its
+    row-major +1 and -1 positions, and each product is a difference of two
+    popcounts.
     """
     ground_size(n, limit=10)
-    import numpy as np
-
     size = 1 << n
-    bits = np.array([[(m >> i) & 1 for i in range(n)] for m in range(size)],
-                    dtype=np.int64)
-    V = np.hstack([np.full((size, 1), -1, dtype=np.int64), bits])  # rows (-1; a)
-    W = np.hstack([np.ones((size, 1), dtype=np.int64), bits])      # rows (1; b)
-    # <v v^T, w w^T> = (v.w)^2; all magnitudes <= (n+1)^2, exact in int64
-    inner = V @ W.T
-    dots = bits @ bits.T
-    require(np.array_equal(inner ** 2, (1 - dots) ** 2), "rank-one factor identity")
-    T = [_outer([-1] + list(map(int, bits[m]))) for m in range(size)]
-    U = [_outer([1] + list(map(int, bits[m]))) for m in range(size)]
-    rng = random.Random(0)
-    for _ in range(min(64, size * size)):
-        a = rng.randrange(size)
-        b = rng.randrange(size)
-        frob = sum((T[a][i, j] * U[b][i, j]
-                    for i in range(n + 1) for j in range(n + 1)), ZERO)
-        require(frob == (1 - (a & b).bit_count()) ** 2, "sampled <T_a, U^b> = (1 - a.b)^2")
+    T = [_outer([-1] + _bits(m, n)) for m in range(size)]
+    U = [_outer([1] + _bits(m, n)) for m in range(size)]
+
+    def signs(M):
+        plus = minus = 0
+        for k, x in enumerate(_vec(M)):
+            if x == 1:
+                plus |= 1 << k
+            elif x == -1:
+                minus |= 1 << k
+            else:
+                require(x == 0, "factor entries lie in {-1, 0, 1}")
+        return plus, minus
+
+    u_plus = []
+    for M in U:
+        plus, minus = signs(M)
+        require(not minus, "U^b >= 0")
+        u_plus.append(plus)
+    for a, M in enumerate(T):
+        check_deadline()
+        plus, minus = signs(M)
+        require([(plus & u).bit_count() - (minus & u).bit_count() for u in u_plus]
+                == [(1 - (a & b).bit_count()) ** 2 for b in range(size)],
+                "<T_a, U^b> = (1 - a.b)^2")
     return PsdFactorPair(n, T, U)
 
 

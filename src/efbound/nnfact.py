@@ -47,7 +47,7 @@ from .polyhedra import (
     nonneg_solutions,
     tight_derivations,
 )
-from .ratlin import ONE, ZERO, RationalMatrix, dot, mat_rank, rat
+from .ratlin import ONE, ZERO, RationalMatrix, dot, mat_rank
 
 
 class PreconditionError(Exception):
@@ -109,7 +109,7 @@ def verify_factorization(S, fac: NonnegFactorization) -> FactorizationCheck:
     mismatch, so a failing candidate costs no full product.
     """
     if not isinstance(S, RationalMatrix):
-        S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
+        S = RationalMatrix.from_rows(S)
     if fac.T.rows != S.rows or fac.U.cols != S.cols:
         raise InputError(
             f"factorization shape {fac.T.rows}x{fac.U.cols} does not match "
@@ -273,7 +273,7 @@ def rect_cover_lb(S, max_side=16) -> int:
     best cheap bound found (a greedy fooling set, row-major).
     """
     if not isinstance(S, RationalMatrix):
-        S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
+        S = RationalMatrix.from_rows(S)
     rowmasks = _support_masks(S)
     cells = [(i, j) for i in range(S.rows) for j in range(S.cols) if S[i, j] != 0]
     if not cells:
@@ -415,7 +415,7 @@ def nnegrk_bounds(S) -> NnegrkBounds:
     the deadline still raises.
     """
     if not isinstance(S, RationalMatrix):
-        S = RationalMatrix.from_rows([[rat(x) for x in row] for row in S])
+        S = RationalMatrix.from_rows(S)
     if not S.is_nonneg():
         raise InputError("nonnegative rank is defined for nonnegative matrices only")
     if S.rows == 0 or S.cols == 0 or all(x == 0 for row in S.tolist() for x in row):

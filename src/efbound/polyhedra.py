@@ -81,8 +81,7 @@ class HRep:
         self.dim = int(dim)
         if self.dim < 1:
             raise InputError("dimension must be at least 1")
-        self.A = A if isinstance(A, RationalMatrix) else RationalMatrix.from_rows(
-            [[rat(x) for x in row] for row in A])
+        self.A = A if isinstance(A, RationalMatrix) else RationalMatrix.from_rows(A)
         self.b = _vec(b, self.A.rows, "b")
         if self.A.rows and self.A.cols != self.dim:
             raise InputError(f"A has {self.A.cols} columns, expected {self.dim}")

@@ -64,11 +64,14 @@ def rat(x) -> Fraction:
 
     Accepts Fraction, int, and strings like "3", "-7/2".  Floats are
     rejected: a float argument almost always means the caller already lost
-    exactness upstream.
+    exactness upstream.  Bools are rejected too, so JSON true/false is not
+    read as 1/0.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
+        if isinstance(x, bool):
+            raise InputError(f"refusing bool {x!r}; pass an int, Fraction, or 'p/q' string")
         return Fraction(x)
     if isinstance(x, float):
         raise InputError(f"refusing float {x!r}; pass an int, Fraction, or 'p/q' string")
@@ -309,35 +312,26 @@ def mat_rank(M) -> int:
 
     Denominators are cleared per row first (row scaling preserves rank), so
     the elimination runs on integers and the exact divisions stay exact.
+    The deadline is polled once per pivot column.
     """
-    rows, _, n = _as_row_lists(M)
-    return _eliminate_cols([_over(r)[0] for r in rows], n)
-
-
-def _eliminate_cols(irows, ncols):
-    """Fraction-free Bareiss elimination, in place, of the int rows irows,
-    pivoting in their first ncols columns only; returns the rank of those
-    columns.  Every column is updated, so afterwards the rows from the rank
-    on are zero in the first ncols columns, and nonzero in a later column
-    exactly when it lies outside the span of the first ncols.
-    """
-    m = len(irows)
+    rows, m, n = _as_row_lists(M)
+    irows = [_over(r)[0] for r in rows]
     prev = 1
     rank = 0
-    for col in range(ncols):
+    for col in range(n):
+        check_deadline()
         piv = next((i for i in range(rank, m) if irows[i][col]), None)
         if piv is None:
             continue
         irows[rank], irows[piv] = irows[piv], irows[rank]
-        p = irows[rank][col]
-        for i in range(rank + 1, m):
-            ric = irows[i][col]
-            ri, rr = irows[i], irows[rank]
-            for j in range(col + 1, len(ri)):
+        rr = irows[rank]
+        p = rr[col]
+        for ri in irows[rank + 1:]:
+            ric = ri[col]
+            for j in range(col + 1, n):
                 # one-step Bareiss update; the division by the previous
                 # pivot is exact
                 ri[j] = (ri[j] * p - ric * rr[j]) // prev
-            ri[col] = 0
         prev = p
         rank += 1
         if rank == m:

@@ -765,10 +765,9 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         SlackMatrix.from_json(json.loads(out.read_text()))
 
-    def test_numpy_loaded_only_by_psd(self, tmp_path):
-        # importing numpy takes longer than most commands' own work, so only
-        # the PSD kernel may load it; numpy.random, several MB on top of
-        # numpy, no command loads: each call gives [exit code, loaded]
+    def test_no_command_loads_numpy(self, tmp_path):
+        # efbound runs on the standard library alone, so no command loads
+        # numpy or numpy.random: each call gives [exit code, loaded]
         d = tmp_path
         env = child_env()
         write(d / "k.json", trivial_ef(build_hard_pair(3).Q).to_json())
@@ -793,11 +792,11 @@ class TestEntryPoint:
                    ["corruption-scan", "--n", "3", "--eps", "1/2", "--out", "scan.json"],
                    ["udisj-shift", "--n", "3", "--rho", "2", "--out", "shift.json"],
                    ["nnegrk-bounds", "--matrix", "id.json", "--out", "nb_id.json"],
-                   ["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"]
-                   ) == [[[0, False]] * 6, False]
+                   ["nnegrk-bounds", "--matrix", "rank2.json", "--out", "nb.json"],
+                   ["psd-check", "--n", "2", "--out", "psd.json"]
+                   ) == [[[0, False]] * 7, False]
         assert json.loads((d / "rep.json").read_text())["ok"] is True
         assert "upper_witness" in json.loads((d / "nb.json").read_text())
-        assert run(["psd-check", "--n", "2", "--out", "psd.json"]) == [[[0, False]], True]
         assert json.loads((d / "psd.json").read_text())["ok"] is True
 
     def test_modules_loaded_only_by_their_commands(self, tmp_path):
@@ -1222,6 +1221,17 @@ class TestNothingWrittenOnError:
         assert main(["psd-check", "--n", "2",
                      "--out", str(tmp_path / "no" / "such" / "dir.json")]) == 2
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,data", [
+        (["nnegrk-bounds", "--matrix"], _mat(2, 2, [True, False, False, True])),
+        (["covmap", "--n", "3", "--vec"], [True, 0, 1]),
+    ])
+    def test_bool_is_not_a_rational(self, tmp_path, capsys, argv, data):
+        write(tmp_path / "in.json", data)
+        assert main(argv + [str(tmp_path / "in.json"),
+                            "--out", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+        assert capsys.readouterr().out == ""
 
     def test_null_field_is_input_error(self, tmp_path):
         write(tmp_path / "g.json", {"n": None, "vertices": [], "edges": []})

@@ -214,6 +214,22 @@ class TestVerifyFactorization:
         assert (chk.ok, chk.reason, chk.where) == full_product_check(S, T, U)
 
 
+@pytest.mark.parametrize("entry", [F(1, 2), "1/2", 0.5, True])
+@pytest.mark.parametrize("call", [
+    nnegrk_bounds, rect_cover_lb,
+    lambda rows: verify_factorization(rows, identity_fac(RationalMatrix.identity(2))),
+    lambda rows: HRep(2, rows, [1, 1])])
+def test_nested_rows_coerced_once(call, entry):
+    # the rows go straight to RationalMatrix.from_rows, whose coercion
+    # refuses a float or a bool
+    rows = [[1, entry], [0, 1]]
+    if isinstance(entry, (float, bool)):
+        with pytest.raises(InputError):
+            call(rows)
+    else:
+        call(rows)
+
+
 class TestFactorizationToEf:
     def test_segment_identity_fac_is_trivial_ef(self):
         P, Q = segment()

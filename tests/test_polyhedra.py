@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 import efbound
@@ -422,6 +421,18 @@ def _tampered_checks():
     def psd():
         encodings.psd_factors(2)
 
+    def factor_entry(target, i, j, value):
+        # psd_factors(2) builds T_a from (-1; a) and U^b from (1; b): set
+        # entry (i, j) of the one factor built from target
+        genuine = encodings._outer
+
+        def outer(vec):
+            M = genuine(vec)
+            if vec == target:
+                M[i, j] = value
+            return M
+        return {(encodings, "_outer"): outer}
+
     def solutions(status, vec):
         return {(polyhedra, "nonneg_solutions"):
                 lambda M, rhss: iter([(status, [F(vec)] * M.cols)])}
@@ -464,9 +475,11 @@ def _tampered_checks():
         ("derivation t E = A_i", tight_point([7, 7]), tight),
         ("derivation t F >= 0", tight_point([0, -1]), tight),
         ("derivation t g + c_i = b_i, c_i >= 0", tight_point([2, 1]), tight),
-        ("rank-one factor identity", {(np, "array_equal"): lambda a, b: False}, psd),
-        ("sampled <T_a, U^b> = (1 - a.b)^2",
+        ("<T_a, U^b> = (1 - a.b)^2",
          {(encodings, "_outer"): lambda vec: RationalMatrix(len(vec), len(vec))}, psd),
+        ("<T_a, U^b> = (1 - a.b)^2", factor_entry([-1, 1, 1], 0, 1, 1), psd),
+        ("U^b >= 0", factor_entry([1, 0, 1], 2, 0, -1), psd),
+        ("factor entries lie in {-1, 0, 1}", factor_entry([-1, 0, 0], 0, 0, 2), psd),
     ]
 
 

@@ -40,6 +40,12 @@ class TestRat:
         with pytest.raises(InputError):
             rat(0.5)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, flag):
+        # JSON true/false must not load as 1/0
+        with pytest.raises(InputError):
+            rat(flag)
+
     def test_garbage_rejected(self):
         with pytest.raises(InputError):
             rat("1/0")
@@ -136,6 +142,13 @@ class TestRank:
             rng.shuffle(perm)
             assert mat_rank(perm) == r
             assert mat_rank(RationalMatrix.from_rows(rows).transpose()) == r
+
+    def test_deadline_polled(self, monkeypatch):
+        def spent():
+            raise BudgetError("computation budget exhausted")
+        monkeypatch.setattr(ratlin, "check_deadline", spent)
+        with pytest.raises(BudgetError):
+            mat_rank([[1, 2], [3, 4]])
 
     def test_outer_product_rank_one(self):
         rng = random.Random(5)
