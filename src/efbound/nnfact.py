@@ -19,8 +19,11 @@ rank and from an exact minimum rectangle cover of the support, upper bounds
 only ever drop below min(m, n) through a factorization that verifies as an
 exact rational identity.  That witness is built from the extreme columns of
 S: they form the left factor, and the right one is solved exactly in their
-cone.  When they outnumber the lower bound, the extreme rows are tried the
-same way and the smaller factorization is kept.  No floating point is
+cone.  When they outnumber the lower bound, the extreme rows are counted the
+same way and the smaller side is kept.  The cone tests that find the
+extreme columns read only a row basis of S (rank S rows), which decides
+membership for all rows; the factorization itself, over all rows, is built
+and verified only for the side that is reported.  No floating point is
 involved.  Where rank <= 2 the extreme columns number the rank, which is
 then the nonnegative rank (Cohen and Rothblum 1993).
 
@@ -47,7 +50,7 @@ from .polyhedra import (
     nonneg_solutions,
     tight_derivations,
 )
-from .ratlin import ONE, ZERO, RationalMatrix, dot, mat_rank
+from .ratlin import ONE, ZERO, RationalMatrix, dot, mat_rank, row_basis
 
 
 class PreconditionError(Exception):
@@ -370,49 +373,60 @@ class NnegrkBounds:
                 f"upper={self.upper} via {upper_via}"]
 
 
-def _extreme_columns(S: RationalMatrix) -> NonnegFactorization:
-    """S = T U with T the extreme columns of S, in order, and U >= 0.
+def _by_columns(vecs, rows):
+    """The rows x len(vecs) matrix whose columns are vecs."""
+    return RationalMatrix(rows, len(vecs), [v[i] for i in range(rows) for v in vecs])
+
+
+def _extreme_columns(S: RationalMatrix) -> list:
+    """Indices of the extreme columns of S, in order.
 
     The cone of the columns of a nonnegative S is pointed, so its extreme
     rays are unique.  Walking the columns in order, column j is dropped when
     it lies in the cone of the columns kept before it and all after it; that
-    cone is the cone of S, so what is left holds each extreme ray once.  Each
-    column of S then gets u >= 0 with T u = S_j.  The product is verified
-    exactly before it is returned.
+    cone is the cone of S, so what is left holds each extreme ray once.
+    Each test reads only the rows of a row basis of S: every other row is a
+    combination of them, so a combination of columns equals S_j on all rows
+    exactly when it does on those, and a Farkas vector over those rows,
+    padded with zeros, refutes the system over all of them.
     """
-    m = S.rows
-    cols = [S.col(j) for j in range(S.cols)]
-
-    def matrix(vecs, rows=m):
-        return RationalMatrix(rows, len(vecs), [v[i] for i in range(rows) for v in vecs])
-
+    basis = row_basis(S)
+    cols = [[S[i, j] for i in basis] for j in range(S.cols)]
     kept = []
     for j, col in enumerate(cols):
         check_deadline()
-        status, _ = next(nonneg_solutions(matrix(kept + cols[j + 1:]), [col]))
+        others = [cols[k] for k in kept] + cols[j + 1:]
+        status, _ = next(nonneg_solutions(_by_columns(others, len(basis)), [col]))
         if status != "ok":
-            kept.append(col)
+            kept.append(j)
+    return kept
+
+
+def _cone_factorization(S: RationalMatrix, kept) -> NonnegFactorization:
+    """S = T U with T the columns `kept` of S, in order, and U >= 0: each
+    column of S solved exactly in their cone, over all rows of S."""
+    cols = [S.col(j) for j in range(S.cols)]
+    T = _by_columns([cols[k] for k in kept], S.rows)
     us = []
-    for status, u in nonneg_solutions(matrix(kept), cols):
+    for status, u in nonneg_solutions(T, cols):
         require(status == "ok", "every column lies in the cone of the extreme columns")
         us.append(u)
-    fac = NonnegFactorization(matrix(kept), matrix(us, len(kept)))
-    check = verify_factorization(S, fac)
-    require(check, f"the extreme-column factorization verifies ({check.reason})")
-    return fac
+    return NonnegFactorization(T, _by_columns(us, len(kept)))
 
 
 def nnegrk_bounds(S) -> NnegrkBounds:
     """Sound lower and upper bounds on the nonnegative rank of S.
 
     lower = max(linear rank, exact rectangle cover of the support).  Unless
-    lower already is min(rows, cols), the extreme columns of S give an exact
-    factorization, and when their number stays above lower so do the extreme
-    rows; the smaller of the two, if below min(rows, cols), is the upper
-    bound with its witness.  For rank <= 2 the extreme columns number the
-    rank, so there upper = rank.  A support too large for the exact cover
-    degrades to its partial fooling bound rather than failing the whole call;
-    the deadline still raises.
+    lower already is min(rows, cols), the extreme columns of S are counted
+    by cone tests on a row basis of S, and when they number more than lower
+    so are the extreme rows; ties go to the columns.  Only when the smaller
+    count is below min(rows, cols) is that side's factorization built, with
+    U solved over all rows, and verified exactly: it is the upper bound's
+    witness, and no factorization is built that is not reported.  For
+    rank <= 2 the extreme columns number the rank, so there upper = rank.
+    A support too large for the exact cover degrades to its partial fooling
+    bound rather than failing the whole call; the deadline still raises.
     """
     if not isinstance(S, RationalMatrix):
         S = RationalMatrix.from_rows(S)
@@ -432,12 +446,17 @@ def nnegrk_bounds(S) -> NnegrkBounds:
     upper = min(S.rows, S.cols)
     upper_witness = "trivial"
     if lower < upper:
-        fac = _extreme_columns(S)
-        if fac.rank > lower:
+        kept, side = _extreme_columns(S), S
+        if len(kept) > lower:
             rows = _extreme_columns(S.transpose())
-            fac = min(fac, NonnegFactorization(rows.U.transpose(), rows.T.transpose()),
-                      key=lambda f: f.rank)
-        if fac.rank < upper:
+            if len(rows) < len(kept):  # ties go to the columns
+                kept, side = rows, S.transpose()
+        if len(kept) < upper:
+            fac = _cone_factorization(side, kept)
+            if side is not S:
+                fac = NonnegFactorization(fac.U.transpose(), fac.T.transpose())
+            check = verify_factorization(S, fac)
+            require(check, f"the extreme-column factorization verifies ({check.reason})")
             upper, upper_witness = fac.rank, fac
     require(lower <= upper, "lower bound <= upper bound")
     return NnegrkBounds(lower, upper, lower_witness, upper_witness)

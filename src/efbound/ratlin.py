@@ -42,8 +42,8 @@ raises VerificationError in every run mode:
 * unbounded -- a feasible point plus a recession direction, nonnegative on
                masked columns, that strictly improves the objective.
 
-Ranks come from fraction-free Bareiss elimination on the integer matrix
-obtained by clearing denominators row by row.
+Ranks and row bases come from fraction-free Bareiss elimination on the
+integer matrix obtained by clearing denominators row by row.
 """
 
 from __future__ import annotations
@@ -307,15 +307,18 @@ def _as_row_lists(M):
     return rows, m, n
 
 
-def mat_rank(M) -> int:
-    """Rank over the rationals, by fraction-free Bareiss elimination.
+def row_basis(M) -> list:
+    """Sorted indices of rows of M that form a basis of its row space.
 
-    Denominators are cleared per row first (row scaling preserves rank), so
-    the elimination runs on integers and the exact divisions stay exact.
-    The deadline is polled once per pivot column.
+    Fraction-free Bareiss elimination: denominators are cleared per row
+    first (row scaling preserves rank), so the elimination runs on integers
+    and the exact divisions stay exact.  Row swaps carry the original row
+    indices along, and the rows that end up as pivots are independent and
+    span every other row.  The deadline is polled once per pivot column.
     """
     rows, m, n = _as_row_lists(M)
     irows = [_over(r)[0] for r in rows]
+    index = list(range(m))
     prev = 1
     rank = 0
     for col in range(n):
@@ -324,6 +327,7 @@ def mat_rank(M) -> int:
         if piv is None:
             continue
         irows[rank], irows[piv] = irows[piv], irows[rank]
+        index[rank], index[piv] = index[piv], index[rank]
         rr = irows[rank]
         p = rr[col]
         for ri in irows[rank + 1:]:
@@ -336,7 +340,14 @@ def mat_rank(M) -> int:
         rank += 1
         if rank == m:
             break
-    return rank
+    return sorted(index[:rank])
+
+
+def mat_rank(M) -> int:
+    """Rank over the rationals: the size of row_basis(M), by the same
+    elimination.  The rows of that basis span all of M, which is why the
+    cone tests of nnfact's extreme-column pass may read those rows alone."""
+    return len(row_basis(M))
 
 
 @dataclass

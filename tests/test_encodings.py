@@ -129,6 +129,14 @@ class TestHardpairSlack:
         with pytest.raises(BudgetError):
             hardpair_slack(12)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("rho", [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(4)])
+    def test_rank_formula(self, n, rho):
+        # (1 - a.b)^2 + rho - 1 expands into monomials of degree <= 2 in the
+        # bits of a (and of b), so the rank is 1 + n + C(n, 2) for every rho
+        from efbound.ratlin import mat_rank
+        assert mat_rank(hardpair_slack(n, rho).full()) == 1 + n + n * (n - 1) // 2
+
     def test_is_the_shift_matrix(self):
         S = hardpair_slack(3, Fraction(3, 2))
         assert S.vertex_block == build_shift(ShiftSpec(3, Fraction(3, 2)))

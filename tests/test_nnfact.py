@@ -156,6 +156,21 @@ def full_product_check(S, T, U):
     return True, "", None
 
 
+def reference_extreme_columns(S):
+    """The extreme-column rule with every cone test over all rows of S:
+    column j is dropped when it lies in the cone of the columns kept before
+    it and all after it."""
+    cols = [S.col(j) for j in range(S.cols)]
+    kept = []
+    for j, col in enumerate(cols):
+        others = [cols[k] for k in kept] + cols[j + 1:]
+        F = RationalMatrix(S.rows, len(others), [v[i] for i in range(S.rows) for v in others])
+        status, _ = next(polyhedra.nonneg_solutions(F, [col]))
+        if status != "ok":
+            kept.append(j)
+    return kept
+
+
 def identity_fac(S):
     return NonnegFactorization(RationalMatrix.identity(S.rows), S.copy())
 
@@ -747,11 +762,62 @@ class TestNnegrkBounds:
         # witness comes from the three extreme rows; transposed, from the
         # three extreme columns
         S = RationalMatrix.from_rows([[3, 1, 3, 0], [1, 3, 3, 1], [2, 1, 1, 3], [3, 1, 3, 0]])
-        assert nnfact._extreme_columns(S).rank == 4
+        assert nnfact._extreme_columns(S) == [0, 1, 2, 3]
         S = S.transpose() if transpose else S
         nb = nnegrk_bounds(S)
         assert (nb.lower, nb.upper) == (3, 3)
         assert verify_factorization(S, nb.upper_witness)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_basis_keeps_the_extreme_columns(self, data):
+        # S = T U of small nonnegative ints, with repeated and zero rows
+        # (which make a row basis smaller than m) and zero, duplicate and
+        # positively scaled columns inserted: the cone tests on a row basis
+        # keep the columns that the tests over all rows keep, on S and on S^T
+        m, r, n = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (1, 3), (1, 5)))
+
+        def ints(rows, cols):
+            return RationalMatrix.from_rows(data.draw(st.lists(
+                st.lists(st.integers(0, 3), min_size=cols, max_size=cols),
+                min_size=rows, max_size=rows)))
+        rows = (ints(m, r) @ ints(r, n)).tolist()
+        for _ in range(data.draw(st.integers(0, 3))):
+            extra = data.draw(st.sampled_from([[ZERO] * n] + rows))
+            rows.insert(data.draw(st.integers(0, len(rows))), list(extra))
+        cols = [list(c) for c in zip(*rows)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            scale = data.draw(st.sampled_from([ZERO, F(1), F(1, 2), F(3)]))
+            extra = [scale * x for x in data.draw(st.sampled_from(cols))]
+            cols.insert(data.draw(st.integers(0, len(cols))), extra)
+        S = RationalMatrix.from_rows([list(row) for row in zip(*cols)])
+        for M in (S, S.transpose()):
+            assert nnfact._extreme_columns(M) == reference_extreme_columns(M)
+
+    def test_no_discarded_witness(self, monkeypatch):
+        # where the upper bound stays trivial, every LP is a single cone test
+        # and no factorization is built or verified; a reported witness is
+        # verified exactly once
+        verified, rhs_counts = [], []
+        genuine_verify, genuine_solve = nnfact.verify_factorization, nnfact.nonneg_solutions
+
+        def verify(S, fac):
+            verified.append(fac)
+            return genuine_verify(S, fac)
+
+        def solve(F, rhss):
+            rhss = list(rhss)
+            rhs_counts.append(len(rhss))
+            return genuine_solve(F, rhss)
+        monkeypatch.setattr(nnfact, "verify_factorization", verify)
+        monkeypatch.setattr(nnfact, "nonneg_solutions", solve)
+        nb = nnegrk_bounds(hardpair_slack(3, 2).full())
+        assert nb.upper_witness == "trivial"
+        assert verified == []
+        assert rhs_counts and set(rhs_counts) == {1}
+        nb = nnegrk_bounds(RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]]))
+        assert nb.upper == 2
+        assert verified == [nb.upper_witness]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

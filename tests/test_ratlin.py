@@ -25,7 +25,7 @@ from efbound import (
     ratlin,
 )
 from efbound.errors import set_budget_ms
-from efbound.ratlin import _verify_lp, dot
+from efbound.ratlin import _verify_lp, dot, row_basis
 
 
 class TestRat:
@@ -149,6 +149,27 @@ class TestRank:
         monkeypatch.setattr(ratlin, "check_deadline", spent)
         with pytest.raises(BudgetError):
             mat_rank([[1, 2], [3, 4]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_basis(self, data):
+        # the chosen rows are sorted, distinct and independent, and every
+        # other row lies in their span
+        m, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                  min_size=m, max_size=m))
+        # multiples of other rows make the basis smaller than m
+        for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+            k = data.draw(st.integers(0, len(rows) - 1))
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        [data.draw(st.integers(-2, 2)) * x for x in rows[k]])
+        basis = row_basis(rows)
+        assert basis == sorted(set(basis))
+        assert len(basis) == mat_rank(rows)
+        chosen = [rows[i] for i in basis]
+        assert mat_rank(chosen) == len(basis)
+        for i in set(range(len(rows))) - set(basis):
+            assert mat_rank(chosen + [rows[i]]) == len(basis)
 
     def test_outer_product_rank_one(self):
         rng = random.Random(5)
