@@ -28,7 +28,7 @@ _EXPORTS = {
                   "dilate", "ef_contains_points", "ef_inside_hrep", "homogenize",
                   "shift_slack", "trivial_ef", "verify_sandwich"],
     "ratlin": ["LpResult", "RationalMatrix", "dot", "lp_feasible_each", "lp_solve",
-               "lp_solve_each", "mat_rank", "rat", "rat_str"],
+               "lp_solve_each", "mat_rank", "rat", "rat_str", "rats"],
     "udisj": ["CorruptionParams", "FunctionTable", "PartitionT", "ShiftSpec", "UdisjParams",
               "build_shift", "cond_expect", "corruption_rhs", "entropy_gap", "enum_classes",
               "mu_class_probabilities", "razborov_identities", "rectangle_corruption_scan",

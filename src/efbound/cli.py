@@ -73,7 +73,7 @@ def _json_object(data):
 def _vec_load(v):
     if not isinstance(v, list):
         raise TypeError("expected a JSON list of rationals")
-    return list(map(_lib("ratlin").rat, v))
+    return _lib("ratlin").rats(v)
 
 
 def _vec_file(data):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import InputError, check_deadline, decoding, ground_size, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
-from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str
+from .ratlin import ONE, ZERO, RationalMatrix, rat_str, rats
 
 
 def _as_mask(b, n):
@@ -386,7 +386,7 @@ def covariance_map(x, n) -> RationalMatrix:
     pairs = _edge_pairs(ground_size(n, least=2))
     if len(x) != len(pairs):
         raise InputError(f"edge vector needs {len(pairs)} entries, got {len(x)}")
-    xv = [rat(v) for v in x]
+    xv = rats(x)
     idx = {p: k for k, p in enumerate(pairs)}
     y = RationalMatrix(n - 1, n - 1)
     for i in range(1, n):

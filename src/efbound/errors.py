@@ -1,5 +1,5 @@
-"""Shared error types, the ground-set size check and the global computation
-deadline.
+"""Shared error types, the ground-set size and JSON shape checks and the
+global computation deadline.
 
 The deadline is process-global on purpose: enumeration loops deep inside the
 library (rectangle scans, cover search, graph enumeration) poll it without
@@ -75,3 +75,13 @@ def ground_size(n, least=1, limit=None):
     if limit is not None and n > limit:
         raise BudgetError(f"n={n} exceeds the enumeration limit {limit}")
     return n
+
+
+def json_int(d, key):
+    """d[key], once it is a JSON integer: an int, not a bool, a float or a
+    string.  Else TypeError, which `decoding` turns into its InputError;
+    for the shapes read from JSON files."""
+    v = d[key]
+    if type(v) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {v!r}")
+    return v

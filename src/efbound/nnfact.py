@@ -50,7 +50,7 @@ from .polyhedra import (
     nonneg_solutions,
     tight_derivations,
 )
-from .ratlin import ONE, ZERO, RationalMatrix, dot, mat_rank, row_basis
+from .ratlin import ONE, ZERO, RationalMatrix, dot, row_basis
 
 
 class PreconditionError(Exception):
@@ -378,8 +378,9 @@ def _by_columns(vecs, rows):
     return RationalMatrix(rows, len(vecs), [v[i] for i in range(rows) for v in vecs])
 
 
-def _extreme_columns(S: RationalMatrix) -> list:
-    """Indices of the extreme columns of S, in order.
+def _extreme_columns(S: RationalMatrix, basis=None) -> list:
+    """Indices of the extreme columns of S, in order; basis is row_basis(S),
+    computed here when not given.
 
     The cone of the columns of a nonnegative S is pointed, so its extreme
     rays are unique.  Walking the columns in order, column j is dropped when
@@ -390,7 +391,8 @@ def _extreme_columns(S: RationalMatrix) -> list:
     exactly when it does on those, and a Farkas vector over those rows,
     padded with zeros, refutes the system over all of them.
     """
-    basis = row_basis(S)
+    if basis is None:
+        basis = row_basis(S)
     cols = [[S[i, j] for i in basis] for j in range(S.cols)]
     kept = []
     for j, col in enumerate(cols):
@@ -434,7 +436,8 @@ def nnegrk_bounds(S) -> NnegrkBounds:
         raise InputError("nonnegative rank is defined for nonnegative matrices only")
     if S.rows == 0 or S.cols == 0 or all(x == 0 for row in S.tolist() for x in row):
         return NnegrkBounds(0, 0, "rank", "trivial")
-    rank = mat_rank(S)
+    basis = row_basis(S)
+    rank = len(basis)
     try:
         cover = rect_cover_lb(S)
     except BudgetError as exc:
@@ -446,7 +449,7 @@ def nnegrk_bounds(S) -> NnegrkBounds:
     upper = min(S.rows, S.cols)
     upper_witness = "trivial"
     if lower < upper:
-        kept, side = _extreme_columns(S), S
+        kept, side = _extreme_columns(S, basis), S
         if len(kept) > lower:
             rows = _extreme_columns(S.transpose())
             if len(rows) < len(kept):  # ties go to the columns

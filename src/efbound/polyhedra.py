@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import InputError, decoding, require
+from .errors import InputError, decoding, json_int, require
 from .ratlin import (ONE, ZERO, RationalMatrix, _cleared, _combo, _over, _vec_json, dot,
-                     lp_feasible_each, lp_solve, lp_solve_each, rat, rat_str)
+                     lp_feasible_each, lp_solve, lp_solve_each, rat, rat_str, rats)
 
 
 def _vec(xs, d=None, label="vector"):
-    v = [rat(x) for x in xs]
+    v = rats(xs)
     if d is not None and len(v) != d:
         raise InputError(f"{label} has length {len(v)}, expected {d}")
     return v
@@ -68,7 +68,7 @@ class VRep:
     @classmethod
     def from_json(cls, d):
         with decoding("V-rep JSON needs keys dim, points (and optional rays)"):
-            return cls(d["dim"], d["points"], d.get("rays", []))
+            return cls(json_int(d, "dim"), d["points"], d.get("rays", []))
 
     def __repr__(self):
         return f"VRep(dim={self.dim}, points={len(self.points)}, rays={len(self.rays)})"
@@ -96,7 +96,7 @@ class HRep:
     @classmethod
     def from_json(cls, d):
         with decoding("H-rep JSON needs keys dim, A, b"):
-            return cls(d["dim"], RationalMatrix.from_json(d["A"]), d["b"])
+            return cls(json_int(d, "dim"), RationalMatrix.from_json(d["A"]), d["b"])
 
     def __repr__(self):
         return f"HRep(dim={self.dim}, rows={self.nrows})"
@@ -112,7 +112,7 @@ class SlackMatrix:
     def __init__(self, vertex_block, ray_block, source_b):
         self.vertex_block = vertex_block
         self.ray_block = ray_block
-        self.source_b = [rat(x) for x in source_b]
+        self.source_b = rats(source_b)
         m = len(self.source_b)
         if vertex_block.rows != m or ray_block.rows != m:
             raise InputError("slack blocks and source_b disagree on the row count")
@@ -154,7 +154,7 @@ class ExtendedFormulation:
     def __init__(self, E, F, g):
         self.E = E
         self.F = F
-        self.g = [rat(x) for x in g]
+        self.g = rats(g)
         if E.rows != F.rows or E.rows != len(self.g):
             raise InputError("E, F, g row counts differ")
 

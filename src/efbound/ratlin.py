@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import InputError, check_deadline, decoding, require
+from .errors import InputError, check_deadline, decoding, json_int, require
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -62,13 +62,28 @@ ONE = Fraction(1)
 def rat(x) -> Fraction:
     """Coerce x to an exact Fraction.
 
-    Accepts Fraction, int, and strings like "3", "-7/2".  Floats are
-    rejected: a float argument almost always means the caller already lost
-    exactness upstream.  Bools are rejected too, so JSON true/false is not
-    read as 1/0.
+    Accepts Fraction, int, and any string that Fraction(str) reads once
+    stripped ("3", "-7/2", " 6/4 ", "1.5", "1e3").  Floats are rejected: a
+    float argument almost always means the caller already lost exactness
+    upstream.  Bools are rejected too, so JSON true/false is not read as
+    1/0.  A string in the canonical form that rat_str writes (ASCII "p" or
+    "p/q" with an optional "-" on p and q nonzero) skips Fraction's regex
+    and becomes Fraction(int(p), int(q)), the same value; a string with more
+    digits than int() reads falls back to the general parse, and so to the
+    same InputError.
     """
     if isinstance(x, Fraction):
         return x
+    if type(x) is str and x.isascii():
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (not slash or den.isdigit()):
+            try:
+                p, q = int(num), int(den) if slash else 1
+            except ValueError:  # over the int-string digit limit
+                pass
+            else:
+                if q:
+                    return Fraction(p, q) if slash else Fraction(p)
     if isinstance(x, int):
         if isinstance(x, bool):
             raise InputError(f"refusing bool {x!r}; pass an int, Fraction, or 'p/q' string")
@@ -81,6 +96,25 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational from {x!r}") from exc
     raise InputError(f"cannot coerce {type(x).__name__} to a rational")
+
+
+def rats(xs) -> list:
+    """[rat(x) for x in xs], with the same values and the same error.
+
+    A list of strings alone parses each distinct string once: a JSON vector
+    repeats a few strings many times.  The memo is filled in order of first
+    occurrence, so the first string that fails is the first bad entry of
+    the list, as in the loop.  A list of Fractions alone is copied.  Any
+    other list goes entry by entry through rat.
+    """
+    xs = list(xs)
+    kinds = set(map(type, xs))
+    if kinds == {str}:
+        memo = {s: rat(s) for s in dict.fromkeys(xs)}
+        return list(map(memo.__getitem__, xs))
+    if kinds == {Fraction}:
+        return xs
+    return [rat(x) for x in xs]
 
 
 def rat_str(q) -> str:
@@ -131,9 +165,14 @@ def dot(u, v) -> Fraction:
 
 
 def _over(v):
-    """(numerators, d): the rationals v as ints over one positive d."""
-    d = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+    """(numerators, d): the rationals v as ints over one positive d, their
+    lcm.  Each denominator is read once; at d = 1 the numerators are taken
+    as they are."""
+    dens = [x.denominator for x in v]
+    d = math.lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // q) for x, q in zip(v, dens)], d
 
 
 class RationalMatrix:
@@ -154,7 +193,7 @@ class RationalMatrix:
         if entries is None:
             self._e = [ZERO] * (rows * cols)
         else:
-            self._e = [rat(x) for x in entries]
+            self._e = rats(entries)
             if len(self._e) != rows * cols:
                 raise InputError(
                     f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(self._e)}")
@@ -286,7 +325,7 @@ class RationalMatrix:
     @classmethod
     def from_json(cls, d) -> "RationalMatrix":
         with decoding("matrix JSON needs keys rows, cols, entries"):
-            return cls(int(d["rows"]), int(d["cols"]), d["entries"])
+            return cls(json_int(d, "rows"), json_int(d, "cols"), d["entries"])
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -299,7 +338,7 @@ def _as_row_lists(M):
     """Accept RationalMatrix or nested iterables; return (rows, m, n)."""
     if isinstance(M, RationalMatrix):
         return M.tolist(), M.rows, M.cols
-    rows = [[rat(x) for x in r] for r in M]
+    rows = [rats(r) for r in M]
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
@@ -389,7 +428,7 @@ def _norm_system(M, rhs, n, label):
 
 
 def _norm_rhs(rhs, m, label):
-    rhs = [rat(x) for x in rhs]
+    rhs = rats(rhs)
     if len(rhs) != m:
         raise InputError(f"{label} has {m} rows but its rhs has {len(rhs)} entries")
     return rhs
@@ -431,7 +470,7 @@ def lp_solve_each(A, b, Aeq, beq, objectives, nonneg=()):
     for c in objectives:
         if c is None:
             raise InputError("objective c is required (use zeros for feasibility checks)")
-        objs.append([rat(x) for x in c])
+        objs.append(rats(c))
     if not objs:
         return
     n = len(objs[0])

@@ -42,7 +42,7 @@ from itertools import combinations, compress, product, repeat
 from operator import add, itemgetter, mul
 
 from .errors import BudgetError, InputError, check_deadline, decoding, ground_size, require
-from .ratlin import ONE, ZERO, RationalMatrix, _over, _vec_json, rat, rat_str
+from .ratlin import ONE, ZERO, RationalMatrix, _over, _vec_json, rat, rat_str, rats
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class FunctionTable:
 
     def __init__(self, n, values):
         self.n = ground_size(n, least=0)
-        self.values = [rat(v) for v in values]
+        self.values = rats(values)
         if len(self.values) != 1 << self.n:
             raise InputError(
                 f"table needs {1 << self.n} values for n={self.n}, got {len(self.values)}")

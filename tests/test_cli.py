@@ -1233,6 +1233,38 @@ class TestNothingWrittenOnError:
         assert not (tmp_path / "out.json").exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("bad", [2.5, True, "2"])
+    @pytest.mark.parametrize("field", ["rows", "cols", "p.dim", "q.dim"])
+    def test_shape_must_be_a_json_integer(self, tmp_path, capsys, field, bad):
+        """A shape that int() would truncate or convert (2.5, true, "2") is
+        an input error, not a matrix or polyhedron of the converted size."""
+        if field in ("rows", "cols"):
+            m = dict(_mat(2, 2, ["1", "0", "0", "1"]), **{field: bad})
+            write(tmp_path / "m.json", m)
+            argv = ["nnegrk-bounds", "--matrix", str(tmp_path / "m.json")]
+            message = "matrix JSON needs keys rows, cols, entries"
+        else:
+            P = {"dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]]}
+            Q = {"dim": 2, "A": _mat(3, 2, ["-1", "0", "0", "-1", "1", "1"]),
+                 "b": ["0", "0", "1"]}
+            {"p.dim": P, "q.dim": Q}[field]["dim"] = bad
+            write(tmp_path / "p.json", P)
+            write(tmp_path / "q.json", Q)
+            argv = ["slack", "--p", str(tmp_path / "p.json"), "--q", str(tmp_path / "q.json")]
+            message = ("V-rep" if field == "p.dim" else "H-rep") + " JSON needs keys dim"
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+        assert message in capsys.readouterr().err
+
+    def test_entry_over_the_digit_limit(self, tmp_path, capsys):
+        """An entry with more digits than int() reads exits 2, naming it,
+        and is no traceback."""
+        write(tmp_path / "m.json", _mat(1, 2, ["1", "1" * 5000]))
+        assert main(["nnegrk-bounds", "--matrix", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+        assert "cannot parse rational from '1111" in capsys.readouterr().err
+
     def test_null_field_is_input_error(self, tmp_path):
         write(tmp_path / "g.json", {"n": None, "vertices": [], "edges": []})
         assert main(["clique-omega", "--graph", str(tmp_path / "g.json")]) == 2

@@ -473,18 +473,21 @@ def refuted_sandwiches(draw):
     return cli._sandwich_cert(report.inside, K, Q)
 
 
+def fraction_rows(m):
+    """The rows of matrix JSON m, in plain Fractions."""
+    e = [F(v) for v in m["entries"]]
+    return [e[i * m["cols"]:(i + 1) * m["cols"]] for i in range(m["rows"])]
+
+
 def reference_row_violation(cert):
     """The row-violation check in plain Fractions: row . x > bound, w >= 0
     and F w = g - E x."""
-    def rows(m):
-        e = [F(v) for v in m["entries"]]
-        return [e[i * m["cols"]:(i + 1) * m["cols"]] for i in range(m["rows"])]
     ef = cert["ef"]
     row, x, w = ([F(v) for v in cert[k]] for k in ("row", "point", "lifting"))
     return (sum(a * b for a, b in zip(row, x)) > F(cert["bound"])
             and all(v >= 0 for v in w)
             and all(sum(f * v for f, v in zip(fr, w)) == F(g) - sum(e * v for e, v in zip(er, x))
-                    for er, fr, g in zip(rows(ef["E"]), rows(ef["F"]), ef["g"])))
+                    for er, fr, g in zip(fraction_rows(ef["E"]), fraction_rows(ef["F"]), ef["g"])))
 
 
 def test_mutated_row_violation_matches_reference(tmp_path_factory):
@@ -510,6 +513,78 @@ def test_mutated_row_violation_matches_reference(tmp_path_factory):
         cert[field][k] = str(F(cert[field][k]) + delta)
         verdict = check_cert(cert)
         assert verdict == reference_row_violation(cert)
+        verdicts.append(verdict)
+    prop()
+    assert False in verdicts
+
+
+@st.composite
+def refuted_containments(draw):
+    """A contains-failure certificate: the trivial EF of Q halved against a
+    lattice polygon (ef_cases "half"; a vertex leaves K), or the trivial EF
+    of the polygon against the origin plus a ray (the ray leaves K's
+    recession cone, which is {0})."""
+    if draw(st.booleans()):
+        K, P, Q = draw(ef_cases("half"))
+    else:
+        _, _, Q = draw(ef_cases("own"))
+        ray = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        K, P = trivial_ef(Q), VRep(2, [[0, 0]], [list(ray)])
+    report = polyhedra.ef_contains_points(P, K)
+    assert not report.ok
+    return cli._sandwich_cert(report, K, Q)
+
+
+def reference_contains_failure(cert):
+    """The contains-failure check in plain Fractions: F^T u >= 0 and
+    u . rhs < 0, with rhs = g - E x for a point x and -E r for a ray r."""
+    ef = cert["ef"]
+    x, u = [F(v) for v in cert["target"]], [F(v) for v in cert["u"]]
+    g = [F(v) if cert["target_kind"] == "point" else F(0) for v in ef["g"]]
+    rhs = [gi - sum(e * v for e, v in zip(er, x)) for er, gi in zip(fraction_rows(ef["E"]), g)]
+    Fm = fraction_rows(ef["F"])
+    return (all(sum(ui * fr[k] for ui, fr in zip(u, Fm)) >= 0 for k in range(ef["F"]["cols"]))
+            and sum(ui * r for ui, r in zip(u, rhs)) < 0)
+
+
+def spelled(q, style):
+    """q as a string that Fraction reads but rat_str does not write: with a
+    "+" sign, unreduced and padded with spaces, or as a decimal where q has
+    one; the canonical form otherwise."""
+    if style == "plus" and q >= 0:
+        return f"+{q}"
+    if style == "unreduced":
+        return f" {2 * q.numerator}/{2 * q.denominator} "
+    if style == "decimal" and 10 ** 6 % q.denominator == 0:
+        n = abs(q.numerator) * (10 ** 6 // q.denominator)
+        return f"{'-' if q < 0 else ''}{n // 10 ** 6}.{n % 10 ** 6:06d}"
+    return str(q)
+
+
+def test_mutated_contains_failure_matches_reference(tmp_path_factory):
+    """check-cert accepts each drawn contains-failure certificate, and with
+    one entry of u or of the target changed by a nonzero rational, spelled
+    canonically or not, its verdict is the plain Fraction check's."""
+    d = tmp_path_factory.mktemp("contains")
+    verdicts = []
+
+    def check_cert(cert):
+        (d / "c.json").write_text(json.dumps(cert))
+        rc = cli.main(["check-cert", "--cert", str(d / "c.json"), "--out", str(d / "o.json")])
+        assert rc in (0, 1)
+        return rc == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(cert=refuted_containments(), data=st.data())
+    def prop(cert, data):
+        assert check_cert(cert) and reference_contains_failure(cert)
+        field = data.draw(st.sampled_from(["u", "target"]))
+        k = data.draw(st.integers(0, len(cert[field]) - 1))
+        delta = data.draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+        style = data.draw(st.sampled_from(["canonical", "plus", "unreduced", "decimal"]))
+        cert[field][k] = spelled(F(cert[field][k]) + delta, style)
+        verdict = check_cert(cert)
+        assert verdict == reference_contains_failure(cert)
         verdicts.append(verdict)
     prop()
     assert False in verdicts
@@ -665,7 +740,7 @@ class TestInternalChecks:
             ef_to_factorization(trivial_ef(Q), P, Q)
 
     def test_bounds_order_is_checked(self, monkeypatch):
-        monkeypatch.setattr(nnfact, "mat_rank", lambda S: 10)
+        monkeypatch.setattr(nnfact, "row_basis", lambda S: list(range(10)))
         with pytest.raises(VerificationError):
             nnegrk_bounds(RationalMatrix.identity(3))
 
@@ -681,7 +756,7 @@ class TestInternalChecks:
             "import sys\n"
             "from efbound import RationalMatrix, VerificationError, nnfact\n"
             "assert False, 'asserts are live'\n"
-            "nnfact.mat_rank = lambda S: 10\n"
+            "nnfact.row_basis = lambda S: list(range(10))\n"
             "try:\n"
             "    nnfact.nnegrk_bounds(RationalMatrix.identity(3))\n"
             "except VerificationError:\n"

@@ -23,6 +23,7 @@ from efbound import (
     rat,
     rat_str,
     ratlin,
+    rats,
 )
 from efbound.errors import set_budget_ms
 from efbound.ratlin import _verify_lp, dot, row_basis
@@ -58,6 +59,100 @@ class TestRat:
         assert rat_str(F(4, 2)) == "2"
         assert rat_str(F(-1, 3)) == "-1/3"
         assert rat_str(0) == "0"
+
+    @pytest.mark.parametrize("raw,expect", [
+        ("+3", F(3)), (" 3 ", F(3)), ("1.5", F(3, 2)), ("1e3", F(1000)), ("3_000", F(3000)),
+        ("٣", F(3)), ("-0", F(0)), ("007", F(7)), ("-0/5", F(0)), ("-007/014", F(-1, 2)),
+        ("1/0", None), ("3/-4", None), ("3/ 4", None), ("0x10", None), ("", None),
+        ("1/2/3", None), ("--3", None), ("1" * 5000, None), ("2/" + "1" * 5000, None),
+    ])
+    def test_string_syntax(self, raw, expect):
+        """Canonical or not, a string reads as Fraction(raw.strip()) does;
+        one that Fraction refuses, or that has more digits than int() reads,
+        is an InputError naming it, from rat and from rats alike."""
+        if expect is None:
+            message = f"cannot parse rational from {raw!r}"
+            with pytest.raises(InputError) as ei:
+                rat(raw)
+            assert str(ei.value) == message
+            with pytest.raises(InputError) as ei:
+                rats(["1", raw, "1/0"])
+            assert str(ei.value) == message
+        else:
+            assert rat(raw) == expect and type(rat(raw)) is F
+            assert rats([raw, "2", raw]) == [expect, F(2), expect]
+
+    def test_canonical_strings_round_trip(self):
+        rng = random.Random(30)
+        for _ in range(300):
+            q = F(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 6))
+            assert rat(rat_str(q)) == q
+            assert rats([rat_str(q)] * 3) == [q] * 3
+
+
+_ENTRY_TEXT = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-7/2", "6/4", "+3", " 3 ", "1.5", "1e3", "3_000",
+                     "٣", "007", "1/0", "3/-4", "3/ 4", "0x10", "", "abc",
+                     "1" * 5000]),
+    st.from_regex(r"\A-?[0-9]{1,4}(/[0-9]{1,3})?\Z"),
+    st.text(alphabet="0123456789-+/. _e", max_size=6))
+_ENTRY = st.one_of(_ENTRY_TEXT, st.integers(-9, 9), st.booleans(),
+                   st.floats(allow_nan=False), st.fractions(max_denominator=9), st.none())
+
+
+def _outcome(f, xs):
+    try:
+        return "ok", f(xs)
+    except Exception as exc:  # noqa: BLE001 -- the type and message are compared
+        return type(exc), str(exc)
+
+
+class TestRats:
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.one_of(st.lists(_ENTRY_TEXT, max_size=8), st.lists(_ENTRY, max_size=8),
+                        st.lists(st.fractions(), max_size=8)))
+    def test_matches_rat_per_entry(self, xs):
+        """rats(xs) is [rat(x) for x in xs], or the same exception type with
+        the same message; every entry it returns is a Fraction."""
+        got = _outcome(rats, xs)
+        assert got == _outcome(lambda v: [rat(x) for x in v], xs)
+        if got[0] == "ok":
+            assert all(type(q) is F for q in got[1])
+
+    def test_copies_and_iterables(self):
+        xs = [F(1, 2), F(3)]
+        out = rats(xs)
+        assert out == xs and out is not xs
+        assert rats(iter(["1", "1/2"])) == [F(1), F(1, 2)]
+        assert rats(("1", 2, F(1, 3))) == [F(1), F(2), F(1, 3)]
+        assert rats([]) == []
+
+    def test_same_under_python_O(self):
+        """No check in rat or rats rests on assert: the values and the
+        refusals under python -O are the ones of this process."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(efbound.__file__)))
+        code = (
+            "from efbound import InputError, rat, rats\n"
+            "assert False, 'asserts are live'\n"
+            "for raw in ['-7/2', ' 6/4 ', '1.5', '1/0', '3/-4', '1' * 5000, True, 0.5]:\n"
+            "    for f in (rat, lambda x: rats([x, x])):\n"
+            "        try:\n"
+            "            print(repr(f(raw)))\n"
+            "        except InputError as exc:\n"
+            "            print('InputError', exc)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        expect = []
+        for raw in ["-7/2", " 6/4 ", "1.5", "1/0", "3/-4", "1" * 5000, True, 0.5]:
+            for f in (rat, lambda x: rats([x, x])):
+                try:
+                    expect.append(repr(f(raw)))
+                except InputError as exc:
+                    expect.append(f"InputError {exc}")
+        assert proc.stdout.splitlines() == expect
+        assert sum(line.startswith("InputError") for line in expect) == 10
 
 
 class TestRationalMatrix:
