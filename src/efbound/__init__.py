@@ -17,8 +17,7 @@ _EXPORTS = {
     "encodings": ["Graph", "HardPair", "PsdFactorPair", "box_approx_report", "box_ef",
                   "build_cut_family", "build_hard_pair", "clique_number", "clique_weight",
                   "covariance_map", "cut_vector", "hardpair_slack", "max_over_cor",
-                  "objective_matrix", "objmat_infnorm_check", "psd_factors", "qall_separate",
-                  "spectra_vertex_witness"],
+                  "objective_matrix", "psd_factors", "qall_separate", "spectra_vertex_witness"],
     "errors": ["BudgetError", "InputError", "VerificationError", "check_deadline",
                "set_budget_ms"],
     "nnfact": ["FactorizationCheck", "NnegrkBounds", "NonnegFactorization",

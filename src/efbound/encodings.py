@@ -37,13 +37,9 @@ def _bits(mask, n):
 
 def objective_matrix(a, n) -> RationalMatrix:
     """2 diag(a) - a a^T for binary a: a_i on the diagonal, -a_i a_j off it."""
-    amask = _as_mask(a, n)
-    av = _bits(amask, n)
-    M = RationalMatrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = Fraction(av[i]) if i == j else Fraction(-av[i] * av[j])
-    return M
+    av = _bits(_as_mask(a, n), n)
+    return RationalMatrix(n, n, [Fraction(av[i]) if i == j else Fraction(-av[i] * av[j])
+                                 for i in range(n) for j in range(n)])
 
 
 def _vec(M):
@@ -137,16 +133,15 @@ def hardpair_slack(n, rho=1) -> SlackMatrix:
 def clique_weight(G: Graph) -> RationalMatrix:
     """The linear clique encoding: w_ii = 1 on V(G), w_ij = -1 on non-edges
     inside V(G), zero elsewhere.  For V(G) = [n] this is I - A(complement)."""
+    def w(i, j):
+        if i not in G.vertices or j not in G.vertices:
+            return ZERO
+        if i == j:
+            return ONE
+        return ZERO if frozenset((i, j)) in G.edges else -ONE
+
     n = G.n
-    w = RationalMatrix(n, n)
-    for i in range(1, n + 1):
-        if i in G.vertices:
-            w[i - 1, i - 1] = ONE
-    for i, j in combinations(sorted(G.vertices), 2):
-        if frozenset((i, j)) not in G.edges:
-            w[i - 1, j - 1] = -ONE
-            w[j - 1, i - 1] = -ONE
-    return w
+    return RationalMatrix(n, n, [w(i, j) for i in range(1, n + 1) for j in range(1, n + 1)])
 
 
 def clique_number(G: Graph):
@@ -291,11 +286,10 @@ def box_ef(n) -> ExtendedFormulation:
     which has size 2 n^2 regardless of the objective it will carry.  Any
     integer n >= 1, up to the limit 16: its matrices are dense 2n^2 x 2n^2."""
     d = ground_size(n, limit=16) ** 2
-    I = RationalMatrix.identity(d)
+    I, O = RationalMatrix.identity(d), RationalMatrix(d, d)
     E = RationalMatrix.vstack([I, I])
-    F = RationalMatrix.vstack([
-        RationalMatrix.hstack([I * Fraction(-1), RationalMatrix.zeros(d, d)]),
-        RationalMatrix.hstack([RationalMatrix.zeros(d, d), I])])
+    F = RationalMatrix.vstack([RationalMatrix.hstack([I * Fraction(-1), O]),
+                               RationalMatrix.hstack([O, I])])
     g = [ZERO] * d + [ONE] * d
     return ExtendedFormulation(E, F, g)
 
@@ -386,20 +380,17 @@ def covariance_map(x, n) -> RationalMatrix:
     pairs = _edge_pairs(ground_size(n, least=2))
     if len(x) != len(pairs):
         raise InputError(f"edge vector needs {len(pairs)} entries, got {len(x)}")
-    xv = rats(x)
-    idx = {p: k for k, p in enumerate(pairs)}
-    y = RationalMatrix(n - 1, n - 1)
-    for i in range(1, n):
-        y[i - 1, i - 1] = xv[idx[(i, n)]]
-        for j in range(i + 1, n):
-            val = (xv[idx[(i, n)]] + xv[idx[(j, n)]] - xv[idx[(i, j)]]) / 2
-            y[i - 1, j - 1] = val
-            y[j - 1, i - 1] = val
-    if all(v in (0, 1) for v in xv):
-        if any(y[i, j].denominator != 1 for i in range(n - 1) for j in range(n - 1)):
-            raise InputError("0/1 input is not a cut vector: covariance image "
-                             "is non-integral")
-    return y
+    xv = dict(zip(pairs, rats(x)))
+
+    def y(i, j):
+        if i == j:
+            return xv[i, n]
+        return (xv[i, n] + xv[j, n] - xv[min(i, j), max(i, j)]) / 2
+
+    entries = [y(i, j) for i in range(1, n) for j in range(1, n)]
+    if all(v in (0, 1) for v in xv.values()) and any(v.denominator != 1 for v in entries):
+        raise InputError("0/1 input is not a cut vector: covariance image is non-integral")
+    return RationalMatrix(n - 1, n - 1, entries)
 
 
 @dataclass
@@ -413,12 +404,7 @@ class PsdFactorPair:
 
 
 def _outer(vec):
-    m = len(vec)
-    M = RationalMatrix(m, m)
-    for i in range(m):
-        for j in range(m):
-            M[i, j] = Fraction(vec[i] * vec[j])
-    return M
+    return RationalMatrix(len(vec), len(vec), [Fraction(a * b) for a in vec for b in vec])
 
 
 def psd_factors(n) -> PsdFactorPair:
@@ -486,12 +472,3 @@ def spectra_vertex_witness(b, n, Y=None) -> bool:
             return False
     return True
 
-
-def objmat_infnorm_check(a) -> Fraction:
-    """Max absolute entry of 2 diag(a) - a a^T for binary a; never above 1."""
-    av = list(a)
-    if any(x not in (0, 1) for x in av):
-        raise InputError("a must be a 0/1 vector")
-    n = len(av)
-    M = objective_matrix(av, n)
-    return max((abs(M[i, j]) for i in range(n) for j in range(n)), default=ZERO)

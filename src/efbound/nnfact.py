@@ -144,7 +144,7 @@ def factorization_to_ef(Q: HRep, fac: NonnegFactorization) -> ExtendedFormulatio
     if fac.T.rows != Q.nrows:
         raise InputError(
             f"T has {fac.T.rows} rows but Q has {Q.nrows} inequalities")
-    return ExtendedFormulation(Q.A.copy(), fac.T.copy(), list(Q.b))
+    return ExtendedFormulation(Q.A, fac.T, Q.b)
 
 
 def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFactorization:
@@ -181,13 +181,9 @@ def ef_to_factorization(K: ExtendedFormulation, P: VRep, Q: HRep) -> NonnegFacto
         x for _, _, w in contains.witnesses for x in w]).transpose()
 
     m = Q.nrows
-    Tm = RationalMatrix(m, K.nrows)
-    cvec = []
-    for i, t in enumerate(tight):
-        t, ci = (t, ZERO) if t is not None else general[i]
-        for k, x in enumerate(t):
-            Tm[i, k] = x
-        cvec.append(ci)
+    derived = [(t, ZERO) if t is not None else general[i] for i, t in enumerate(tight)]
+    Tm = RationalMatrix(m, K.nrows, [x for t, _ in derived for x in t])
+    cvec = [c for _, c in derived]
 
     TF = Tm @ K.F
     if all(c == 0 for c in cvec):

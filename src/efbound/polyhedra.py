@@ -40,6 +40,12 @@ def _vec(xs, d=None, label="vector"):
     return v
 
 
+def _dim(dim):
+    if type(dim) is not int or dim < 1:
+        raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
+    return dim
+
+
 class VRep:
     """Inner description: conv(points) + cone(rays) in R^d.
 
@@ -48,9 +54,7 @@ class VRep:
     """
 
     def __init__(self, dim, points, rays=()):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise InputError("dimension must be at least 1")
+        self.dim = _dim(dim)
         self.points = [_vec(p, self.dim, "point") for p in points]
         self.rays = [_vec(r, self.dim, "ray") for r in rays]
         if not self.points and self.rays:
@@ -78,9 +82,7 @@ class HRep:
     """Outer description {x : Ax <= b}."""
 
     def __init__(self, dim, A, b):
-        self.dim = int(dim)
-        if self.dim < 1:
-            raise InputError("dimension must be at least 1")
+        self.dim = _dim(dim)
         self.A = A if isinstance(A, RationalMatrix) else RationalMatrix.from_rows(A)
         self.b = _vec(b, self.A.rows, "b")
         if self.A.rows and self.A.cols != self.dim:
@@ -187,16 +189,11 @@ def build_slack(P: VRep, Q: HRep) -> SlackMatrix:
     """Slack matrix of the pair: vertex entries b_i - A_i v_j, ray entries -A_i r_j."""
     if P.dim != Q.dim:
         raise InputError(f"dimension mismatch: P is {P.dim}-dimensional, Q is {Q.dim}")
-    m = Q.nrows
-    vb = RationalMatrix(m, len(P.points))
-    rb = RationalMatrix(m, len(P.rays))
-    for i in range(m):
-        ai = Q.A.row(i)
-        for j, v in enumerate(P.points):
-            vb[i, j] = Q.b[i] - dot(ai, v)
-        for j, r in enumerate(P.rays):
-            rb[i, j] = -dot(ai, r)
-    return SlackMatrix(vb, rb, Q.b)
+    rows = Q.A.tolist()
+    vb = [bi - dot(ai, v) for ai, bi in zip(rows, Q.b) for v in P.points]
+    rb = [-dot(ai, r) for ai in rows for r in P.rays]
+    return SlackMatrix(RationalMatrix(Q.nrows, len(P.points), vb),
+                       RationalMatrix(Q.nrows, len(P.rays), rb), Q.b)
 
 
 def dilate(Q: HRep, rho) -> HRep:
@@ -208,24 +205,22 @@ def dilate(Q: HRep, rho) -> HRep:
     rho = rat(rho)
     if rho < 1:
         raise InputError(f"dilation factor must be >= 1, got {rho}")
-    return HRep(Q.dim, Q.A.copy(), [rho * bi for bi in Q.b])
+    return HRep(Q.dim, Q.A, [rho * bi for bi in Q.b])
 
 
 def shift_slack(S: SlackMatrix, rho) -> SlackMatrix:
     """Slack of the dilated pair: vertex entries gain (rho-1) b_i, rays are unchanged."""
     rho = rat(rho)
-    vb = S.vertex_block.copy()
-    for i in range(vb.rows):
-        d = (rho - 1) * S.source_b[i]
-        if d != 0:
-            for j in range(vb.cols):
-                vb[i, j] += d
-    return SlackMatrix(vb, S.ray_block.copy(), [rho * bi for bi in S.source_b])
+    vb = S.vertex_block
+    shifts = [(rho - 1) * bi for bi in S.source_b]
+    shifted = [x + d for d, row in zip(shifts, vb.tolist()) for x in row]
+    return SlackMatrix(RationalMatrix(vb.rows, vb.cols, shifted), S.ray_block,
+                       [rho * bi for bi in S.source_b])
 
 
 def trivial_ef(Q: HRep) -> ExtendedFormulation:
     """Slack-variable form of an H-rep: Ax + Iy = b, y >= 0; size = row count."""
-    return ExtendedFormulation(Q.A.copy(), RationalMatrix.identity(Q.nrows), list(Q.b))
+    return ExtendedFormulation(Q.A, RationalMatrix.identity(Q.nrows), Q.b)
 
 
 def homogenize(K: ExtendedFormulation) -> ExtendedFormulation:
@@ -235,7 +230,7 @@ def homogenize(K: ExtendedFormulation) -> ExtendedFormulation:
     of K reappear at lambda = 1 and the recession directions at lambda = 0.
     """
     gcol = RationalMatrix(K.nrows, 1, [-x for x in K.g])
-    return ExtendedFormulation(K.E.copy(), RationalMatrix.hstack([K.F, gcol]),
+    return ExtendedFormulation(K.E, RationalMatrix.hstack([K.F, gcol]),
                                [ZERO] * K.nrows)
 
 

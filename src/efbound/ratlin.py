@@ -105,8 +105,12 @@ def rats(xs) -> list:
     repeats a few strings many times.  The memo is filled in order of first
     occurrence, so the first string that fails is the first bad entry of
     the list, as in the loop.  A list of Fractions alone is copied.  Any
-    other list goes entry by entry through rat.
+    other list goes entry by entry through rat.  A string or a dict is
+    refused, not read as its characters or keys: where JSON holds one in
+    place of a list of rationals, the input is malformed.
     """
+    if isinstance(xs, (str, dict)):
+        raise InputError(f"expected a list of rationals, got a {type(xs).__name__}")
     xs = list(xs)
     kinds = set(map(type, xs))
     if kinds == {str}:
@@ -176,7 +180,13 @@ def _over(v):
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions, row-major.
+    """Dense matrix of Fractions, row-major, that never changes once built.
+
+    Build one from its rows (from_rows) or from its shape and row-major
+    entry list (the constructor; no entry list means the zero matrix), and
+    derive new matrices with the value operations +, -, scalar *, @,
+    transpose, hstack and vstack.  No entry can be written after
+    construction, so matrices are shared freely, never copied.
 
     Serialized form (used across the CLI): a dict
     ``{"rows": m, "cols": n, "entries": ["p/q", ...]}`` with entries in
@@ -186,8 +196,8 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
+        if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+            raise InputError(f"matrix dimensions must be integers >= 0, got {rows!r}x{cols!r}")
         self.rows = rows
         self.cols = cols
         if entries is None:
@@ -220,23 +230,12 @@ class RationalMatrix:
         return cls(m, n, flat)
 
     @classmethod
-    def zeros(cls, m, n):
-        return cls(m, n)
-
-    @classmethod
     def identity(cls, n):
-        out = cls(n, n)
-        for i in range(n):
-            out._e[i * n + i] = ONE
-        return out
+        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
     def __getitem__(self, key):
         i, j = key
         return self._e[i * self.cols + j]
-
-    def __setitem__(self, key, value):
-        i, j = key
-        self._e[i * self.cols + j] = rat(value)
 
     def row(self, i):
         return self._e[i * self.cols:(i + 1) * self.cols]
@@ -247,16 +246,9 @@ class RationalMatrix:
     def tolist(self):
         return [self.row(i) for i in range(self.rows)]
 
-    def copy(self):
-        return RationalMatrix._of(self.rows, self.cols, self._e[:])
-
     def transpose(self) -> "RationalMatrix":
-        out = RationalMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out._e[j * self.rows + i] = self._e[base + j]
-        return out
+        return RationalMatrix._of(self.cols, self.rows,
+                                  [x for j in range(self.cols) for x in self.col(j)])
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -281,14 +273,9 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise InputError(
                 f"matmul shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = RationalMatrix(self.rows, other.cols)
-        bt = other.transpose()
-        for i in range(self.rows):
-            ri = self.row(i)
-            base = i * other.cols
-            for j in range(other.cols):
-                out._e[base + j] = dot(ri, bt.row(j))
-        return out
+        cols = [other.col(j) for j in range(other.cols)]
+        return RationalMatrix._of(self.rows, other.cols,
+                                  [dot(r, c) for r in self.tolist() for c in cols])
 
     def is_nonneg(self) -> bool:
         return all(a >= 0 for a in self._e)
@@ -306,8 +293,8 @@ class RationalMatrix:
         m = mats[0].rows
         if any(a.rows != m for a in mats):
             raise InputError("hstack: row counts differ")
-        rows = [sum((a.row(i) for a in mats), []) for i in range(m)]
-        return cls.from_rows(rows) if m else cls(0, sum(a.cols for a in mats))
+        return cls._of(m, sum(a.cols for a in mats),
+                       [x for i in range(m) for a in mats for x in a.row(i)])
 
     @classmethod
     def vstack(cls, mats):
@@ -329,9 +316,6 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
-
-    def __str__(self):
-        return "\n".join(" ".join(rat_str(x) for x in self.row(i)) for i in range(self.rows))
 
 
 def _as_row_lists(M):

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -173,7 +174,7 @@ class TestVerifySandwich:
         rows = RationalMatrix.from_rows([[Fraction(1)], [Fraction(-1)]])
         write(tmp_path / "q.json", HRep(1, rows, [Fraction(1), Fraction(0)]).to_json())
         E = RationalMatrix.from_rows([[Fraction(1)], [Fraction(-1)]])
-        F = RationalMatrix.zeros(2, 1)
+        F = RationalMatrix(2, 1)
         write(tmp_path / "k.json", ExtendedFormulation(E, F, [Fraction(0)] * 2).to_json())
         rc = main(["verify-sandwich", "--p", str(tmp_path / "p.json"),
                    "--q", str(tmp_path / "q.json"), "--rho", "1",
@@ -358,7 +359,7 @@ class TestEncodingCommands:
         self.test_qall_separate_violation_roundtrip(tmp_path)
         cert = json.loads((tmp_path / "cert.json").read_text())
         assert cert["constraint"]["kind"] == "graph"
-        cert["x"] = RationalMatrix.zeros(2, 2).to_json()
+        cert["x"] = RationalMatrix(2, 2).to_json()
         write(tmp_path / "zeroed.json", cert)
         assert main(["check-cert", "--cert", str(tmp_path / "zeroed.json"),
                      "--out", str(tmp_path / "cc.json")]) == 1
@@ -1255,6 +1256,45 @@ class TestNothingWrittenOnError:
         assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
         assert not (tmp_path / "out.json").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["entries", "points", "rays", "b", "g", "source_b",
+                                       "values"])
+    def test_string_in_place_of_a_list(self, tmp_path, capsys, field):
+        """A JSON string where a list of rationals belongs is an input error,
+        not read one character at a time: each input below runs with the
+        list, and exits 2 with the list's entries joined into one string."""
+        A = _mat(3, 2, ["-1", "0", "0", "-1", "1", "1"])
+        P = {"dim": 2, "points": [["0", "0"], ["1", "0"], ["0", "1"]], "rays": [["0", "0"]]}
+        Q = {"dim": 2, "A": A, "b": ["0", "0", "1"]}
+        write(tmp_path / "p.json", P)
+        write(tmp_path / "q.json", Q)
+        pq = ["--p", str(tmp_path / "p.json"), "--q", str(tmp_path / "q.json")]
+        razborov = dict(WELL_FORMED["razborov-failure"], kind="razborov-failure")
+        argv, data, path, rc = {
+            "entries": (["nnegrk-bounds", "--matrix"], _mat(2, 2, ["1", "2", "3", "4"]),
+                        ["entries"], 0),
+            "points": (["slack", "--q", str(tmp_path / "q.json"), "--p"], P, ["points", 1], 0),
+            "rays": (["slack", "--q", str(tmp_path / "q.json"), "--p"], P, ["rays", 0], 0),
+            "b": (["slack", "--p", str(tmp_path / "p.json"), "--q"], Q, ["b"], 0),
+            "g": (["verify-sandwich", *pq, "--rho", "1", "--ef"],
+                  {"E": A, "F": _mat(3, 3, ["1", "0", "0", "0", "1", "0", "0", "0", "1"]),
+                   "g": ["0", "0", "1"]}, ["g"], 0),
+            "source_b": (["shift-slack", "--rho", "2", "--slack"],
+                         {"vertex_block": _mat(1, 1, ["1"]), "ray_block": _mat(1, 0, []),
+                          "source_b": ["1"]}, ["source_b"], 0),
+            "values": (["check-cert", "--cert"], razborov, ["f", "values"], 1),
+        }[field]
+        write(tmp_path / "in.json", data)
+        assert main(argv + [str(tmp_path / "in.json"), "--out", str(tmp_path / "ok.json")]) == rc
+        data = json.loads(json.dumps(data))
+        *outer, last = path
+        holder = functools.reduce(lambda d, key: d[key], outer, data)
+        holder[last] = "".join(holder[last])
+        write(tmp_path / "in.json", data)
+        capsys.readouterr()
+        assert main(argv + [str(tmp_path / "in.json"), "--out", str(tmp_path / "out.json")]) == 2
+        assert not (tmp_path / "out.json").exists()
+        assert "expected a list of rationals, got a str" in capsys.readouterr().err
 
     def test_entry_over_the_digit_limit(self, tmp_path, capsys):
         """An entry with more digits than int() reads exits 2, naming it,

@@ -22,7 +22,6 @@ from efbound.encodings import (
     hardpair_slack,
     max_over_cor,
     objective_matrix,
-    objmat_infnorm_check,
     psd_factors,
     qall_separate,
     spectra_vertex_witness,
@@ -189,7 +188,7 @@ class TestMaxOverCor:
         assert val == 3 and arg == (1, 1, 1)
 
     def test_zero(self):
-        val, arg = max_over_cor(RationalMatrix.zeros(2, 2))
+        val, arg = max_over_cor(RationalMatrix(2, 2))
         assert val == 0 and arg == (0, 0)
 
     def test_five_cycle(self):
@@ -211,7 +210,7 @@ class TestMaxOverCor:
 
     def test_validation(self):
         with pytest.raises(InputError):
-            max_over_cor(RationalMatrix.zeros(2, 3))
+            max_over_cor(RationalMatrix(2, 3))
         with pytest.raises(BudgetError):
             max_over_cor(RationalMatrix.identity(13))
 
@@ -267,7 +266,7 @@ class TestQallSeparate:
         with pytest.raises(BudgetError):
             qall_separate(RationalMatrix.identity(5))
         with pytest.raises(InputError):
-            qall_separate(RationalMatrix.zeros(2, 3))
+            qall_separate(RationalMatrix(2, 3))
         with pytest.raises(InputError):
             qall_separate(RationalMatrix.identity(2), mode="guess")
 
@@ -278,8 +277,7 @@ class TestQallSeparate:
             qall_separate(x, mode="guess")
 
     def test_sign_row_found_before_enumeration_budget(self):
-        x = RationalMatrix.identity(5)
-        x[0, 1] = Fraction(-1)
+        x = RationalMatrix.identity(5) - RationalMatrix(5, 5, [0, 1] + [0] * 23)
         r = qall_separate(x)
         assert r.kind == "sign" and r.entry == (1, 2)
 
@@ -325,7 +323,7 @@ class TestBoxEf:
         d, s = ef.dim, ef.size
         Aeq = RationalMatrix.hstack([ef.E, ef.F])
         ineq = RationalMatrix.hstack(
-            [RationalMatrix.zeros(s, d), RationalMatrix.identity(s) * Fraction(-1)])
+            [RationalMatrix(s, d), RationalMatrix.identity(s) * Fraction(-1)])
         c = [w[i, j] for i in range(2) for j in range(2)] + [Fraction(0)] * s
         res = lp_solve(ineq, [Fraction(0)] * s, Aeq, ef.g, c)
         assert res.status == "optimal" and res.value == rep.box_max
@@ -392,7 +390,7 @@ class TestCutFamilies:
 class TestCovarianceMap:
     def test_empty_cut(self):
         y = covariance_map([0, 0, 0], 3)
-        assert y == RationalMatrix.zeros(2, 2)
+        assert y == RationalMatrix(2, 2)
 
     def test_singleton_cut(self):
         y = covariance_map([1, 1, 0], 3)   # delta({1})
@@ -496,23 +494,36 @@ class TestSpectraWitness:
 
 
 class TestObjmatInfnorm:
+    """The max absolute entry of 2 diag(a) - a a^T is 1 for a != 0, and 0
+    for a = 0."""
+
+    @staticmethod
+    def infnorm(a):
+        return max(abs(x) for row in objective_matrix(a, len(a)).tolist() for x in row)
+
     def test_zero(self):
-        assert objmat_infnorm_check([0, 0]) == 0
+        assert self.infnorm([0, 0]) == 0
 
     def test_all_ones(self):
-        assert objmat_infnorm_check([1, 1, 1]) == 1
+        assert self.infnorm([1, 1, 1]) == 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_binary_bounded(self, seed):
         rng = random.Random(seed)
         a = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
-        v = objmat_infnorm_check(a)
+        v = self.infnorm(a)
         assert v in (0, 1)
         assert v == (1 if any(a) else 0)
 
     def test_non_binary_rejected(self):
         with pytest.raises(InputError):
-            objmat_infnorm_check([2, 0])
+            objective_matrix([2, 0], 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_entry_in_minus_one_zero_one(self, n):
+        for a in range(1 << n):
+            M = objective_matrix(a, n)
+            assert all(x in (-1, 0, 1) for row in M.tolist() for x in row), (n, a)
 
 
 class TestNeighborhoodBound:

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import math
@@ -7,10 +8,11 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from itertools import combinations, product
+from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from efbound import (
@@ -172,13 +174,13 @@ def reference_extreme_columns(S):
 
 
 def identity_fac(S):
-    return NonnegFactorization(RationalMatrix.identity(S.rows), S.copy())
+    return NonnegFactorization(RationalMatrix.identity(S.rows), S)
 
 
 class TestVerifyFactorization:
     def test_identity(self):
         I2 = RationalMatrix.identity(2)
-        assert verify_factorization(I2, NonnegFactorization(I2.copy(), I2.copy()))
+        assert verify_factorization(I2, NonnegFactorization(I2, I2))
 
     def test_all_ones_rank_one(self):
         S = RationalMatrix.from_rows([[1, 1], [1, 1]])
@@ -331,6 +333,39 @@ class TestEfToFactorization:
         assert verify_factorization(S, fac0)
         assert verify_factorization(S, fac1)
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_with_rays(self, data):
+        """Factorization -> EF -> factorization in dimension 2 or 3 with
+        rays: points drawn from a box, rays from the nonnegative orthant and
+        rows a_i <= 0, each b_i at or above max_v a_i . v, so P lies in Q.
+        The EF of a factorization of S(P, Q) goes back to Q with every b_i
+        raised by s_i >= 0 (s = 0 half the time)."""
+        d = data.draw(st.integers(2, 3))
+
+        def vec(lo, hi):
+            return st.lists(st.integers(lo, hi), min_size=d, max_size=d)
+
+        pts = data.draw(st.lists(vec(-2, 2), min_size=1, max_size=3))
+        rays = data.draw(st.lists(vec(0, 2).filter(any), min_size=1, max_size=2))
+        rows = data.draw(st.lists(vec(-2, 0).filter(any), min_size=1, max_size=4))
+        b = [max(sum(map(mul, a, v)) for v in pts) + data.draw(st.integers(0, 2)) for a in rows]
+        P, Q = VRep(d, pts, rays), HRep(d, rows, b)
+        S = build_slack(P, Q).full()
+        fac0 = data.draw(st.sampled_from(
+            [identity_fac(S), NonnegFactorization(S, RationalMatrix.identity(S.cols))]))
+        assert verify_factorization(S, fac0)
+        K = factorization_to_ef(Q, fac0)
+        raise_b = data.draw(st.one_of(st.just([0] * len(rows)), st.lists(
+            st.integers(0, 2), min_size=len(rows), max_size=len(rows))))
+        Q2 = HRep(d, rows, [bi + si for bi, si in zip(b, raise_b)])
+        fac1 = ef_to_factorization(K, P, Q2)
+        assert verify_factorization(build_slack(P, Q2).full(), fac1)
+        if None in polyhedra.tight_derivations(K, Q2):
+            assert fac1.rank <= K.size + 1
+        else:
+            assert fac1.rank == K.size
+
     @pytest.mark.parametrize("kind, path", [
         ("own", "tight"), ("fac", "tight"), ("point", "fallback"),
         ("half", "contains-failure"), ("double", "row-violation")])
@@ -426,12 +461,12 @@ def sandwich_first(K, P, Q):
     WZ = RationalMatrix(len(P.points) + len(P.rays), K.size, [
         x for _, _, w in report.contains.witnesses for x in w]).transpose()
     general = {i: (t, c) for i, t, c in report.inside.derivations}
-    Tm, cvec = RationalMatrix(Q.nrows, K.nrows), []
+    rows, cvec = [], []
     for i, t in enumerate(polyhedra.tight_derivations(K, Q)):
         t, c = (t, F(0)) if t is not None else general[i]
-        for k, x in enumerate(t):
-            Tm[i, k] = x
+        rows.append(t)
         cvec.append(c)
+    Tm = RationalMatrix(Q.nrows, K.nrows, [x for t in rows for x in t])
     if not any(cvec):
         return NonnegFactorization(Tm @ K.F, WZ)
     bottom = [F(1)] * len(P.points) + [F(0)] * len(P.rays)
@@ -490,18 +525,23 @@ def reference_row_violation(cert):
                     for er, fr, g in zip(fraction_rows(ef["E"]), fraction_rows(ef["F"]), ef["g"])))
 
 
-def test_mutated_row_violation_matches_reference(tmp_path_factory):
-    """check-cert accepts each drawn certificate, and with one entry of the
-    point or the lifting changed by a nonzero rational its verdict is the
-    plain Fraction check's."""
-    d = tmp_path_factory.mktemp("rowviol")
-    verdicts = []
-
+def _cert_checker(d):
+    """check-cert run on a certificate in the directory d: True when the
+    certificate verifies (exit 0), False when it does not (exit 1)."""
     def check_cert(cert):
         (d / "c.json").write_text(json.dumps(cert))
         rc = cli.main(["check-cert", "--cert", str(d / "c.json"), "--out", str(d / "o.json")])
         assert rc in (0, 1)
         return rc == 0
+    return check_cert
+
+
+def test_mutated_row_violation_matches_reference(tmp_path_factory):
+    """check-cert accepts each drawn certificate, and with one entry of the
+    point or the lifting changed by a nonzero rational its verdict is the
+    plain Fraction check's."""
+    check_cert = _cert_checker(tmp_path_factory.mktemp("rowviol"))
+    verdicts = []
 
     @settings(max_examples=40, deadline=None)
     @given(cert=refuted_sandwiches(), data=st.data())
@@ -565,14 +605,8 @@ def test_mutated_contains_failure_matches_reference(tmp_path_factory):
     """check-cert accepts each drawn contains-failure certificate, and with
     one entry of u or of the target changed by a nonzero rational, spelled
     canonically or not, its verdict is the plain Fraction check's."""
-    d = tmp_path_factory.mktemp("contains")
+    check_cert = _cert_checker(tmp_path_factory.mktemp("contains"))
     verdicts = []
-
-    def check_cert(cert):
-        (d / "c.json").write_text(json.dumps(cert))
-        rc = cli.main(["check-cert", "--cert", str(d / "c.json"), "--out", str(d / "o.json")])
-        assert rc in (0, 1)
-        return rc == 0
 
     @settings(max_examples=40, deadline=None)
     @given(cert=refuted_containments(), data=st.data())
@@ -590,12 +624,109 @@ def test_mutated_contains_failure_matches_reference(tmp_path_factory):
     assert False in verdicts
 
 
+def _matrix_json(rows, cols, grid):
+    return {"rows": rows, "cols": cols, "entries": [str(x) for r in grid for x in r]}
+
+
+def reference_factorization_invalid(cert):
+    """The factorization-invalid check in plain Fractions, for shapes that
+    agree: T or U has a negative entry, or T U is not the matrix."""
+    S, T, U = (fraction_rows(m) for m in (cert["matrix"], cert["fac"]["T"], cert["fac"]["U"]))
+    return (any(x < 0 for row in T + U for x in row)
+            or any(sum((t * u for t, u in zip(T[i], col)), F(0)) != S[i][j]
+                   for i in range(len(S)) for j, col in enumerate(zip(*U))))
+
+
+def test_mutated_factorization_invalid_matches_reference(tmp_path_factory):
+    """check-cert rejects the factorization-invalid certificate of each
+    drawn factorization S = T U, and with one entry of S, T or U changed by
+    a nonzero rational its verdict is the plain Fraction check's."""
+    check_cert = _cert_checker(tmp_path_factory.mktemp("facinvalid"))
+    verdicts = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def prop(data):
+        m, r, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+        entry = st.fractions(0, 3, max_denominator=2)
+        T = [[data.draw(entry) for _ in range(r)] for _ in range(m)]
+        U = [[data.draw(entry) for _ in range(n)] for _ in range(r)]
+        S = [[sum((T[i][k] * U[k][j] for k in range(r)), F(0)) for j in range(n)]
+             for i in range(m)]
+        cert = {"kind": "factorization-invalid", "matrix": _matrix_json(m, n, S),
+                "fac": {"T": _matrix_json(m, r, T), "U": _matrix_json(r, n, U)}}
+        assert not check_cert(cert) and not reference_factorization_invalid(cert)
+        field = data.draw(st.sampled_from(["matrix", "T", "U"]))
+        entries = (cert if field == "matrix" else cert["fac"])[field]["entries"]
+        k = data.draw(st.integers(0, len(entries) - 1))
+        entries[k] = str(F(entries[k]) + data.draw(st.fractions(-3, 3, max_denominator=5)
+                                                   .filter(bool)))
+        verdict = check_cert(cert)
+        assert verdict == reference_factorization_invalid(cert)
+        verdicts.append(verdict)
+    prop()
+    assert True in verdicts
+
+
+def reference_qall_violation(cert):
+    """The qall-violation check in plain Fractions: a negative entry x_ij
+    off the diagonal, or <w^G, x> above the clique number of G, found by
+    trying every vertex subset."""
+    x, c = fraction_rows(cert["x"]), cert["constraint"]
+    if c["kind"] == "sign":
+        i, j = c["entry"]
+        return i != j and x[i - 1][j - 1] < 0
+    V = c["graph"]["vertices"]
+    E = {frozenset(e) for e in c["graph"]["edges"]}
+    lhs = (sum(x[i - 1][i - 1] for i in V)
+           - sum(x[i - 1][j - 1] for i in V for j in V if i != j and frozenset((i, j)) not in E))
+    omega = max(k for k in range(len(V) + 1) for clique in combinations(V, k)
+                if all(frozenset(e) in E for e in combinations(clique, 2)))
+    return lhs > omega
+
+
+def test_mutated_qall_violation_matches_reference(tmp_path_factory):
+    """check-cert accepts the qall-violation certificate of each drawn point
+    that qall-separate refutes, and with one entry of x changed by a
+    nonzero rational its verdict is the plain Fraction check's."""
+    check_cert = _cert_checker(tmp_path_factory.mktemp("qall"))
+    verdicts = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def prop(data):
+        n = data.draw(st.integers(2, 3))
+        low = data.draw(st.sampled_from([-1, 0]))  # 0: only graph rows can be violated
+        x = [[data.draw(st.fractions(0 if i == j else low, 2, max_denominator=3))
+              for j in range(n)] for i in range(n)]
+        X = RationalMatrix.from_rows(x)
+        _, cert = cli._qall_separate(argparse.Namespace(x=X, mode="exhaustive", seed=0,
+                                                        count=200))
+        assume(cert is not None)
+        assert check_cert(cert) and reference_qall_violation(cert)
+        c = cert["constraint"]
+        # half the draws change an entry the constraint reads: x_ij of a
+        # sign row, a diagonal entry of the graph's vertices otherwise
+        read = ([(c["entry"][0] - 1) * n + c["entry"][1] - 1] if c["kind"] == "sign"
+                else [(v - 1) * (n + 1) for v in c["graph"]["vertices"]])
+        k = data.draw(st.one_of(st.sampled_from(read), st.integers(0, n * n - 1)))
+        entries = cert["x"]["entries"]
+        entries[k] = str(F(entries[k]) + data.draw(st.fractions(-3, 3, max_denominator=5)
+                                                   .filter(bool)))
+        verdict = check_cert(cert)
+        assert verdict == reference_qall_violation(cert)
+        verdicts.append((cert["constraint"]["kind"], verdict))
+    prop()
+    assert {kind for kind, _ in verdicts} == {"sign", "graph"}
+    assert False in {verdict for _, verdict in verdicts}
+
+
 class TestRectCover:
     def test_small_cases(self):
         assert rect_cover_lb(RationalMatrix.identity(3)) == 3
         assert rect_cover_lb(RationalMatrix.from_rows([[1, 1], [1, 1]])) == 1
         assert rect_cover_lb(RationalMatrix.from_rows([[0, 1], [1, 0]])) == 2
-        assert rect_cover_lb(RationalMatrix.zeros(3, 4)) == 0
+        assert rect_cover_lb(RationalMatrix(3, 4)) == 0
 
     def test_positive_matrix_is_one(self):
         P, Q = hard_pair(2)
@@ -804,7 +935,7 @@ class TestNnegrkBounds:
         assert nb.lower == 3 and nb.lower_witness == "rank"
 
     def test_zero_matrix(self):
-        nb = nnegrk_bounds(RationalMatrix.zeros(2, 3))
+        nb = nnegrk_bounds(RationalMatrix(2, 3))
         assert (nb.lower, nb.upper) == (0, 0)
 
     def test_negative_rejected(self):

@@ -373,6 +373,13 @@ class TestJsonRoundTrips:
         S = build_slack(P, Q)
         assert SlackMatrix.from_json(S.to_json()) == S
 
+    @pytest.mark.parametrize("dim", [2.5, True, "2", None, 0])
+    def test_dim_is_checked_not_coerced(self, dim):
+        with pytest.raises(InputError, match="dimension must be an integer"):
+            VRep(dim, [[0, 0]])
+        with pytest.raises(InputError, match="dimension must be an integer"):
+            HRep(dim, [[1]], [1])
+
     def test_bad_json(self):
         with pytest.raises(InputError):
             VRep.from_json({"dim": 1})
@@ -429,7 +436,9 @@ def _tampered_checks():
         def outer(vec):
             M = genuine(vec)
             if vec == target:
-                M[i, j] = value
+                e = [0] * (M.rows * M.cols)
+                e[i * M.cols + j] = value - M[i, j]
+                M = M + RationalMatrix(M.rows, M.cols, e)
             return M
         return {(encodings, "_outer"): outer}
 

@@ -127,6 +127,13 @@ class TestRats:
         assert rats(("1", 2, F(1, 3))) == [F(1), F(2), F(1, 3)]
         assert rats([]) == []
 
+    @pytest.mark.parametrize("xs", ["1234", "", {"1": 0, "2": 0}])
+    def test_string_or_dict_refused(self, xs):
+        """A string is not read one character at a time, nor a dict as its
+        keys: both are malformed where a list of rationals belongs."""
+        with pytest.raises(InputError, match="expected a list of rationals"):
+            rats(xs)
+
     def test_same_under_python_O(self):
         """No check in rat or rats rests on assert: the values and the
         refusals under python -O are the ones of this process."""
@@ -211,14 +218,92 @@ class TestRationalMatrix:
     def test_arithmetic(self):
         A = RationalMatrix.from_rows([[1, 2], [3, 4]])
         assert (A + A) == 2 * A
-        assert (A - A) == RationalMatrix.zeros(2, 2)
+        assert (A - A) == RationalMatrix(2, 2)
         assert not (A - A * 2).is_nonneg()
+
+    def test_no_entry_can_be_written(self):
+        M = RationalMatrix.identity(2)
+        with pytest.raises(TypeError):
+            M[0, 1] = 1
+        assert M == RationalMatrix.identity(2)
+        assert not any(hasattr(M, name) for name in ("copy", "zeros", "__setitem__"))
+
+    @pytest.mark.parametrize("shape", [(2.5, 2), (2, 2.5), (True, 1, ["1"]), (1, False, []),
+                                       ("2", 2), (2, None), (-1, 0)])
+    def test_shape_is_checked_not_coerced(self, shape):
+        with pytest.raises(InputError, match="matrix dimensions"):
+            RationalMatrix(*shape)
+
+    def test_refusals_under_python_O(self):
+        """The string-for-list and shape refusals rest on no assert."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(efbound.__file__)))
+        calls = ["rats('12')", "rats({'1': 0})", "RationalMatrix(2.5, 2)",
+                 "RationalMatrix(True, 1, ['1'])", "VRep(2.5, [[0, 0]])",
+                 "HRep(True, [[1]], [1])", "VRep(1, ['0'])", "HRep(1, [[1]], '1')"]
+        code = ("from efbound import HRep, InputError, RationalMatrix, VRep, rats\n"
+                "assert False, 'asserts are live'\n"
+                f"for call in {calls!r}:\n"
+                "    try:\n"
+                "        eval(call)\n"
+                "    except InputError:\n"
+                "        print('refused')\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["refused"] * len(calls)
+
+
+def _grids(draw, m, n):
+    """An m x n nested list of small Fractions."""
+    q = st.fractions(-4, 4, max_denominator=3)
+    return [[draw(q) for _ in range(n)] for _ in range(m)]
+
+
+class TestValueOperations:
+    """Every matrix operation against a nested-list Fraction reference.
+    Matrices are shared, never copied, so no operation may change the
+    entries of an operand."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_match_reference_and_leave_operands(self, data):
+        m, k, n, p = (data.draw(st.integers(0, 3)) for _ in range(4))
+        a, a2, c = _grids(data.draw, m, k), _grids(data.draw, m, k), _grids(data.draw, m, n)
+        b, d = _grids(data.draw, k, n), _grids(data.draw, p, k)
+        s = data.draw(st.fractions(-4, 4, max_denominator=3))
+
+        def mat(rows, cols, grid):
+            return RationalMatrix(rows, cols, [x for r in grid for x in r])
+
+        A, A2, B, C, D = mat(m, k, a), mat(m, k, a2), mat(k, n, b), mat(m, n, c), mat(p, k, d)
+        operands = [(M, M.tolist()) for M in (A, A2, B, C, D)]
+        cases = [
+            (RationalMatrix.identity(k), k, k,
+             [[F(int(i == j)) for j in range(k)] for i in range(k)]),
+            (A.transpose(), k, m, [[a[i][j] for i in range(m)] for j in range(k)]),
+            (A @ B, m, n, [[sum((a[i][t] * b[t][j] for t in range(k)), F(0)) for j in range(n)]
+                           for i in range(m)]),
+            (RationalMatrix.hstack([A, C]), m, k + n, [a[i] + c[i] for i in range(m)]),
+            (RationalMatrix.vstack([A, D]), m + p, k, a + d),
+            (A + A2, m, k, [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)]),
+            (A - A2, m, k, [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)]),
+            (A * s, m, k, [[s * x for x in r] for r in a]),
+            (s * A, m, k, [[s * x for x in r] for r in a]),
+            (RationalMatrix.from_json(A.to_json()), m, k, a),
+        ]
+        if m:
+            cases.append((RationalMatrix.from_rows(a), m, k, a))
+        for M, rows, cols, ref in cases:
+            assert (M.rows, M.cols, M.tolist()) == (rows, cols, ref)
+            assert all(type(x) is F for r in M.tolist() for x in r)
+        assert all(M.tolist() == before for M, before in operands)
 
 
 class TestRank:
     def test_small_cases(self):
         assert mat_rank(RationalMatrix.identity(4)) == 4
-        assert mat_rank(RationalMatrix.zeros(3, 5)) == 0
+        assert mat_rank(RationalMatrix(3, 5)) == 0
         assert mat_rank([[1, 2], [2, 4]]) == 1
         assert mat_rank([[1, 2], [3, 4]]) == 2
 
