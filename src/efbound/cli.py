@@ -293,9 +293,8 @@ def _nnegrk_bounds(a):
 
 
 def _udisj_shift(a):
-    udisj = _lib("udisj")
-    spec = udisj.ShiftSpec(a.n, a.rho, fill=a.fill, fill_value=a.fill_value)
-    return {"out": udisj.build_shift(spec).to_json()}, None
+    fill = a.fill_value if a.fill == "constant" else None
+    return {"out": _lib("udisj").build_shift(a.n, a.rho, fill).to_json()}, None
 
 
 def _razborov_check(a):
@@ -345,16 +344,14 @@ def _corruption_scan(a):
 
 def _corruption_bound(a):
     udisj, rat_str = _lib("udisj"), _lib("ratlin").rat_str
-    p = udisj.CorruptionParams(a.eps, C=a.C)
-    return {"out": {"op": "corruption_rhs", "epsilon": rat_str(p.epsilon),
-                    "C": rat_str(p.C), "ell": a.ell,
-                    "value": udisj.corruption_rhs(p, a.ell)}}, None
+    value = udisj.corruption_rhs(a.eps, a.ell, a.C)
+    return {"out": {"op": "corruption_rhs", "epsilon": rat_str(a.eps),
+                    "C": rat_str(a.C), "ell": a.ell, "value": value}}, None
 
 
 def _shift_lb(a):
     udisj, rat_str = _lib("udisj"), _lib("ratlin").rat_str
-    p = udisj.CorruptionParams(a.eps, C=a.C) if a.eps is not None else None
-    value = udisj.shift_rank_lb(a.n, a.rho, p)
+    value = udisj.shift_rank_lb(a.n, a.rho, a.eps, a.C)
     eps = a.eps if a.eps is not None else Fraction(1, 2) / a.rho
     return {"out": {"op": "shift_rank_lb", "n": a.n, "rho": rat_str(a.rho),
                     "C": rat_str(a.C), "value": value, "epsilon": rat_str(eps)}}, None

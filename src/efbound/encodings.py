@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import InputError, check_deadline, decoding, ground_size, require
 from .polyhedra import ExtendedFormulation, HRep, SlackMatrix, VRep
-from .ratlin import ONE, ZERO, RationalMatrix, rat_str, rats
+from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str, rats
 
 
 def _as_mask(b, n):
@@ -123,11 +123,10 @@ def hardpair_slack(n, rho=1) -> SlackMatrix:
     Built from the closed form; agreement with the build_slack/shift_slack
     pipeline on the actual polyhedra is a checked property, not an input.
     """
-    from .udisj import ShiftSpec, build_shift  # only this function needs udisj
+    from .udisj import build_shift  # only this function needs udisj
 
-    spec = ShiftSpec(ground_size(n, limit=10), rho)
-    S = build_shift(spec)
-    return SlackMatrix(S, RationalMatrix(S.rows, 0), [spec.rho] * S.rows)
+    S = build_shift(ground_size(n, limit=10), rho)
+    return SlackMatrix(S, RationalMatrix(S.rows, 0), [rat(rho)] * S.rows)
 
 
 def clique_weight(G: Graph) -> RationalMatrix:
@@ -377,10 +376,10 @@ def covariance_map(x, n) -> RationalMatrix:
     A 0/1 input that yields a non-integral matrix is not a cut vector and is
     rejected.  Any integer n >= 2; nothing is enumerated.
     """
-    pairs = _edge_pairs(ground_size(n, least=2))
-    if len(x) != len(pairs):
-        raise InputError(f"edge vector needs {len(pairs)} entries, got {len(x)}")
-    xv = dict(zip(pairs, rats(x)))
+    edges = ground_size(n, least=2) * (n - 1) // 2
+    if len(x) != edges:  # before the pairs are listed, which takes n^2 memory
+        raise InputError(f"edge vector needs {edges} entries, got {len(x)}")
+    xv = dict(zip(_edge_pairs(n), rats(x)))
 
     def y(i, j):
         if i == j:

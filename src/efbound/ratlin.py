@@ -179,6 +179,9 @@ def _over(v):
     return [x.numerator * (d // q) for x, q in zip(v, dens)], d
 
 
+_set = object.__setattr__  # RationalMatrix sets its slots through this, and only once
+
+
 class RationalMatrix:
     """Dense matrix of Fractions, row-major, that never changes once built.
 
@@ -198,15 +201,13 @@ class RationalMatrix:
     def __init__(self, rows: int, cols: int, entries=None):
         if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
             raise InputError(f"matrix dimensions must be integers >= 0, got {rows!r}x{cols!r}")
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            self._e = [ZERO] * (rows * cols)
-        else:
-            self._e = rats(entries)
-            if len(self._e) != rows * cols:
-                raise InputError(
-                    f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(self._e)}")
+        e = [ZERO] * (rows * cols) if entries is None else rats(entries)
+        if len(e) != rows * cols:
+            raise InputError(
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(e)}")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_e", e)
 
     @classmethod
     def _of(cls, rows, cols, entries):
@@ -214,8 +215,15 @@ class RationalMatrix:
         callers in the package that built rows * cols Fractions themselves,
         so no entry is coerced again."""
         out = cls.__new__(cls)
-        out.rows, out.cols, out._e = rows, cols, entries
+        _set(out, "rows", rows)
+        _set(out, "cols", cols)
+        _set(out, "_e", entries)
         return out
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a RationalMatrix never changes; {name} cannot be set")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_rows(cls, rows_of_entries) -> "RationalMatrix":

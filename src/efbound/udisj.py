@@ -96,22 +96,6 @@ class FunctionTable:
     def ones(cls, n):
         return cls(n, [ONE] * (1 << n))
 
-    @classmethod
-    def indicator_set(cls, n, mask):
-        """1 on the single subset given by mask, 0 elsewhere."""
-        return cls(n, [ONE if m == mask else ZERO for m in range(1 << n)])
-
-    @classmethod
-    def indicator_contains(cls, n, element):
-        """1 on subsets containing the (1-based) element."""
-        bit = 1 << (element - 1)
-        return cls(n, [ONE if m & bit else ZERO for m in range(1 << n)])
-
-    @classmethod
-    def indicator_avoids(cls, n, element):
-        bit = 1 << (element - 1)
-        return cls(n, [ZERO if m & bit else ONE for m in range(1 << n)])
-
     def to_json(self):
         return {"n": self.n, "values": _vec_json(self.values)}
 
@@ -122,7 +106,9 @@ class FunctionTable:
 
 
 def parse_function(spec, n) -> FunctionTable:
-    """Named built-ins for the CLI: "ones", "set:MASK", "contains:K", "avoids:K"."""
+    """Named built-ins for the CLI: "ones"; "set:MASK", 1 on that one subset;
+    "contains:K" and "avoids:K", 1 on the subsets that hold or miss the
+    (1-based) element K; 0 elsewhere."""
     if spec == "ones":
         return FunctionTable.ones(n)
     kind, _, arg = spec.partition(":")
@@ -133,13 +119,13 @@ def parse_function(spec, n) -> FunctionTable:
     if kind == "set":
         if not 0 <= val < (1 << n):
             raise InputError(f"subset mask {val} out of range for n={n}")
-        return FunctionTable.indicator_set(n, val)
+        return FunctionTable(n, [ONE if m == val else ZERO for m in range(1 << n)])
     if kind in ("contains", "avoids"):
         if not 1 <= val <= n:
             raise InputError(f"element {val} out of range for n={n}")
-        make = FunctionTable.indicator_contains if kind == "contains" \
-            else FunctionTable.indicator_avoids
-        return make(n, val)
+        bit = 1 << (val - 1)
+        hit, miss = (ONE, ZERO) if kind == "contains" else (ZERO, ONE)
+        return FunctionTable(n, [hit if m & bit else miss for m in range(1 << n)])
     raise InputError(f"unknown function spec {spec!r}")
 
 
@@ -160,63 +146,30 @@ class RowColStats:
     col1: Fraction
 
 
-@dataclass
-class ShiftSpec:
-    """What to build, for an integer n >= 1: M_ab = rho on disjoint pairs,
-    rho-1 on unique intersection; larger intersections follow the fill rule."""
-
-    n: int
-    rho: Fraction
-    fill: str = "hardpair"
-    fill_value: Fraction = ZERO
-
-    def __post_init__(self):
-        self.rho = rat(self.rho)
-        self.fill_value = rat(self.fill_value)
-        ground_size(self.n)
-        if self.rho < 1:
-            raise InputError(f"rho must be >= 1, got {self.rho}")
-        if self.fill not in ("hardpair", "constant"):
-            raise InputError(f"fill must be 'hardpair' or 'constant', got {self.fill!r}")
+def _rho(rho):
+    """rho as a Fraction, once it is >= 1 (else InputError)."""
+    rho = rat(rho)
+    if rho < 1:
+        raise InputError(f"rho must be >= 1, got {rho}")
+    return rho
 
 
-@dataclass
-class CorruptionParams:
-    """epsilon and the exposed absolute constant C >= 0 standing in for the
-    O(log l) term.  No claim is made about which C makes the lemma tight;
-    C = 0 reads off the bare exponential.
-
-    The probabilistic statement needs epsilon strictly inside (0,1), but the
-    closed forms evaluate fine at the epsilon = 1 endpoint, so that is
-    allowed here; shift_rank_lb separately rejects epsilon >= 1/rho where
-    the rank bound turns vacuous."""
-
-    epsilon: Fraction
-    C: Fraction = ZERO
-
-    def __post_init__(self):
-        self.epsilon = rat(self.epsilon)
-        self.C = rat(self.C)
-        if not 0 < self.epsilon <= 1:
-            raise InputError(f"epsilon must lie in (0,1], got {self.epsilon}")
-        if self.C < 0:
-            raise InputError(f"C must be >= 0, got {self.C}")
-
-
-def build_shift(spec: ShiftSpec) -> RationalMatrix:
-    """The 2^n x 2^n rho-shift matrix over all subset pairs, for n <= 14.
+def build_shift(n, rho, fill=None) -> RationalMatrix:
+    """The 2^n x 2^n rho-shift matrix over all subset pairs, for an integer
+    1 <= n <= 14 and rho >= 1.
 
     Entries on A (disjoint) and B (share one) are forced to rho and rho-1;
-    the default fill (1-|a&b|)^2 + rho - 1 extends both consistently and
+    larger intersections take the value fill.  The default fill = None
+    stands for (1-|a&b|)^2 + rho - 1, which extends both consistently and
     makes the matrix coincide with the shifted hard-pair slack matrix.
     """
-    ground_size(spec.n, limit=14)
-    rho = spec.rho
+    rho = _rho(rho)
+    fill = None if fill is None else rat(fill)
+    ground_size(n, limit=14)
     # one entry value per intersection size |a & b| = 0..n
     by_size = [rho, rho - 1] + [
-        Fraction((1 - k) ** 2) + rho - 1 if spec.fill == "hardpair" else spec.fill_value
-        for k in range(2, spec.n + 1)]
-    size = 1 << spec.n
+        Fraction((1 - k) ** 2) + rho - 1 if fill is None else fill for k in range(2, n + 1)]
+    size = 1 << n
     entries = []
     for a in range(size):
         if a % 64 == 0:
@@ -404,13 +357,6 @@ class RazborovReport:
                 and self.expectation_b[0] == self.expectation_b[1]
                 and all(l == r for _, l, r in self.marginals))
 
-    def to_json(self):
-        return {"op": "razborov_identities", "ok": self.ok,
-                "expectation_a": _vec_json(self.expectation_a),
-                "expectation_b": _vec_json(self.expectation_b),
-                "marginals": [{"t2": t2, "row0": rat_str(l), "row1": rat_str(r)}
-                              for t2, l, r in self.marginals]}
-
 
 def razborov_identities(f: FunctionTable, g: FunctionTable,
                         params: UdisjParams) -> RazborovReport:
@@ -467,37 +413,53 @@ def entropy_gap(x) -> float:
     return (1.0 - h) - (1 - 2 * x) ** 2 / (2 * math.log(2))
 
 
-def corruption_rhs(p: CorruptionParams, ell) -> float:
-    """The corruption bound 2^(-eps^2 l / (16 ln 2) + C log2 l)."""
+def _exponent(eps, C):
+    """The map l -> eps^2 l / (16 ln 2) - C log2 l, the exponent of both
+    closed forms, once eps lies in (0,1] and C >= 0 (else InputError,
+    checked in that order).
+
+    C is the exposed absolute constant standing in for the O(log l) term.
+    No claim is made about which C makes the lemma tight; C = 0 reads off
+    the bare exponential.  The probabilistic statement needs eps strictly
+    inside (0,1), but the closed forms evaluate fine at the eps = 1
+    endpoint, so that is allowed here; shift_rank_lb separately rejects
+    eps >= 1/rho, where the rank bound turns vacuous."""
+    eps, C = rat(eps), rat(C)
+    if not 0 < eps <= 1:
+        raise InputError(f"epsilon must lie in (0,1], got {eps}")
+    if C < 0:
+        raise InputError(f"C must be >= 0, got {C}")
+    e, c = float(eps), float(C)
+    return lambda ell: e * e * ell / (16 * math.log(2)) - c * math.log2(ell)
+
+
+def corruption_rhs(eps, ell, C=0) -> float:
+    """The corruption bound 2^(-eps^2 l / (16 ln 2) + C log2 l), l >= 1."""
+    exponent = _exponent(eps, C)
     if ell < 1:
         raise InputError(f"l must be >= 1, got {ell}")
-    eps = float(p.epsilon)
-    exponent = -eps * eps * ell / (16 * math.log(2)) + float(p.C) * math.log2(ell)
-    return 2.0 ** exponent
+    return 2.0 ** -exponent(ell)
 
 
-def shift_rank_lb(n, rho, p: CorruptionParams | None = None) -> float:
+def shift_rank_lb(n, rho, eps=None, C=0) -> float:
     """Rank lower bound for rho-extensions of unique disjointness:
 
         r >= (1/rho - eps) * 2^(eps^2 l / (16 ln 2) - C log2 l),  l = (n+1)/4,
 
-    clamped below at 1 (a rank is at least 1).  With p = None, eps is set to
-    1/(2 rho) and C to 0.  An n whose bound exceeds the float range is an
-    input error."""
-    params = UdisjParams(n)
-    rho = rat(rho)
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
-    if p is None:
-        p = CorruptionParams(epsilon=Fraction(1, 2) / rho)
-    if p.epsilon >= 1 / rho:
+    clamped below at 1 (a rank is at least 1).  With eps = None, eps is set
+    to 1/(2 rho).  A given eps and C are checked before n and rho.  An n
+    whose bound exceeds the float range is an input error."""
+    if eps is not None:
+        _exponent(eps, C)
+    ell = UdisjParams(n).ell
+    rho = _rho(rho)
+    eps = Fraction(1, 2) / rho if eps is None else rat(eps)
+    exponent = _exponent(eps, C)(ell)
+    if eps >= 1 / rho:
         raise InputError(
-            f"epsilon {p.epsilon} must be below 1/rho = {1 / rho}; the bound is vacuous")
-    ell = params.ell
-    eps = float(p.epsilon)
-    exponent = eps * eps * ell / (16 * math.log(2)) - float(p.C) * math.log2(ell)
+            f"epsilon {eps} must be below 1/rho = {1 / rho}; the bound is vacuous")
     try:
-        value = float(Fraction(1) / rho - p.epsilon) * 2.0 ** exponent
+        value = float(1 / rho - eps) * 2.0 ** exponent
     except OverflowError as exc:
         raise InputError(
             f"n={n}: the bound 2^{exponent:.6g} exceeds the floating-point range") from exc
@@ -627,7 +589,7 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     Exhaustive mode covers the full lattice of 2^(2^n) x 2^(2^n) rectangles
     and is therefore only allowed at n = 3 (65536 rectangles); it also
     reports max{P(R|A) : P(R|B) = 0}.  Sample mode draws `count` uniform
-    rectangles from the same lattice with the given seed.
+    rectangles from the same lattice with the given seed, at n <= 19.
 
     A rectangle enters only through its integer counts ca = |R & A| and
     cb = |R & B|.  With eps = p/q its value is N / D with the integer
@@ -661,6 +623,8 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
             "budget; only n=3 is enumerable")
     if mode == "sample" and count < 1:
         raise InputError(f"sample count must be positive, got {count}")
+    if mode == "sample":  # _counts packs ints of C(n, l)^2 / 8 bytes
+        ground_size(params.n, limit=19)
     rows = _neighbour_masks(params)
     na, nb = (sum(r[k].bit_count() for r in rows) for k in (1, 2))
     size = 1 << params.n

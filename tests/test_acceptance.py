@@ -40,7 +40,6 @@ from efbound import (
     verify_factorization,
     verify_sandwich,
     box_approx_report,
-    CorruptionParams,
     FunctionTable,
     UdisjParams,
 )
@@ -235,11 +234,11 @@ def test_homogenized_cut_polytope_ef():
 @pytest.mark.criterion(10, "corruption constants and rank bound monotonicity")
 def test_corruption_constants_and_monotonicity():
     t0 = time.perf_counter()
-    assert abs(corruption_rhs(CorruptionParams(F(1)), 16) - math.exp(-1)) < 1e-12
-    eps = CorruptionParams(F(1, 8))
+    assert abs(corruption_rhs(F(1), 16) - math.exp(-1)) < 1e-12
+    eps = F(1, 8)
     by_rho = [shift_rank_lb(4443, 1 + F(k, 3), eps) for k in range(20)]
     assert all(a >= b for a, b in zip(by_rho, by_rho[1:]))
-    eps = CorruptionParams(F(1, 4))
+    eps = F(1, 4)
     by_n = [shift_rank_lb(3 + 4 * k, F(2), eps) for k in range(20)]
     assert all(a <= b for a, b in zip(by_n, by_n[1:]))
     assert time.perf_counter() - t0 < 1

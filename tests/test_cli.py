@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -17,6 +19,7 @@ import efbound
 from efbound import (
     ExtendedFormulation,
     HRep,
+    InputError,
     NonnegFactorization,
     RationalMatrix,
     SlackMatrix,
@@ -30,7 +33,6 @@ from efbound import (
 )
 from efbound import cli, nnfact, ratlin, udisj
 from efbound.cli import main
-from efbound.udisj import ShiftSpec
 
 
 def write(path, obj):
@@ -100,7 +102,7 @@ class TestBuildCommands:
         assert main(["udisj-shift", "--n", "2", "--rho", "2",
                      "--out", str(out)]) == 0
         M = RationalMatrix.from_json(json.loads(out.read_text()))
-        assert M == build_shift(ShiftSpec(2, 2))
+        assert M == build_shift(2, 2)
 
     def test_cut_family_and_covmap(self, tmp_path):
         cf = tmp_path / "cf.json"
@@ -526,6 +528,22 @@ class TestExitDiscipline:
         assert "internal check failed" in capsys.readouterr().err
         assert not (d / "never.json").exists()
 
+    def test_sampled_scan_beyond_its_limit_exits_three(self, tmp_path, monkeypatch, capsys):
+        # _counts packs ints of C(n, l)^2 / 8 bytes: 16 MB at n = 19, 1.2 GB at n = 23
+        def never(params):
+            raise AssertionError("the l-subset masks were built")
+        monkeypatch.setattr(udisj, "_neighbour_masks", never)
+        assert main(["corruption-scan", "--n", "23", "--eps", "1/2", "--mode", "sample",
+                     "--count", "2", "--out", str(tmp_path / "never.json")]) == 3
+        assert "n=23 exceeds the enumeration limit 19" in capsys.readouterr().err
+        assert not (tmp_path / "never.json").exists()
+
+    def test_short_edge_vector_exits_two(self, tmp_path, capsys):
+        write(tmp_path / "x.json", ["1"])
+        assert main(["covmap", "--n", "100000", "--vec", str(tmp_path / "x.json"),
+                     "--out", str(tmp_path / "never.json")]) == 2
+        assert "needs 4999950000 entries, got 1" in capsys.readouterr().err
+
     def test_shift_lb_overflow_is_input_error(self, capsys):
         assert main(["shift-lb", "--n", "200003", "--rho", "1"]) == 2
         assert "floating-point range" in capsys.readouterr().err
@@ -548,6 +566,70 @@ class TestExitDiscipline:
     def test_invalid_cert_kind(self, tmp_path):
         write(tmp_path / "c.json", {"kind": "mystery"})
         assert main(["check-cert", "--cert", str(tmp_path / "c.json")]) == 2
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _matches_library(argv, library, given, read_back):
+    """The closed-form CLI call argv writes the value library(*read_back(rep))
+    at the parameters its artifact rep reports; or it exits 2 and
+    library(*given), at the parameters given on the command line, raises
+    InputError."""
+    rc, out, _ = _run_main(argv)
+    if rc == 0:
+        rep = json.loads(out)
+        assert rep["value"] == library(*read_back(rep))
+    else:
+        assert rc == 2
+        with pytest.raises(InputError):
+            library(*given)
+
+
+class TestClosedFormArtifacts:
+    """corruption-bound and shift-lb report the library's value at the
+    epsilon and C they write beside it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([15, 99, 4443]),
+           st.fractions(min_value=1, max_value=6, max_denominator=8),
+           st.none() | st.fractions(min_value=0, max_value=1, max_denominator=16),
+           st.fractions(min_value=0, max_value=3, max_denominator=4))
+    def test_shift_lb_value_at_its_parameters(self, n, rho, eps, C):
+        argv = ["shift-lb", "--n", str(n), "--rho", str(rho), "--C", str(C)]
+        if eps is not None:
+            argv += ["--eps", str(eps)]
+        _matches_library(argv, lambda e, c: udisj.shift_rank_lb(n, rho, e, c), (eps, C),
+                         lambda rep: (Fraction(rep["epsilon"]), Fraction(rep["C"])))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.fractions(min_value=0, max_value=2, max_denominator=16),
+           st.integers(1, 5000),
+           st.fractions(min_value=0, max_value=3, max_denominator=4))
+    def test_corruption_bound_value_at_its_parameters(self, eps, ell, C):
+        _matches_library(
+            ["corruption-bound", "--eps", str(eps), "--ell", str(ell), "--C", str(C)],
+            udisj.corruption_rhs, (eps, ell, C),
+            lambda rep: (Fraction(rep["epsilon"]), rep["ell"], Fraction(rep["C"])))
+
+    def test_C_counts_without_eps(self):
+        """Without --eps, C enters the value (eps = 1/(2 rho)) and is
+        checked like any other input."""
+        def value(*extra):
+            rc, out, _ = _run_main(["shift-lb", "--n", "4443", *extra])
+            assert rc == 0
+            return json.loads(out)["value"]
+        assert value("--rho", "1", "--C", "1") == 15571.72470613671
+        assert value("--rho", "1", "--C", "1") == value("--rho", "1", "--eps", "1/2", "--C", "1")
+        assert value("--rho", "1") == 17300186.148517884
+        assert value("--rho", "3/2", "--C", "1") == 1.0
+        rc, out, err = _run_main(["shift-lb", "--n", "15", "--rho", "1", "--C", "-1"])
+        assert (rc, out) == (2, "") and "C must be >= 0, got -1" in err
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -30,7 +31,7 @@ from efbound.encodings import _graphs_on, _outer, _bits
 from efbound.errors import BudgetError, InputError
 from efbound.polyhedra import HRep, VRep, build_slack, shift_slack, verify_sandwich
 from efbound.ratlin import RationalMatrix, lp_solve
-from efbound.udisj import ShiftSpec, build_shift
+from efbound.udisj import build_shift
 
 
 def frob(M, N):
@@ -116,7 +117,7 @@ class TestHardpairSlack:
     @pytest.mark.parametrize("rho", [Fraction(1), Fraction(3, 2), Fraction(2)])
     def test_agrees_with_udisj_shift_on_classes(self, rho):
         S = hardpair_slack(3, rho).vertex_block
-        M = build_shift(ShiftSpec(3, rho))
+        M = build_shift(3, rho)
         for a in range(8):
             for b in range(8):
                 if (a & b).bit_count() in (0, 1):
@@ -138,7 +139,7 @@ class TestHardpairSlack:
 
     def test_is_the_shift_matrix(self):
         S = hardpair_slack(3, Fraction(3, 2))
-        assert S.vertex_block == build_shift(ShiftSpec(3, Fraction(3, 2)))
+        assert S.vertex_block == build_shift(3, Fraction(3, 2))
         assert (S.ray_block.rows, S.ray_block.cols) == (8, 0)
         assert S.source_b == [Fraction(3, 2)] * 8
 
@@ -426,6 +427,17 @@ class TestCovarianceMap:
     def test_length_check(self):
         with pytest.raises(InputError):
             covariance_map([1, 1], 3)
+
+    def test_length_checked_before_the_pairs_are_listed(self):
+        # the n(n-1)/2 = 5e9 edge pairs at n = 100000 are never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="needs 4999950000 entries, got 1"):
+                covariance_map([1], 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPsdFactors:

@@ -22,10 +22,10 @@ from efbound.errors import BudgetError, InputError, ground_size
 from efbound.ratlin import RationalMatrix
 from efbound.udisj import (
     FunctionTable,
-    ShiftSpec,
     UdisjParams,
     build_shift,
     razborov_identities,
+    rectangle_corruption_scan,
 )
 
 # (entry point called on n, least n, an n above the limit or None); a least
@@ -44,13 +44,15 @@ ENTRY_POINTS = {
     "clique_number": (lambda n: clique_number(Graph.complete(n)), None, 21),
     "Graph": (lambda n: Graph(n, [], []), 0, None),
     "UdisjParams": (UdisjParams, 3, None),
-    "ShiftSpec": (lambda n: ShiftSpec(n, 1), 1, None),
     # four values fit n = 2, the integer part of 2.5: so 2.5 is refused for its type
     "FunctionTable": (lambda n: FunctionTable(n, [0] * 4), 0, None),
-    "build_shift": (lambda n: build_shift(ShiftSpec(n, 1)), None, 15),
+    "build_shift": (lambda n: build_shift(n, 1), 1, 15),
     # the first n = 3 mod 4 above the limit 11
     "razborov_identities": (lambda n: razborov_identities(
         FunctionTable.ones(3), FunctionTable.ones(3), UdisjParams(n)), None, 15),
+    # the first n = 3 mod 4 above the sampled scan's limit 19
+    "rectangle_corruption_scan": (lambda n: rectangle_corruption_scan(
+        UdisjParams(n), 0, mode="sample", count=1), None, 23),
 }
 
 CASES = [(name, n, InputError) for name, (_, least, _) in ENTRY_POINTS.items()

@@ -228,6 +228,32 @@ class TestRationalMatrix:
         assert M == RationalMatrix.identity(2)
         assert not any(hasattr(M, name) for name in ("copy", "zeros", "__setitem__"))
 
+    def test_shape_cannot_be_reassigned(self):
+        """rows, cols and the entry list are set once, by the constructor;
+        no assignment or deletion gets past it, under python -O too."""
+        M = RationalMatrix.identity(2)
+        for name, value in (("rows", 3), ("cols", 1), ("_e", [F(0)] * 6)):
+            with pytest.raises(AttributeError):
+                setattr(M, name, value)
+            with pytest.raises(AttributeError):
+                delattr(M, name)
+        assert M == RationalMatrix.identity(2)
+        assert RationalMatrix.from_json(M.to_json()) == M
+        src = os.path.dirname(os.path.dirname(os.path.abspath(efbound.__file__)))
+        code = ("from efbound import RationalMatrix\n"
+                "assert False, 'asserts are live'\n"
+                "M = RationalMatrix.identity(2)\n"
+                "for name in ('rows', 'cols', '_e'):\n"
+                "    try:\n"
+                "        setattr(M, name, 3)\n"
+                "    except AttributeError:\n"
+                "        print('refused')\n"
+                "print(M.rows, M.cols, len(M._e))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["refused"] * 3 + ["2", "2", "4"]
+
     @pytest.mark.parametrize("shape", [(2.5, 2), (2, 2.5), (True, 1, ["1"]), (1, False, []),
                                        ("2", 2), (2, None), (-1, 0)])
     def test_shape_is_checked_not_coerced(self, shape):

@@ -17,10 +17,8 @@ from efbound.errors import BudgetError, InputError, VerificationError
 from efbound.errors import set_budget_ms
 from efbound.ratlin import _over, rat_str
 from efbound.udisj import (
-    CorruptionParams,
     FunctionTable,
     PartitionT,
-    ShiftSpec,
     UdisjParams,
     build_shift,
     cond_expect,
@@ -68,11 +66,11 @@ class TestFunctionTables:
     def test_builtins(self):
         ones = FunctionTable.ones(2)
         assert all(v == 1 for v in ones.values)
-        ind = FunctionTable.indicator_set(3, 0b101)
+        ind = parse_function("set:5", 3)
         assert ind(0b101) == 1 and sum(ind.values) == 1
-        has2 = FunctionTable.indicator_contains(3, 2)
+        has2 = parse_function("contains:2", 3)
         assert has2(0b010) == 1 and has2(0b110) == 1 and has2(0b101) == 0
-        no2 = FunctionTable.indicator_avoids(3, 2)
+        no2 = parse_function("avoids:2", 3)
         assert all(has2(m) + no2(m) == 1 for m in range(8))
 
     def test_parse(self):
@@ -87,22 +85,22 @@ class TestFunctionTables:
 
 class TestBuildShift:
     def test_n1_rho1(self):
-        M = build_shift(ShiftSpec(1, 1))
+        M = build_shift(1, 1)
         assert M.tolist() == [[1, 1], [1, 0]]
 
     def test_n1_rho2(self):
-        M = build_shift(ShiftSpec(1, 2))
+        M = build_shift(1, 2)
         assert M.tolist() == [[2, 2], [2, 1]]
 
     def test_n2_full_intersection_entry(self):
         # a = b = {1,2}: |a&b| = 2, default fill gives (1-2)^2 + 0 = 1
-        M = build_shift(ShiftSpec(2, 1))
+        M = build_shift(2, 1)
         assert M[3, 3] == 1
 
     @pytest.mark.parametrize("rho", [Fraction(1), Fraction(3, 2), Fraction(2)])
     def test_fill_rule_never_touches_the_classes(self, rho):
-        hard = build_shift(ShiftSpec(3, rho))
-        const = build_shift(ShiftSpec(3, rho, fill="constant", fill_value=Fraction(9)))
+        hard = build_shift(3, rho)
+        const = build_shift(3, rho, Fraction(9))
         for a in range(8):
             for b in range(8):
                 inter = (a & b).bit_count()
@@ -115,16 +113,16 @@ class TestBuildShift:
                     assert hard[a, b] == (1 - inter) ** 2 + rho - 1
 
     def test_nonneg_for_rho_at_least_one(self):
-        assert build_shift(ShiftSpec(3, 1)).is_nonneg()
-        assert build_shift(ShiftSpec(3, Fraction(5, 4))).is_nonneg()
+        assert build_shift(3, 1).is_nonneg()
+        assert build_shift(3, Fraction(5, 4)).is_nonneg()
 
     def test_rho_below_one_rejected(self):
         with pytest.raises(InputError):
-            ShiftSpec(2, Fraction(1, 2))
+            build_shift(2, Fraction(1, 2))
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            build_shift(ShiftSpec(15, 1))
+            build_shift(15, 1)
 
 
 class TestEnumClasses:
@@ -174,7 +172,7 @@ class TestCondExpect:
         # f = g = indicator of the single set {1}: disjoint pairs never hit
         # it twice, the B pair ({1},{1}) is one of three
         p = UdisjParams(3)
-        ind = FunctionTable.indicator_set(3, 0b001)
+        ind = parse_function("set:1", 3)
         assert cond_expect(ind, ind, p) == (Fraction(0), Fraction(1, 3))
 
     def test_negative_rejected(self):
@@ -193,7 +191,7 @@ class TestRowColStats:
         # T1 = {2}, T2 = {3}, i = 1, f = g = indicator of {1}:
         # the only a containing i is {1} itself
         p = UdisjParams(3)
-        ind = FunctionTable.indicator_set(3, 0b001)
+        ind = parse_function("set:1", 3)
         st = row_col_stats(ind, ind, PartitionT(t1=0b010, t2=0b100, i=1), p)
         assert st.row1 == 1 and st.row0 == 0
         assert st.col1 == 1 and st.col0 == 0
@@ -251,7 +249,7 @@ class TestRowColStats:
 class TestRazborovIdentities:
     def test_point_indicator_exact_sides(self):
         p = UdisjParams(3)
-        ind = FunctionTable.indicator_set(3, 0b001)
+        ind = parse_function("set:1", 3)
         rep = razborov_identities(ind, ind, p)
         assert rep.ok
         assert rep.expectation_a == (Fraction(0), Fraction(0))
@@ -270,13 +268,6 @@ class TestRazborovIdentities:
         assert len(rep.marginals) == math.comb(n, 2 * p.ell - 1)
         for _, left, right in rep.marginals:
             assert left == right
-
-    def test_report_json(self):
-        p = UdisjParams(3)
-        d = razborov_identities(FunctionTable.ones(3), FunctionTable.ones(3), p).to_json()
-        assert d["ok"] is True
-        assert d["expectation_a"] == ["1", "1"]
-        assert len(d["marginals"]) == 3
 
     def test_budget(self):
         p = UdisjParams(15)
@@ -318,62 +309,60 @@ class TestEntropyGap:
 class TestCorruptionRhs:
     def test_unit_epsilon_sixteen(self):
         # exponent -16/(16 ln 2) = -1/ln 2, and 2^(1/ln 2) = e
-        v = corruption_rhs(CorruptionParams(1), 16)
+        v = corruption_rhs(1, 16)
         assert v == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_small_epsilon_near_one(self):
-        assert corruption_rhs(CorruptionParams(Fraction(1, 10 ** 6)), 4) == \
+        assert corruption_rhs(Fraction(1, 10 ** 6), 4) == \
             pytest.approx(1.0, abs=1e-9)
 
     def test_doubling_ell_squares(self):
-        p = CorruptionParams(Fraction(1, 2))
         for ell in (4, 16, 64):
-            assert corruption_rhs(p, 2 * ell) == \
-                pytest.approx(corruption_rhs(p, ell) ** 2, rel=1e-12)
+            assert corruption_rhs(Fraction(1, 2), 2 * ell) == \
+                pytest.approx(corruption_rhs(Fraction(1, 2), ell) ** 2, rel=1e-12)
 
     def test_strictly_decreasing_in_ell(self):
-        p = CorruptionParams(Fraction(1, 3))
-        vals = [corruption_rhs(p, ell) for ell in range(1, 40)]
+        vals = [corruption_rhs(Fraction(1, 3), ell) for ell in range(1, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_log_term(self):
-        base = corruption_rhs(CorruptionParams(Fraction(1, 2)), 8)
-        with_c = corruption_rhs(CorruptionParams(Fraction(1, 2), C=2), 8)
+        base = corruption_rhs(Fraction(1, 2), 8)
+        with_c = corruption_rhs(Fraction(1, 2), 8, C=2)
         assert with_c == pytest.approx(base * 64, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(InputError):
-            corruption_rhs(CorruptionParams(1), 0)
+            corruption_rhs(1, 0)
         with pytest.raises(InputError):
-            CorruptionParams(0)
+            corruption_rhs(0, 16)
         with pytest.raises(InputError):
-            CorruptionParams(Fraction(3, 2))
+            corruption_rhs(Fraction(3, 2), 16)
         with pytest.raises(InputError):
-            CorruptionParams(Fraction(1, 2), C=-1)
+            corruption_rhs(Fraction(1, 2), 16, C=-1)
 
 
 class TestShiftRankLb:
     def test_small_n_clamps_to_one(self):
         # raw value (1/2) * 2^(4/(64 ln 2)) ~ 0.532, below the clamp
-        assert shift_rank_lb(15, 1, CorruptionParams(Fraction(1, 2))) == 1.0
+        assert shift_rank_lb(15, 1, Fraction(1, 2)) == 1.0
 
     def test_large_n_exponential(self):
-        v = shift_rank_lb(4443, 1, CorruptionParams(Fraction(1, 2)))
+        v = shift_rank_lb(4443, 1, Fraction(1, 2))
         assert math.log2(v) == pytest.approx(1111 / (64 * math.log(2)) - 1, abs=1e-9)
         assert math.log2(v) == pytest.approx(24.044, abs=1e-2)
 
     def test_auto_epsilon(self):
         assert shift_rank_lb(4443, 1) == \
-            shift_rank_lb(4443, 1, CorruptionParams(Fraction(1, 2)))
+            shift_rank_lb(4443, 1, Fraction(1, 2))
 
     def test_vacuous_epsilon_rejected(self):
         with pytest.raises(InputError):
-            shift_rank_lb(15, 2, CorruptionParams(Fraction(1, 2)))
+            shift_rank_lb(15, 2, Fraction(1, 2))
         with pytest.raises(InputError):
-            shift_rank_lb(15, 1, CorruptionParams(1))
+            shift_rank_lb(15, 1, 1)
 
     def test_nonincreasing_in_rho(self):
-        eps = CorruptionParams(Fraction(1, 8))
+        eps = Fraction(1, 8)
         vals = [shift_rank_lb(4443, rho, eps)
                 for rho in (1, Fraction(3, 2), 2, 3, 4, 6)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -688,7 +677,7 @@ class TestProperties:
            st.fractions(min_value=1, max_value=50, max_denominator=1000),
            st.fractions(min_value=-50, max_value=50, max_denominator=1000))
     def test_constant_fill_shift_closed_form(self, n, rho, fill):
-        M = build_shift(ShiftSpec(n, rho, fill="constant", fill_value=fill))
+        M = build_shift(n, rho, fill)
         closed = {0: rho, 1: rho - 1}
         assert M.tolist() == [[closed.get((a & b).bit_count(), fill)
                                for b in range(1 << n)] for a in range(1 << n)]
