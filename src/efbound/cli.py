@@ -292,11 +292,6 @@ def _nnegrk_bounds(a):
     return {"out": out}, None
 
 
-def _udisj_shift(a):
-    fill = a.fill_value if a.fill == "constant" else None
-    return {"out": _lib("udisj").build_shift(a.n, a.rho, fill).to_json()}, None
-
-
 def _razborov_check(a):
     import random
 
@@ -374,6 +369,8 @@ def _qall_separate(a):
 
 def _box_ef(a):
     encodings = _lib("encodings")
+    if (a.graph is None) != (a.report is None):
+        raise InputError("--graph and --report must be given together")
     if a.graph is not None and a.graph.n != a.n:
         raise InputError(f"graph ambient bound {a.graph.n} differs from --n {a.n}")
     out = {"out": encodings.box_ef(a.n).to_json()}
@@ -488,9 +485,10 @@ _COMMANDS = {c.name: c for c in [
               OUT],
              _nnegrk_bounds),
     _Command("udisj-shift", "rho-shift matrix of unique disjointness",
-             [N, RHO, ("--fill", {"choices": ["hardpair", "constant"], "default": "hardpair"}),
-              ("--fill-value", {"type": rat, "default": Fraction(0)}), OUT],
-             _udisj_shift),
+             [N, RHO, ("--fill", {"type": rat, "default": None,
+                                  "help": "entry for |a & b| >= 2 (default: the hard-pair fill)"}),
+              OUT],
+             lambda a: ({"out": _lib("udisj").build_shift(a.n, a.rho, a.fill).to_json()}, None)),
     _Command("razborov-check", "verify the conditional-expectation identities",
              [N, ("--trials", {"type": _positive_int, "default": 5}), SEED,
               ("--f", {"help": "function spec: ones | set:MASK | contains:K | avoids:K"}),

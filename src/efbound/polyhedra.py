@@ -29,8 +29,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InputError, decoding, json_int, require
-from .ratlin import (ONE, ZERO, RationalMatrix, _cleared, _combo, _over, _vec_json, dot,
-                     lp_feasible_each, lp_solve, lp_solve_each, rat, rat_str, rats)
+from .ratlin import (ONE, ZERO, RationalMatrix, _cleared, _combo, _over, _rho, _vec_json,
+                     dot, lp_feasible_each, lp_solve, lp_solve_each, rat, rat_str, rats)
 
 
 def _vec(xs, d=None, label="vector"):
@@ -202,15 +202,13 @@ def dilate(Q: HRep, rho) -> HRep:
     For minimization pairs the equivalent of shrinking is dilating by the
     reciprocal, which is the caller's job; rho < 1 is rejected here.
     """
-    rho = rat(rho)
-    if rho < 1:
-        raise InputError(f"dilation factor must be >= 1, got {rho}")
+    rho = _rho(rho)
     return HRep(Q.dim, Q.A, [rho * bi for bi in Q.b])
 
 
 def shift_slack(S: SlackMatrix, rho) -> SlackMatrix:
-    """Slack of the dilated pair: vertex entries gain (rho-1) b_i, rays are unchanged."""
-    rho = rat(rho)
+    """Slack of (P, rho Q), rho >= 1: vertex entries gain (rho-1) b_i, rays are unchanged."""
+    rho = _rho(rho)
     vb = S.vertex_block
     shifts = [(rho - 1) * bi for bi in S.source_b]
     shifted = [x + d for d, row in zip(shifts, vb.tolist()) for x in row]

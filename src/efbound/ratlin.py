@@ -19,18 +19,18 @@ columns.  `lp_solve_each` optimizes a list of objectives over one region,
 running phase 1 once and starting each phase 2 from the previous optimal
 basis; `lp_solve` is its one-objective case.  `lp_feasible_each` solves a
 family of feasibility LPs (zero objective) that share their matrix and
-differ only in the equality right-hand side.  Phase 1 runs once; each later
-right-hand side is priced through the artificial block, which holds the
-running basis inverse, and made feasible again by dual simplex pivots.  A
-zero objective keeps every basis dual feasible, so no new phase 1 is
-needed, and the dual Bland rule (leave on the negative row of lowest basic
-index, enter on its lowest-index negative column) terminates.  A row left
-negative with no negative entry, or a nonzero row still held by an
-artificial, is a Farkas vector read off the same block.  The deadline of
-`errors` is polled once per pivot.  Every answer is re-checked as an exact
-identity, on the rows cleared to ints once per call and each certificate
-vector put over one denominator, before it is returned; a failed check
-raises VerificationError in every run mode:
+differ only in the equality right-hand side.  Phase 1 runs once, whatever
+its outcome; each later right-hand side is priced through the artificial
+block, which holds the running basis inverse, and made feasible again by
+dual simplex pivots.  A zero objective keeps every basis dual feasible, so
+no new phase 1 is needed, and the dual Bland rule (leave on the negative
+row of lowest basic index, enter on its lowest-index negative column)
+terminates.  A row left negative with no negative entry, or a nonzero row
+still held by an artificial, is a Farkas vector read off the same block.
+The deadline of `errors` is polled once per pivot.  Every answer is
+re-checked as an exact identity, on the rows cleared to ints once per call
+and each certificate vector put over one denominator, before it is
+returned; a failed check raises VerificationError in every run mode:
 
 * optimal   -- primal feasibility, dual feasibility (reduced costs zero on
                free columns, >= 0 on masked ones), matching
@@ -96,6 +96,14 @@ def rat(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational from {x!r}") from exc
     raise InputError(f"cannot coerce {type(x).__name__} to a rational")
+
+
+def _rho(rho):
+    """rho as a Fraction, once it is >= 1 (else InputError)."""
+    rho = rat(rho)
+    if rho < 1:
+        raise InputError(f"rho must be >= 1, got {rho}")
+    return rho
 
 
 def rats(xs) -> list:
@@ -491,12 +499,12 @@ def lp_feasible_each(A, b, Aeq, beqs, n, nonneg=()):
     in beqs: one family of feasibility LPs over n variables that share
     their matrix and differ only in the equality right-hand side.
 
-    Phase 1 runs on the first beq; each later one restarts from the basis
-    where the previous one stopped (see _Tableau.restart), which is a basis
-    whatever its outcome.  An infeasible phase 1 leaves no basis, so the
-    next beq runs phase 1 again.  Every result is verified exactly before it
-    is yielded, so a caller may stop at any one of them.  With n = 0, phase 1
-    or the restart refutes every nonzero beq.
+    One tableau serves the whole family.  Phase 1 runs on the first beq;
+    each later one restarts from the basis where the previous one stopped
+    (see _Tableau.restart), which is a basis whatever its outcome.  Every
+    result is verified exactly before it is yielded, so a caller may stop
+    at any one of them.  With n = 0, phase 1 or the restart refutes every
+    nonzero beq.
     """
     if n < 0:
         raise InputError(f"a family of LPs needs n >= 0 variables, got {n}")
@@ -517,8 +525,6 @@ def lp_feasible_each(A, b, Aeq, beqs, n, nonneg=()):
         if tab is None:
             tab = _Tableau(ineq + eq, len(ineq), mask)
             farkas = tab.phase1()
-            if farkas is not None:
-                tab = None
         else:
             farkas = tab.restart(br + er)
         if farkas is None:
@@ -612,26 +618,32 @@ class _Tableau:
             d = obj[-1]
             y = [Fraction(sg * (obj[art0 + i] - d), d) for i, sg in enumerate(self.sigma)]
             return y[:self.mi], y[self.mi:]
-        # drive artificials out of the basis; rows where that is impossible
-        # are identically zero and stay inert
-        for i in range(len(T)):
-            if self.basis[i] >= art0:
-                enter = next((j for j in range(art0) if T[i][j] != 0), None)
-                if enter is not None:
-                    _pivot(T, self.basis, obj, i, enter)
+        self._expel_artificials(obj)
         return None
+
+    def _expel_artificials(self, obj):
+        """Pivot out each basic artificial whose row is nonzero outside the
+        artificial block, as phase 2 and restart need."""
+        T, basis, art0 = self.T, self.basis, self.art0
+        for i in range(len(T)):
+            if basis[i] >= art0:
+                enter = next((j for j in range(art0) if T[i][j]), None)
+                if enter is not None:
+                    _pivot(T, basis, obj, i, enter)
 
     def restart(self, rhs):
         """Move to a new right-hand side rhs (one entry per row, in the
         signs the rows were given) under a zero objective.  Returns None when
         it is feasible, leaving a feasible basis, else the Farkas pair (y, w).
 
-        The artificial block, the basis inverse, prices rhs; dual Bland
-        pivots then restore feasibility (every ratio of the dual ratio test
-        is zero, so the entering column is the row's lowest-index negative
-        one).  A row still held by an artificial is zero outside the
-        artificial block and never pivots, so its value is fixed by rhs.
+        Any basis will do: the artificials that can leave it leave first, so
+        a row an artificial still holds is zero outside the artificial block,
+        never pivots, and has its value fixed by rhs.  The artificial block,
+        the basis inverse, prices rhs; dual Bland pivots restore feasibility
+        (each dual ratio is zero, so the lowest-index negative column enters).
         """
+        zero = [0] * self.width
+        self._expel_artificials(zero)
         T, basis, art0 = self.T, self.basis, self.art0
         num, d = _over(rhs)
         num = [sg * x for sg, x in zip(self.sigma, num)]
@@ -641,7 +653,6 @@ class _Tableau:
         for line, bv in zip(T, basis):
             if bv >= art0 and line[-2]:
                 return self._farkas(line, -1 if line[-2] > 0 else 1)
-        zero = [0] * self.width
         while True:
             leave = min((i for i, line in enumerate(T) if line[-2] < 0),
                         key=basis.__getitem__, default=-1)

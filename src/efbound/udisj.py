@@ -42,7 +42,7 @@ from itertools import combinations, compress, product, repeat
 from operator import add, itemgetter, mul
 
 from .errors import BudgetError, InputError, check_deadline, decoding, ground_size, require
-from .ratlin import ONE, ZERO, RationalMatrix, _over, _vec_json, rat, rat_str, rats
+from .ratlin import ONE, ZERO, RationalMatrix, _over, _rho, _vec_json, rat, rat_str, rats
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,6 @@ class RowColStats:
     row1: Fraction
     col0: Fraction
     col1: Fraction
-
-
-def _rho(rho):
-    """rho as a Fraction, once it is >= 1 (else InputError)."""
-    rho = rat(rho)
-    if rho < 1:
-        raise InputError(f"rho must be >= 1, got {rho}")
-    return rho
 
 
 def build_shift(n, rho, fill=None) -> RationalMatrix:

@@ -103,6 +103,10 @@ class TestBuildCommands:
                      "--out", str(out)]) == 0
         M = RationalMatrix.from_json(json.loads(out.read_text()))
         assert M == build_shift(2, 2)
+        assert main(["udisj-shift", "--n", "2", "--rho", "1", "--fill", "7",
+                     "--out", str(out)]) == 0
+        M = RationalMatrix.from_json(json.loads(out.read_text()))
+        assert M == build_shift(2, 1, 7) and M.tolist()[-1][-1] == 7
 
     def test_cut_family_and_covmap(self, tmp_path):
         cf = tmp_path / "cf.json"
@@ -694,7 +698,7 @@ PINNED_UDISJ = [
      "b52e54131abb66238dfbc41614ec2cf706f0ab330b6e8a81474520d590fb5154"),
     (_SHIFT4,
      "225ab136bad89f0ca5eaa390b0430eef830e300a62d5c2a1983a6960b7d16212"),
-    (_SHIFT4 + ["--fill", "constant", "--fill-value", "5/3"],
+    (_SHIFT4 + ["--fill", "5/3"],
      "48f21a05a6a8c218a2db8b0ebc2c62aa2bf01d8dfc8b19be308e8f6ab66f858e"),
     # the benchmark's size, as written by one rat_str call per entry
     (["udisj-shift", "--n", "8", "--rho", "211/97"],
@@ -817,7 +821,7 @@ class TestParserReuse:
         default = ["udisj-shift", "--n", "3", "--rho", "2"]
         cli._build_parser.cache_clear()
         assert main(default + ["--out", str(d / "alone.json")]) == 0
-        assert main(default + ["--fill", "constant", "--fill-value", "3",
+        assert main(default + ["--fill", "3",
                                "--out", str(d / "tuned.json")]) == 0
         assert main(default + ["--out", str(d / "after.json")]) == 0
         assert (d / "tuned.json").read_bytes() != (d / "alone.json").read_bytes()
@@ -1004,8 +1008,7 @@ CLI_SURFACE = {
     "udisj-shift": {
         "--n": ("n", True, None, None, "_positive_int"),
         "--rho": ("rho", True, None, None, "rat"),
-        "--fill": ("fill", False, "hardpair", ("hardpair", "constant"), None),
-        "--fill-value": ("fill_value", False, Fraction(0, 1), None, "rat"),
+        "--fill": ("fill", False, None, None, "rat"),
         "--out": ("out", False, None, None, None),
     },
     "razborov-check": {
@@ -1292,8 +1295,38 @@ class TestNothingWrittenOnError:
     def test_box_ef_graph_mismatch(self, tmp_path):
         write(tmp_path / "g3.json", {"n": 3, "vertices": [1, 2, 3], "edges": []})
         assert main(["box-ef", "--n", "2", "--graph", str(tmp_path / "g3.json"),
-                     "--out", str(tmp_path / "box.json")]) == 2
+                     "--out", str(tmp_path / "box.json"),
+                     "--report", str(tmp_path / "r.json")]) == 2
         assert not (tmp_path / "box.json").exists()
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("alone", ["--graph", "--report"])
+    def test_box_ef_graph_and_report_go_together(self, tmp_path, capsys, alone):
+        write(tmp_path / "g.json", {"n": 2, "vertices": [1, 2], "edges": []})
+        path = {"--graph": "g.json", "--report": "r.json"}[alone]
+        assert main(["box-ef", "--n", "2", alone, str(tmp_path / path),
+                     "--out", str(tmp_path / "box.json")]) == 2
+        assert "--graph and --report must be given together" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+    @pytest.mark.parametrize("rho", ["1/2", "-3"])
+    def test_shift_slack_rho_below_one(self, pair_files, capsys, rho):
+        d = pair_files
+        assert main(["slack", "--p", str(d / "p.json"), "--q", str(d / "q.json"),
+                     "--out", str(d / "sl.json")]) == 0
+        assert main(["shift-slack", "--slack", str(d / "sl.json"), f"--rho={rho}",
+                     "--out", str(d / "sl2.json")]) == 2
+        assert "rho must be >= 1" in capsys.readouterr().err
+        assert not (d / "sl2.json").exists()
+
+    @pytest.mark.parametrize("fill", [["--fill", "hardpair"], ["--fill", "constant"],
+                                      ["--fill-value", "7"]])
+    def test_udisj_shift_old_fill_options_refused(self, tmp_path, fill):
+        with pytest.raises(SystemExit) as err:
+            main(["udisj-shift", "--n", "2", "--rho", "1", *fill,
+                  "--out", str(tmp_path / "m.json")])
+        assert err.value.code == 2
+        assert not (tmp_path / "m.json").exists()
 
     def test_razborov_half_a_pair(self, tmp_path):
         assert main(["razborov-check", "--n", "3", "--f", "ones",

@@ -116,6 +116,12 @@ class TestShiftSlack:
         S = build_slack(P, Q)
         assert shift_slack(S, 1) == S
 
+    @pytest.mark.parametrize("rho", [F(1, 2), -3])
+    def test_rho_below_one_rejected(self, rho):
+        P, Q = segment()
+        with pytest.raises(InputError, match="rho must be >= 1"):
+            shift_slack(build_slack(P, Q), rho)
+
     def test_segment_shift(self):
         P, Q = segment()
         S2 = shift_slack(build_slack(P, Q), 2)
@@ -320,6 +326,46 @@ class TestPivotCounts:
         hp = build_hard_pair(3)
         ef_to_factorization(trivial_ef(hp.Q), hp.P, hp.Q)
         assert pivots[0] == 31
+
+    def test_ef_to_factorization_point_in_box(self, pivots):
+        # no row of the box derives tightly, so the whole tight-derivation
+        # family is infeasible and restarts from phase 1's basis
+        ef_to_factorization(*point_in_box())
+        assert pivots[0] == 30
+
+
+def point_in_box():
+    """(K, P, Q): K = P = {0} in R^3, K the trivial EF of +-x_k <= 0, inside
+    the box Q of the rows +-x_k <= 1."""
+    signs = [[sg * (j == k) for j in range(3)] for sg in (1, -1) for k in range(3)]
+    return trivial_ef(HRep(3, signs, [0] * 6)), VRep(3, [[0, 0, 0]]), HRep(3, signs, [1] * 6)
+
+
+class TestOneTableauPerFamily:
+    """lp_feasible_each keeps its tableau whatever phase 1 and each restart
+    find, so a family costs one tableau however many members are infeasible."""
+
+    @pytest.fixture
+    def tableaux(self, monkeypatch):
+        count = [0]
+        genuine = ratlin._Tableau.__init__
+
+        def counting(self, *args):
+            count[0] += 1
+            genuine(self, *args)
+        monkeypatch.setattr(ratlin._Tableau, "__init__", counting)
+        return count
+
+    def test_infeasible_phase1_and_restart(self, tableaux):
+        out = list(ratlin.lp_feasible_each(None, None, [[1, -1], [1, 1]],
+                                           [[0, -1], [1, 3], [3, 1], [-1, 1]], 2, [0, 1]))
+        assert [r.status for r in out] == ["infeasible", "optimal", "infeasible", "optimal"]
+        assert tableaux[0] == 1
+
+    def test_tight_derivations_all_infeasible(self, tableaux):
+        K, _, Q = point_in_box()
+        assert list(polyhedra.tight_derivations(K, Q)) == [None] * 6
+        assert tableaux[0] == 1
 
 
 class TestHomogenize:
