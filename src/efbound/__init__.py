@@ -28,10 +28,9 @@ _EXPORTS = {
                   "shift_slack", "trivial_ef", "verify_sandwich"],
     "ratlin": ["LpResult", "RationalMatrix", "dot", "lp_feasible_each", "lp_solve",
                "lp_solve_each", "mat_rank", "rat", "rat_str", "rats"],
-    "udisj": ["FunctionTable", "PartitionT", "UdisjParams", "build_shift", "cond_expect",
-              "corruption_rhs", "entropy_gap", "enum_classes", "mu_class_probabilities",
-              "razborov_identities", "rectangle_corruption_scan", "row_col_stats",
-              "shift_rank_lb"],
+    "udisj": ["FunctionTable", "PartitionT", "build_shift", "cond_expect", "corruption_rhs",
+              "entropy_gap", "enum_classes", "mu_class_probabilities", "razborov_identities",
+              "rectangle_corruption_scan", "row_col_stats", "shift_rank_lb"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

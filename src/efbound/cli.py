@@ -211,6 +211,8 @@ def _verify_qall_violation(d):
             i, j = c["entry"]
             if not all(type(v) is int and 1 <= v <= x.rows for v in (i, j)):
                 raise ValueError("entry outside x")
+        elif c["kind"] != "graph":
+            raise ValueError("constraint kind")
         else:
             G = _lib("encodings").Graph.from_json(c["graph"])
             if G.n != x.rows:
@@ -239,12 +241,15 @@ def _verify_spectra_failure(d):
 
 
 def _verify_razborov_failure(d):
+    udisj = _lib("udisj")
     with decoding("razborov-failure certificate needs an integer n, f, g"):
-        udisj = _lib("udisj")
-        params = udisj.UdisjParams(d["n"])
-        f = udisj.FunctionTable.from_json(d["f"])
-        g = udisj.FunctionTable.from_json(d["g"])
-    return not udisj.razborov_identities(f, g, params).ok
+        udisj._ell(n := d["n"])
+        f, g = (udisj.FunctionTable.from_json(d[k]) for k in "fg")
+    udisj._identities_ell(n)
+    for name, fn in (("f", f), ("g", g)):
+        if fn.n != n:
+            raise InputError(f"{name} is a table over n={fn.n}, expected {n}")
+    return not udisj.razborov_identities(f, g).ok
 
 
 _CERT_CHECKERS = {
@@ -296,10 +301,11 @@ def _razborov_check(a):
     import random
 
     udisj, _vec_json = _lib("udisj"), _lib("ratlin")._vec_json
-    params = udisj.UdisjParams(a.n)
-    if a.f or a.g:
-        if not (a.f and a.g):
-            raise InputError("--f and --g must be given together")
+    udisj._ell(a.n)
+    if (a.f or a.g) and not (a.f and a.g):
+        raise InputError("--f and --g must be given together")
+    udisj._identities_ell(a.n)  # before any table is built
+    if a.f:
         pairs = [(udisj.parse_function(a.f, a.n), udisj.parse_function(a.g, a.n))]
     else:
         rng = random.Random(a.seed)
@@ -314,7 +320,7 @@ def _razborov_check(a):
     checks = []
     first_bad = None
     for f, g in pairs:
-        rep = udisj.razborov_identities(f, g, params)
+        rep = udisj.razborov_identities(f, g)
         checks.append({"ok": rep.ok,
                        "expectation_a": _vec_json(rep.expectation_a),
                        "expectation_b": _vec_json(rep.expectation_b)})
@@ -332,7 +338,7 @@ def _razborov_check(a):
 def _corruption_scan(a):
     csv = a.format == "csv"
     udisj = _lib("udisj")
-    rep = udisj.rectangle_corruption_scan(udisj.UdisjParams(a.n), a.eps, mode=a.mode,
+    rep = udisj.rectangle_corruption_scan(a.n, a.eps, mode=a.mode,
                                           seed=a.seed, count=a.count, keep_records=csv)
     return {"out": rep.csv_text() if csv else rep.to_json()}, None
 

@@ -20,15 +20,15 @@ from .ratlin import ONE, ZERO, RationalMatrix, rat, rat_str, rats
 
 
 def _as_mask(b, n):
-    """Accept a bitmask or a 0/1 sequence of length n."""
-    if isinstance(b, int):
+    """Accept a bitmask or a 0/1 list or tuple of length n, of ints (no bool or float)."""
+    if type(b) is int:
         if not 0 <= b < (1 << n):
             raise InputError(f"mask {b} out of range for n={n}")
         return b
-    bits = list(b)
-    if len(bits) != n or any(x not in (0, 1) for x in bits):
+    if not isinstance(b, (list, tuple)) or len(b) != n or \
+            any(type(x) is not int or x not in (0, 1) for x in b):
         raise InputError(f"expected a 0/1 vector of length {n}")
-    return sum(1 << i for i, x in enumerate(bits) if x)
+    return sum(1 << i for i, x in enumerate(b) if x)
 
 
 def _bits(mask, n):

@@ -1,7 +1,8 @@
 """Unique-disjointness shift matrices and the corruption-lemma machinery.
 
-Ground sets have size n = 4*l - 1 (n congruent to 3 mod 4).  Subsets of [n]
-are bitmasks with the least significant bit standing for element 1.  Two
+Ground sets have size n = 4*l - 1 (n congruent to 3 mod 4), given as an int,
+or read off the tables f, g, which must share it.  Subsets of [n] are
+bitmasks with the least significant bit standing for element 1.  Two
 families of ordered pairs of l-subsets drive everything:
 
     A : disjoint pairs,
@@ -45,23 +46,18 @@ from .errors import BudgetError, InputError, check_deadline, decoding, ground_si
 from .ratlin import ONE, ZERO, RationalMatrix, _over, _rho, _vec_json, rat, rat_str, rats
 
 
-@dataclass(frozen=True)
-class UdisjParams:
-    """Ground-set size n with n = 4l - 1 >= 3; l = (n+1)/4."""
+def _ell(n):
+    """l = (n+1)/4, once n is an integer >= 3 congruent to 3 mod 4 (else InputError)."""
+    if ground_size(n, least=3) % 4 != 3:
+        raise InputError(f"n must be congruent to 3 mod 4 and >= 3, got {n}")
+    return (n + 1) // 4
 
-    n: int
 
-    def __post_init__(self):
-        if ground_size(self.n, least=3) % 4 != 3:
-            raise InputError(f"n must be congruent to 3 mod 4 and >= 3, got {self.n}")
-
-    @property
-    def ell(self):
-        return (self.n + 1) // 4
-
-    @property
-    def full_mask(self):
-        return (1 << self.n) - 1
+def _identities_ell(n):
+    """_ell(n), once n is also at most 11, the limit of razborov_identities (else BudgetError)."""
+    ell = _ell(n)
+    ground_size(n, limit=11)
+    return ell
 
 
 def _bits(mask):
@@ -170,14 +166,15 @@ def build_shift(n, rho, fill=None) -> RationalMatrix:
     return RationalMatrix._of(size, size, entries)
 
 
-def _neighbour_masks(params: UdisjParams):
-    """(a, A mask, B mask) per l-subset a, in ksubsets order, over compressed
-    positions: position k stands for the k-th l-subset b.  The A mask holds
-    the b inside the complement of a, the B mask the b that meet a in
-    exactly one element."""
-    subs = list(ksubsets(params.full_mask, params.ell))
+def _neighbour_masks(n):
+    """(a, A mask, B mask) per l-subset a of [n], in ksubsets order, over
+    compressed positions: position k stands for the k-th l-subset b.  The A
+    mask holds the b inside the complement of a, the B mask the b that meet
+    a in exactly one element."""
+    ell = _ell(n)
+    subs = list(ksubsets((1 << n) - 1, ell))
     # per element x, the positions of the l-subsets that hold it
-    holding = [sum(1 << k for k, b in enumerate(subs) if b >> x & 1) for x in range(params.n)]
+    holding = [sum(1 << k for k, b in enumerate(subs) if b >> x & 1) for x in range(n)]
     every = (1 << len(subs)) - 1
     out = []
     for a in subs:
@@ -198,12 +195,12 @@ def _members(items, mask):
     return compress(items, format(mask, f"0{len(items)}b")[::-1].encode().translate(_BIT))
 
 
-def enum_classes(params: UdisjParams):
-    """Ordered pairs of l-subsets: A disjoint, B sharing exactly one element.
+def enum_classes(n):
+    """Ordered pairs of l-subsets of [n]: A disjoint, B sharing exactly one element.
 
     Both lists run over a in ksubsets order and, for one a, over b in
     ksubsets order, as a filter of all pairs would."""
-    rows = _neighbour_masks(params)
+    rows = _neighbour_masks(n)
     subs = [a for a, _, _ in rows]
     A, B = [], []
     for a, amask, bmask in rows:
@@ -212,26 +209,26 @@ def enum_classes(params: UdisjParams):
     return A, B
 
 
-def partitions(params: UdisjParams):
+def partitions(n):
     """All (T1, T2, i) with |T1| = |T2| = 2l-1 partitioning [n]."""
-    tsize = 2 * params.ell - 1
-    for i in range(1, params.n + 1):
-        rest = params.full_mask & ~(1 << (i - 1))
+    tsize = 2 * _ell(n) - 1
+    for i in range(1, n + 1):
+        rest = ((1 << n) - 1) & ~(1 << (i - 1))
         for t1 in ksubsets(rest, tsize):
             yield PartitionT(t1, rest & ~t1, i)
 
 
-def mu_class_probabilities(params: UdisjParams):
+def mu_class_probabilities(n):
     """(P(A), P(B)) under mu, by exhausting the (T, a, b) construction.
 
     Also checks what the construction promises: the support is exactly
     A union B and pairs within one class are equiprobable.  A failed check
     raises VerificationError.
     """
-    ell = params.ell
+    ell = _ell(n)
     counts = {}
     total = 0
-    for T in partitions(params):
+    for T in partitions(n):
         check_deadline()
         ibit = 1 << (T.i - 1)
         a_choices = list(ksubsets(T.t1 | ibit, ell))
@@ -240,7 +237,7 @@ def mu_class_probabilities(params: UdisjParams):
             for b in b_choices:
                 counts[(a, b)] = counts.get((a, b), 0) + 1
                 total += 1
-    A, B = enum_classes(params)
+    A, B = enum_classes(n)
     aset, bset = set(A), set(B)
     require(set(counts) == aset | bset, "mu support is exactly A union B")
     acounts = {counts[p] for p in aset}
@@ -251,25 +248,23 @@ def mu_class_probabilities(params: UdisjParams):
     return pa, 1 - pa
 
 
-def _checked_scaled(f: FunctionTable, g: FunctionTable, params: UdisjParams):
-    """_over(f.values) and _over(g.values), once both are checked to be
-    nonnegative tables over params.n."""
-    out = []
-    for name, fn in (("f", f), ("g", g)):
-        if fn.n != params.n:
-            raise InputError(f"{name} is a table over n={fn.n}, expected {params.n}")
-        vals, den = _over(fn.values)
+def _checked_scaled(f: FunctionTable, g: FunctionTable):
+    """(n, _over(f.values), _over(g.values)), once f and g are checked to be
+    nonnegative tables over the same n."""
+    if f.n != g.n:
+        raise InputError(f"f and g must be tables over one n, got n={f.n} and n={g.n}")
+    out = [f.n, _over(f.values), _over(g.values)]
+    for name, (vals, _) in zip("fg", out[1:]):
         if min(vals) < 0:
             raise InputError(f"{name} must be nonnegative")
-        out.append((vals, den))
     return out
 
 
-def _cond_expect(scaled_f, scaled_g, params: UdisjParams):
+def _cond_expect(n, scaled_f, scaled_g):
     """cond_expect over the scaled tables: sum_a F(a) sum_b G(b) over each
     a's partners in A and in B."""
     (F, df), (G, dg) = scaled_f, scaled_g
-    rows = _neighbour_masks(params)
+    rows = _neighbour_masks(n)
     gs = [G[b] for b, _, _ in rows]
     sum_a = sum_b = na = nb = 0
     for a, amask, bmask in rows:
@@ -280,9 +275,9 @@ def _cond_expect(scaled_f, scaled_g, params: UdisjParams):
     return Fraction(sum_a, na * df * dg), Fraction(sum_b, nb * df * dg)
 
 
-def cond_expect(f: FunctionTable, g: FunctionTable, params: UdisjParams):
+def cond_expect(f: FunctionTable, g: FunctionTable):
     """(E[X | A], E[X | B]) for X = f(a) g(b), uniform within each class."""
-    return _cond_expect(*_checked_scaled(f, g, params), params)
+    return _cond_expect(*_checked_scaled(f, g))
 
 
 def _subset_sums(values, n, k):
@@ -307,27 +302,26 @@ def _subset_sums(values, n, k):
     return z
 
 
-def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT,
-                  params: UdisjParams) -> RowColStats:
-    """The four conditional expectations for a fixed partition T:
+def row_col_stats(f: FunctionTable, g: FunctionTable, T: PartitionT) -> RowColStats:
+    """The four conditional expectations for a fixed partition T of [n], n = f.n:
 
     Row0 = E[f(a) | T, i not in a]   (a ranges over l-subsets of T1)
     Row1 = E[f(a) | T, i in a]       (a = {i} plus an (l-1)-subset of T1)
     and the same for g over T2 columns.
     """
-    ell = params.ell
+    n, (F, df), (G, dg) = _checked_scaled(f, g)
+    ell = _ell(n)
     tsize = 2 * ell - 1
     ibit = 1 << (T.i - 1)
-    if not 1 <= T.i <= params.n:
+    if not 1 <= T.i <= n:
         raise InputError(f"singleton element {T.i} out of range")
-    if (T.t1 | T.t2 | ibit) != params.full_mask or \
+    if (T.t1 | T.t2 | ibit) != (1 << n) - 1 or \
             T.t1 & T.t2 or T.t1 & ibit or T.t2 & ibit:
         raise InputError("T1, T2, {i} must partition the ground set")
     if T.t1.bit_count() != tsize or T.t2.bit_count() != tsize:
         raise InputError(f"T1 and T2 must each have {tsize} elements")
     k0, k1 = math.comb(tsize, ell), math.comb(tsize, ell - 1)
-    (F, df), (G, dg) = _over(f.values), _over(g.values)
-    zf, zg = _subset_sums(F, params.n, ell), _subset_sums(G, params.n, ell)
+    zf, zg = _subset_sums(F, n, ell), _subset_sums(G, n, ell)
     return RowColStats(row0=Fraction(zf[T.t1], k0 * df),
                        row1=Fraction(zf[T.t1 | ibit] - zf[T.t1], k1 * df),
                        col0=Fraction(zg[T.t2], k0 * dg),
@@ -350,9 +344,8 @@ class RazborovReport:
                 and all(l == r for _, l, r in self.marginals))
 
 
-def razborov_identities(f: FunctionTable, g: FunctionTable,
-                        params: UdisjParams) -> RazborovReport:
-    """Check, by full enumeration over partitions at n <= 11, that
+def razborov_identities(f: FunctionTable, g: FunctionTable) -> RazborovReport:
+    """Check, by full enumeration over partitions at n = f.n <= 11, that
 
         E[X | A] = E_T[Row0(T) Col0(T)],
         E[X | B] = E_T[Row1(T) Col1(T)],
@@ -360,13 +353,13 @@ def razborov_identities(f: FunctionTable, g: FunctionTable,
     and that E[Row0 | T2] = E[Row1 | T2] for every T2 (the two marginal
     distributions of a agree).  Exact on both sides.
     """
-    ground_size(params.n, limit=11)
-    scaled_f, scaled_g = _checked_scaled(f, g, params)
-    lhs_a, lhs_b = _cond_expect(scaled_f, scaled_g, params)
+    ell = _identities_ell(f.n)
+    n, scaled_f, scaled_g = _checked_scaled(f, g)
+    lhs_a, lhs_b = _cond_expect(n, scaled_f, scaled_g)
     # integer numerators throughout; Row0, Col0 sit over k0 = C(2l-1, l)
     # times the table denominators, Row1, Col1 over k1 = C(2l-1, l-1)
     (F, df), (G, dg) = scaled_f, scaled_g
-    n, ell, full = params.n, params.ell, params.full_mask
+    full = (1 << n) - 1
     k0, k1 = math.comb(2 * ell - 1, ell), math.comb(2 * ell - 1, ell - 1)
     zf, zg = _subset_sums(F, n, ell), _subset_sums(G, n, ell)
     sum_a = sum_b = count = 0
@@ -443,7 +436,7 @@ def shift_rank_lb(n, rho, eps=None, C=0) -> float:
     whose bound exceeds the float range is an input error."""
     if eps is not None:
         _exponent(eps, C)
-    ell = UdisjParams(n).ell
+    ell = _ell(n)
     rho = _rho(rho)
     eps = Fraction(1, 2) / rho if eps is None else rat(eps)
     exponent = _exponent(eps, C)(ell)
@@ -574,9 +567,9 @@ def _counts(rows, size, rects):
         yield rs, cs, (ma & outer).bit_count(), (mb & outer).bit_count()
 
 
-def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
+def rectangle_corruption_scan(n, eps, mode="exhaustive",
                               seed=0, count=1000, keep_records=False) -> ScanReport:
-    """Maximize (1-eps) P(R|A) - P(R|B) over combinatorial rectangles.
+    """Maximize (1-eps) P(R|A) - P(R|B) over combinatorial rectangles on [n].
 
     Exhaustive mode covers the full lattice of 2^(2^n) x 2^(2^n) rectangles
     and is therefore only allowed at n = 3 (65536 rectangles); it also
@@ -604,22 +597,23 @@ def rectangle_corruption_scan(params: UdisjParams, eps, mode="exhaustive",
     with its first, so the result is that of the full scan, and `scanned`
     still counts every rectangle.
     """
+    _ell(n)
     eps = rat(eps)
     if not 0 <= eps < 1:
         raise InputError(f"epsilon must lie in [0,1), got {eps}")
     if mode not in ("exhaustive", "sample"):
         raise InputError(f"mode must be 'exhaustive' or 'sample', got {mode!r}")
-    if mode == "exhaustive" and params.n != 3:
+    if mode == "exhaustive" and n != 3:
         raise BudgetError(
-            f"exhaustive scan over 2^(2^{params.n}) rectangles exceeds the "
+            f"exhaustive scan over 2^(2^{n}) rectangles exceeds the "
             "budget; only n=3 is enumerable")
     if mode == "sample" and count < 1:
         raise InputError(f"sample count must be positive, got {count}")
     if mode == "sample":  # _counts packs ints of C(n, l)^2 / 8 bytes
-        ground_size(params.n, limit=19)
-    rows = _neighbour_masks(params)
+        ground_size(n, limit=19)
+    rows = _neighbour_masks(n)
     na, nb = (sum(r[k].bit_count() for r in rows) for k in (1, 2))
-    size = 1 << params.n
+    size = 1 << n
     row_blocks = []
     keep_sampled = mode == "sample" and keep_records
     if mode == "exhaustive":

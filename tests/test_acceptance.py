@@ -41,7 +41,6 @@ from efbound import (
     verify_sandwich,
     box_approx_report,
     FunctionTable,
-    UdisjParams,
 )
 from efbound.encodings import _graphs_on
 from efbound.nnfact import ef_to_factorization, factorization_to_ef
@@ -131,12 +130,10 @@ def test_factorization_ef_round_trip():
 def test_partition_identities_random_functions():
     t0 = time.perf_counter()
     for n in (3, 7):
-        params = UdisjParams(n)
-        assert mu_class_probabilities(params) == (F(3, 4), F(1, 4))
+        assert mu_class_probabilities(n) == (F(3, 4), F(1, 4))
         rng = random.Random(n)
         for _ in range(20):
-            rep = razborov_identities(random_table(n, rng),
-                                      random_table(n, rng), params)
+            rep = razborov_identities(random_table(n, rng), random_table(n, rng))
             assert rep.expectation_a[0] == rep.expectation_a[1]
             assert rep.expectation_b[0] == rep.expectation_b[1]
             assert all(left == right for _, left, right in rep.marginals)
@@ -156,7 +153,7 @@ def test_entropy_gap_grid_nonnegative():
 def test_exhaustive_rectangle_scan():
     t0 = time.perf_counter()
     eps = F(1, 2)
-    rep = rectangle_corruption_scan(UdisjParams(3), eps, keep_records=True)
+    rep = rectangle_corruption_scan(3, eps, keep_records=True)
     assert rep.zero_b_max == F(1, 3)
     assert rep.best_value == F(1, 6)
     full = {rid: val for rid, _, _, val in rep.records}["rff.cff"]

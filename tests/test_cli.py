@@ -534,12 +534,25 @@ class TestExitDiscipline:
 
     def test_sampled_scan_beyond_its_limit_exits_three(self, tmp_path, monkeypatch, capsys):
         # _counts packs ints of C(n, l)^2 / 8 bytes: 16 MB at n = 19, 1.2 GB at n = 23
-        def never(params):
+        def never(n):
             raise AssertionError("the l-subset masks were built")
         monkeypatch.setattr(udisj, "_neighbour_masks", never)
         assert main(["corruption-scan", "--n", "23", "--eps", "1/2", "--mode", "sample",
                      "--count", "2", "--out", str(tmp_path / "never.json")]) == 3
         assert "n=23 exceeds the enumeration limit 19" in capsys.readouterr().err
+        assert not (tmp_path / "never.json").exists()
+
+    @pytest.mark.parametrize("tables", [[], ["--f", "ones", "--g", "ones"]])
+    def test_razborov_check_beyond_its_limit_exits_three(self, tmp_path, monkeypatch, capsys,
+                                                         tables):
+        # the two 2^23-entry tables alone would take seconds and 200 MB
+        def never(*args):
+            raise AssertionError("a function table was built")
+        monkeypatch.setattr(udisj, "FunctionTable", never)
+        monkeypatch.setattr(udisj, "parse_function", never)
+        assert main(["razborov-check", "--n", "23", "--trials", "1",
+                     "--out", str(tmp_path / "never.json")] + tables) == 3
+        assert "n=23 exceeds the enumeration limit 11" in capsys.readouterr().err
         assert not (tmp_path / "never.json").exists()
 
     def test_short_edge_vector_exits_two(self, tmp_path, capsys):
@@ -1130,6 +1143,7 @@ def _mat(rows, cols, entries):
 
 # one well-formed certificate of each kind; the EF is {x : x + w = 0, w >= 0}
 _EF = {"E": _mat(1, 1, ["1"]), "F": _mat(1, 1, ["1"]), "g": ["0"]}
+_EDGELESS2 = {"n": 2, "vertices": [1, 2], "edges": []}
 WELL_FORMED = {
     "contains-failure": {"ef": _EF, "target_kind": "point", "target": ["1"], "u": ["1"]},
     "row-violation": {"ef": _EF, "row": ["-1"], "bound": "0", "point": ["-1"],
@@ -1184,6 +1198,14 @@ class TestMalformedCertificate:
         ("razborov-failure", {"f": {"n": 3, "values": ["1"] * 7}}),
         ("razborov-failure", {"f": {"n": 3.5, "values": ["1"] * 8}}),
         ("row-violation", {"lifting": ["1", "0"]}),
+        # a graph row would hold for these x and graph: only the kind is wrong
+        ("qall-violation", {"constraint": {"kind": "bogus", "graph": _EDGELESS2}}),
+        ("qall-violation", {"constraint": {"kind": ["sign"], "graph": _EDGELESS2}}),
+        # the zero y fails the witness equation: only b is wrong
+        ("spectra-failure", {"n": 2, "b": True, "y": _mat(3, 3, ["0"] * 9)}),
+        ("spectra-failure", {"n": 2, "b": [1.0, 0], "y": _mat(3, 3, ["0"] * 9)}),
+        ("spectra-failure", {"n": 2, "b": [True, False], "y": _mat(3, 3, ["0"] * 9)}),
+        ("razborov-failure", {"n": 7}),
     ])
     def test_wrong_value(self, tmp_path, kind, patch):
         assert self.check(tmp_path, dict(WELL_FORMED[kind], kind=kind, **patch)) == 2

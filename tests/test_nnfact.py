@@ -685,12 +685,30 @@ def reference_qall_violation(cert):
     return lhs > omega
 
 
+def _qall_cert(check_cert, x):
+    """The qall-violation certificate that qall-separate writes for the
+    point x, or None; check-cert and the Fraction check both accept it."""
+    X = RationalMatrix.from_rows(x)
+    _, cert = cli._qall_separate(argparse.Namespace(x=X, mode="exhaustive", seed=0, count=200))
+    assert cert is None or (check_cert(cert) and reference_qall_violation(cert))
+    return cert
+
+
+def _changed_qall_verdict(check_cert, cert, k, delta):
+    """check-cert's verdict on cert with entry k of x changed by delta,
+    once it is found equal to the plain Fraction check's."""
+    entries = cert["x"]["entries"]
+    entries[k] = str(F(entries[k]) + delta)
+    verdict = check_cert(cert)
+    assert verdict == reference_qall_violation(cert)
+    return verdict
+
+
 def test_mutated_qall_violation_matches_reference(tmp_path_factory):
     """check-cert accepts the qall-violation certificate of each drawn point
     that qall-separate refutes, and with one entry of x changed by a
     nonzero rational its verdict is the plain Fraction check's."""
     check_cert = _cert_checker(tmp_path_factory.mktemp("qall"))
-    verdicts = []
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -699,26 +717,32 @@ def test_mutated_qall_violation_matches_reference(tmp_path_factory):
         low = data.draw(st.sampled_from([-1, 0]))  # 0: only graph rows can be violated
         x = [[data.draw(st.fractions(0 if i == j else low, 2, max_denominator=3))
               for j in range(n)] for i in range(n)]
-        X = RationalMatrix.from_rows(x)
-        _, cert = cli._qall_separate(argparse.Namespace(x=X, mode="exhaustive", seed=0,
-                                                        count=200))
+        cert = _qall_cert(check_cert, x)
         assume(cert is not None)
-        assert check_cert(cert) and reference_qall_violation(cert)
         c = cert["constraint"]
         # half the draws change an entry the constraint reads: x_ij of a
         # sign row, a diagonal entry of the graph's vertices otherwise
         read = ([(c["entry"][0] - 1) * n + c["entry"][1] - 1] if c["kind"] == "sign"
                 else [(v - 1) * (n + 1) for v in c["graph"]["vertices"]])
         k = data.draw(st.one_of(st.sampled_from(read), st.integers(0, n * n - 1)))
-        entries = cert["x"]["entries"]
-        entries[k] = str(F(entries[k]) + data.draw(st.fractions(-3, 3, max_denominator=5)
-                                                   .filter(bool)))
-        verdict = check_cert(cert)
-        assert verdict == reference_qall_violation(cert)
-        verdicts.append((cert["constraint"]["kind"], verdict))
+        _changed_qall_verdict(check_cert, cert, k, data.draw(
+            st.fractions(-3, 3, max_denominator=5).filter(bool)))
     prop()
-    assert {kind for kind, _ in verdicts} == {"sign", "graph"}
-    assert False in {verdict for _, verdict in verdicts}
+
+
+@pytest.mark.parametrize("x,k,delta,kind,verdict", [
+    ([[1, -1], [-1, 1]], 0, 1, "sign", True),  # x_12 = -1 is still negative
+    ([[1, -1], [-1, 1]], 1, 2, "sign", False),  # x_12 = 1
+    ([[2, 0], [0, 2]], 0, 1, "graph", True),  # vertices {1}: x_11 = 3 > omega = 1
+    ([[2, 0], [0, 2]], 0, -1, "graph", False),  # x_11 = 1
+])
+def test_changed_qall_violation_each_kind_and_verdict(tmp_path, x, k, delta, kind, verdict):
+    """The draws above need not reach both constraint kinds and both
+    verdicts; these four changes of one entry do."""
+    check_cert = _cert_checker(tmp_path)
+    cert = _qall_cert(check_cert, x)
+    assert cert["constraint"]["kind"] == kind
+    assert _changed_qall_verdict(check_cert, cert, k, F(delta)) is verdict
 
 
 class TestRectCover:

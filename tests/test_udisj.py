@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import os
 import random
@@ -9,17 +10,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from efbound import udisj
+from efbound import cli, udisj
 from efbound.errors import BudgetError, InputError, VerificationError
 from efbound.errors import set_budget_ms
 from efbound.ratlin import _over, rat_str
 from efbound.udisj import (
     FunctionTable,
     PartitionT,
-    UdisjParams,
     build_shift,
     cond_expect,
     corruption_rhs,
@@ -46,11 +46,11 @@ class TestParams:
     @pytest.mark.parametrize("n", [2, 4, 5, 6, 8, 0, -1])
     def test_bad_n_rejected(self, n):
         with pytest.raises(InputError):
-            UdisjParams(n)
+            udisj._ell(n)
 
     @pytest.mark.parametrize("n,ell", [(3, 1), (7, 2), (11, 3), (15, 4)])
     def test_ell(self, n, ell):
-        assert UdisjParams(n).ell == ell
+        assert udisj._ell(n) == ell
 
 
 class TestFunctionTables:
@@ -127,29 +127,27 @@ class TestBuildShift:
 
 class TestEnumClasses:
     def test_n3_sizes(self):
-        A, B = enum_classes(UdisjParams(3))
+        A, B = enum_classes(3)
         assert len(A) == 6 and len(B) == 3
 
     def test_n7_sizes(self):
-        A, B = enum_classes(UdisjParams(7))
+        A, B = enum_classes(7)
         assert len(A) == 210 and len(B) == 210
 
     @pytest.mark.parametrize("n", [3, 7, 11])
     def test_equals_all_pairs_filter(self, n):
         # the lists read off the partner masks are the filter of all pairs
         # of l-subsets, in the same order
-        p = UdisjParams(n)
-        subs = list(ksubsets(p.full_mask, p.ell))
+        subs = list(ksubsets((1 << n) - 1, udisj._ell(n)))
         A = [(a, b) for a in subs for b in subs if (a & b).bit_count() == 0]
         B = [(a, b) for a in subs for b in subs if (a & b).bit_count() == 1]
-        assert enum_classes(p) == (A, B)
+        assert enum_classes(n) == (A, B)
 
     def test_classes_disjoint_and_well_formed(self):
-        p = UdisjParams(7)
-        A, B = enum_classes(p)
+        A, B = enum_classes(7)
         assert not set(A) & set(B)
         for a, b in A:
-            assert a.bit_count() == p.ell and b.bit_count() == p.ell
+            assert a.bit_count() == 2 and b.bit_count() == 2
             assert (a & b).bit_count() == 0
         for a, b in B:
             assert (a & b).bit_count() == 1
@@ -159,53 +157,48 @@ class TestMu:
     @pytest.mark.parametrize("n", [3, 7])
     def test_class_masses(self, n):
         # internal checks also cover support = A u B and equiprobability
-        assert mu_class_probabilities(UdisjParams(n)) == (Fraction(3, 4), Fraction(1, 4))
+        assert mu_class_probabilities(n) == (Fraction(3, 4), Fraction(1, 4))
 
 
 class TestCondExpect:
     def test_constant_one(self):
-        p = UdisjParams(3)
         ones = FunctionTable.ones(3)
-        assert cond_expect(ones, ones, p) == (Fraction(1), Fraction(1))
+        assert cond_expect(ones, ones) == (Fraction(1), Fraction(1))
 
     def test_point_indicator(self):
         # f = g = indicator of the single set {1}: disjoint pairs never hit
         # it twice, the B pair ({1},{1}) is one of three
-        p = UdisjParams(3)
         ind = parse_function("set:1", 3)
-        assert cond_expect(ind, ind, p) == (Fraction(0), Fraction(1, 3))
+        assert cond_expect(ind, ind) == (Fraction(0), Fraction(1, 3))
 
     def test_negative_rejected(self):
-        p = UdisjParams(3)
         bad = FunctionTable(3, [1] * 7 + [-1])
         with pytest.raises(InputError):
-            cond_expect(bad, FunctionTable.ones(3), p)
+            cond_expect(bad, FunctionTable.ones(3))
 
     def test_size_mismatch(self):
         with pytest.raises(InputError):
-            cond_expect(FunctionTable.ones(7), FunctionTable.ones(3), UdisjParams(3))
+            cond_expect(FunctionTable.ones(7), FunctionTable.ones(3))
 
 
 class TestRowColStats:
     def test_point_indicator_partition(self):
         # T1 = {2}, T2 = {3}, i = 1, f = g = indicator of {1}:
         # the only a containing i is {1} itself
-        p = UdisjParams(3)
         ind = parse_function("set:1", 3)
-        st = row_col_stats(ind, ind, PartitionT(t1=0b010, t2=0b100, i=1), p)
+        st = row_col_stats(ind, ind, PartitionT(t1=0b010, t2=0b100, i=1))
         assert st.row1 == 1 and st.row0 == 0
         assert st.col1 == 1 and st.col0 == 0
 
     @pytest.mark.parametrize("n,seed", [(3, 0), (3, 1), (7, 2)])
     def test_row_average_is_unconditional_expectation(self, n, seed):
         # (row0 + row1)/2 = E[f(a) | T] since i lands in a with chance 1/2
-        p = UdisjParams(n)
         rng = random.Random(seed)
         f = random_table(n, rng)
         g = FunctionTable.ones(n)
-        for T in partitions(p):
-            st = row_col_stats(f, g, T, p)
-            pool = list(ksubsets(T.t1 | (1 << (T.i - 1)), p.ell))
+        for T in partitions(n):
+            st = row_col_stats(f, g, T)
+            pool = list(ksubsets(T.t1 | (1 << (T.i - 1)), udisj._ell(n)))
             expect = sum((f(m) for m in pool), Fraction(0)) / len(pool)
             assert (st.row0 + st.row1) / 2 == expect
 
@@ -214,43 +207,48 @@ class TestRowColStats:
         # the subset-sum tables that razborov_identities reads hold, at every
         # partition, the sums over T1's l-subsets and over {i} plus T1's
         # (l-1)-subsets (the same for T2), and row_col_stats reads them too
-        p = UdisjParams(n)
+        ell = udisj._ell(n)
         rng = random.Random(seed)
         f, g = _fraction_table(n, rng), _fraction_table(n, rng)
-        k0 = math.comb(2 * p.ell - 1, p.ell)
-        k1 = math.comb(2 * p.ell - 1, p.ell - 1)
+        k0 = math.comb(2 * ell - 1, ell)
+        k1 = math.comb(2 * ell - 1, ell - 1)
         (F, df), (G, dg) = _over(f.values), _over(g.values)
-        zf, zg = udisj._subset_sums(F, n, p.ell), udisj._subset_sums(G, n, p.ell)
-        for T in partitions(p):
+        zf, zg = udisj._subset_sums(F, n, ell), udisj._subset_sums(G, n, ell)
+        for T in partitions(n):
             ibit = 1 << (T.i - 1)
-            sums = [sum(V[m] for m in ksubsets(t, p.ell)) for V, t in ((F, T.t1), (G, T.t2))]
-            sums_i = [sum(V[m | ibit] for m in ksubsets(t, p.ell - 1))
+            sums = [sum(V[m] for m in ksubsets(t, ell)) for V, t in ((F, T.t1), (G, T.t2))]
+            sums_i = [sum(V[m | ibit] for m in ksubsets(t, ell - 1))
                       for V, t in ((F, T.t1), (G, T.t2))]
             assert [zf[T.t1], zg[T.t2]] == sums
             assert [zf[T.t1 | ibit] - zf[T.t1], zg[T.t2 | ibit] - zg[T.t2]] == sums_i
-            st = row_col_stats(f, g, T, p)
+            st = row_col_stats(f, g, T)
             assert (st.row0, st.row1, st.col0, st.col1) == (
                 Fraction(sums[0], k0 * df), Fraction(sums_i[0], k1 * df),
                 Fraction(sums[1], k0 * dg), Fraction(sums_i[1], k1 * dg))
 
     def test_partition_validation(self):
-        p = UdisjParams(3)
         ones = FunctionTable.ones(3)
         with pytest.raises(InputError):  # overlap
-            row_col_stats(ones, ones, PartitionT(t1=0b011, t2=0b100, i=1), p)
+            row_col_stats(ones, ones, PartitionT(t1=0b011, t2=0b100, i=1))
         with pytest.raises(InputError):  # i inside T1
-            row_col_stats(ones, ones, PartitionT(t1=0b001, t2=0b100, i=1), p)
+            row_col_stats(ones, ones, PartitionT(t1=0b001, t2=0b100, i=1))
         with pytest.raises(InputError):  # wrong sizes
-            row_col_stats(ones, ones, PartitionT(t1=0b110, t2=0b000, i=1), p)
+            row_col_stats(ones, ones, PartitionT(t1=0b110, t2=0b000, i=1))
         with pytest.raises(InputError):  # i out of range
-            row_col_stats(ones, ones, PartitionT(t1=0b010, t2=0b100, i=5), p)
+            row_col_stats(ones, ones, PartitionT(t1=0b010, t2=0b100, i=5))
+
+    def test_size_mismatch(self):
+        # T partitions [3]; tables over 7 and 3 have no common ground set
+        T = PartitionT(t1=0b010, t2=0b100, i=1)
+        for f, g in ((7, 3), (3, 7)):
+            with pytest.raises(InputError):
+                row_col_stats(FunctionTable.ones(f), FunctionTable.ones(g), T)
 
 
 class TestRazborovIdentities:
     def test_point_indicator_exact_sides(self):
-        p = UdisjParams(3)
         ind = parse_function("set:1", 3)
-        rep = razborov_identities(ind, ind, p)
+        rep = razborov_identities(ind, ind)
         assert rep.ok
         assert rep.expectation_a == (Fraction(0), Fraction(0))
         assert rep.expectation_b == (Fraction(1, 3), Fraction(1, 3))
@@ -260,20 +258,23 @@ class TestRazborovIdentities:
         # the two computation paths (conditioning on the class versus
         # averaging row/col statistics over partitions) must agree exactly
         rng = random.Random(seed)
-        p = UdisjParams(n)
-        rep = razborov_identities(random_table(n, rng), random_table(n, rng), p)
+        rep = razborov_identities(random_table(n, rng), random_table(n, rng))
         assert rep.ok
         assert rep.expectation_a[0] == rep.expectation_a[1]
         assert rep.expectation_b[0] == rep.expectation_b[1]
-        assert len(rep.marginals) == math.comb(n, 2 * p.ell - 1)
+        assert len(rep.marginals) == math.comb(n, 2 * udisj._ell(n) - 1)
         for _, left, right in rep.marginals:
             assert left == right
 
     def test_budget(self):
-        p = UdisjParams(15)
         ones = FunctionTable.ones(15)
         with pytest.raises(BudgetError):
-            razborov_identities(ones, ones, p)
+            razborov_identities(ones, ones)
+
+    def test_size_mismatch(self):
+        for f, g in ((7, 3), (3, 7)):
+            with pytest.raises(InputError):
+                razborov_identities(FunctionTable.ones(f), FunctionTable.ones(g))
 
 
 class TestEntropyGap:
@@ -380,16 +381,14 @@ class TestShiftRankLb:
 
 class TestRectangleScan:
     def test_exhaustive_n3(self):
-        p = UdisjParams(3)
-        rep = rectangle_corruption_scan(p, Fraction(1, 2), mode="exhaustive")
+        rep = rectangle_corruption_scan(3, Fraction(1, 2), mode="exhaustive")
         assert rep.scanned == 65536
         assert rep.best_value == Fraction(1, 6)
         assert rep.zero_b_max == Fraction(1, 3)
 
     def test_named_rectangle_and_full_rectangle(self):
-        p = UdisjParams(3)
         eps = Fraction(1, 3)
-        rep = rectangle_corruption_scan(p, eps, mode="exhaustive", keep_records=True)
+        rep = rectangle_corruption_scan(3, eps, mode="exhaustive", keep_records=True)
         by_id = {rid: (pa, pb, val) for rid, pa, pb, val in rep.records}
         # rows {{1}}: subset mask 1; cols {{2},{3}}: subset masks 2 and 4
         rid = f"r{1 << 1:x}.c{(1 << 2) | (1 << 4):x}"
@@ -401,10 +400,9 @@ class TestRectangleScan:
         assert by_id[full] == (Fraction(1), Fraction(1), -eps)
 
     def test_best_rect_achieves_reported_value(self):
-        p = UdisjParams(3)
         eps = Fraction(1, 4)
-        rep = rectangle_corruption_scan(p, eps, mode="exhaustive")
-        A, B = enum_classes(p)
+        rep = rectangle_corruption_scan(3, eps, mode="exhaustive")
+        A, B = enum_classes(3)
         rs, cs = rep.best_rect
         pa = Fraction(sum(1 for a, b in A if (rs >> a) & 1 and (cs >> b) & 1), len(A))
         pb = Fraction(sum(1 for a, b in B if (rs >> a) & 1 and (cs >> b) & 1), len(B))
@@ -414,9 +412,8 @@ class TestRectangleScan:
         assert sum(1 for a, b in B if (zs >> a) & 1 and (zc >> b) & 1) == 0
 
     def test_sampled_mode_deterministic(self):
-        p = UdisjParams(7)
-        r1 = rectangle_corruption_scan(p, Fraction(1, 2), mode="sample", seed=11, count=40)
-        r2 = rectangle_corruption_scan(p, Fraction(1, 2), mode="sample", seed=11, count=40)
+        r1 = rectangle_corruption_scan(7, Fraction(1, 2), mode="sample", seed=11, count=40)
+        r2 = rectangle_corruption_scan(7, Fraction(1, 2), mode="sample", seed=11, count=40)
         assert r1.scanned == r2.scanned == 40
         assert r1.best_value == r2.best_value and r1.best_rect == r2.best_rect
         assert r1.zero_b_max is None
@@ -426,7 +423,7 @@ class TestRectangleScan:
         # 10 000 rectangles held as records would take about 800 kB
         tracemalloc.start()
         try:
-            rep = rectangle_corruption_scan(UdisjParams(3), Fraction(1, 2), mode="sample",
+            rep = rectangle_corruption_scan(3, Fraction(1, 2), mode="sample",
                                             seed=1, count=10_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -440,7 +437,7 @@ class TestRectangleScan:
         set_budget_ms(0)
         try:
             with pytest.raises(BudgetError):
-                rectangle_corruption_scan(UdisjParams(3), Fraction(1, 2), mode=mode,
+                rectangle_corruption_scan(3, Fraction(1, 2), mode=mode,
                                           count=5, keep_records=keep)
         finally:
             set_budget_ms(None)
@@ -450,7 +447,7 @@ class TestRectangleScan:
         # the kernel's own poll can stop it; 0b10110 holds the three
         # l-subsets {1}, {2}, {3} (masks 1, 2, 4), so its square meets all
         # 6 pairs of A and 3 of B
-        rows = udisj._neighbour_masks(UdisjParams(3))
+        rows = udisj._neighbour_masks(3)
         rects = udisj._counts(rows, 8, [(0b10110, 0b10110)])
         set_budget_ms(0)
         try:
@@ -462,20 +459,18 @@ class TestRectangleScan:
 
     def test_exhaustive_budget(self):
         with pytest.raises(BudgetError):
-            rectangle_corruption_scan(UdisjParams(7), Fraction(1, 2), mode="exhaustive")
+            rectangle_corruption_scan(7, Fraction(1, 2), mode="exhaustive")
 
     def test_bad_mode_and_eps(self):
-        p = UdisjParams(3)
         with pytest.raises(InputError):
-            rectangle_corruption_scan(p, Fraction(1, 2), mode="walk")
+            rectangle_corruption_scan(3, Fraction(1, 2), mode="walk")
         with pytest.raises(InputError):
-            rectangle_corruption_scan(p, Fraction(3, 2))
+            rectangle_corruption_scan(3, Fraction(3, 2))
         with pytest.raises(InputError):
-            rectangle_corruption_scan(p, Fraction(1, 2), mode="sample", count=0)
+            rectangle_corruption_scan(3, Fraction(1, 2), mode="sample", count=0)
 
     def test_csv_rows(self):
-        p = UdisjParams(3)
-        rep = rectangle_corruption_scan(p, Fraction(1, 2), mode="sample",
+        rep = rectangle_corruption_scan(3, Fraction(1, 2), mode="sample",
                                         seed=0, count=5, keep_records=True)
         rows = [tuple(line.split(",")) for line in rep.csv_text().splitlines()]
         assert rows[0] == ("rectangle-id", "p_a", "p_b", "value")
@@ -487,15 +482,15 @@ class TestMuChecks:
         # drop one disjoint pair: mu's support is then no longer A union B
         genuine = udisj.enum_classes
 
-        def short_a(params):
-            A, B = genuine(params)
+        def short_a(n):
+            A, B = genuine(n)
             return A[1:], B
         monkeypatch.setattr(udisj, "enum_classes", short_a)
 
     def test_support_mismatch_raises(self, monkeypatch):
         self._corrupt_classes(monkeypatch)
         with pytest.raises(VerificationError):
-            mu_class_probabilities(UdisjParams(3))
+            mu_class_probabilities(3)
 
     def test_raises_under_python_O(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(udisj.__file__)))
@@ -504,9 +499,9 @@ class TestMuChecks:
             "from efbound import VerificationError, udisj\n"
             "assert False, 'asserts are live'\n"
             "genuine = udisj.enum_classes\n"
-            "udisj.enum_classes = lambda p: (genuine(p)[0][1:], genuine(p)[1])\n"
+            "udisj.enum_classes = lambda n: (genuine(n)[0][1:], genuine(n)[1])\n"
             "try:\n"
-            "    udisj.mu_class_probabilities(udisj.UdisjParams(3))\n"
+            "    udisj.mu_class_probabilities(3)\n"
             "except VerificationError:\n"
             "    print('rejected', sys.flags.optimize)\n")
         env = dict(os.environ, PYTHONPATH=src)
@@ -531,7 +526,7 @@ def _direct_probs(A, B, rs, cs):
 @functools.cache
 def _n3_rectangles():
     """(rows, cols, |R & A|, |R & B|) of all n=3 rectangles, rows-major."""
-    A, B = enum_classes(UdisjParams(3))
+    A, B = enum_classes(3)
     return [(rs, cs) + tuple(sum(1 for a, b in pairs if (rs >> a) & 1 and (cs >> b) & 1)
                              for pairs in (A, B))
             for rs in range(256) for cs in range(256)]
@@ -585,6 +580,24 @@ def _direct_razborov(f, g, n):
     return mean(sum_a), mean(sum_b), marginals
 
 
+def _reference_razborov_failure(cert):
+    """The razborov-failure check in plain Fractions: some identity fails,
+    with E[X | A] and E[X | B] averaged over the pairs of l-subsets that
+    meet in no and in one element, found by intersecting every two, and the
+    right-hand sides and marginals by _direct_razborov."""
+    n = cert["n"]
+    f, g = ([Fraction(v) for v in cert[name]["values"]] for name in "fg")
+    ell = (n + 1) // 4
+    subs = [m for m in range(1 << n) if m.bit_count() == ell]
+
+    def lhs(meet):
+        vals = [f[a] * g[b] for a in subs for b in subs if (a & b).bit_count() == meet]
+        return sum(vals, Fraction(0)) / len(vals)
+    rhs_a, rhs_b, marginals = _direct_razborov(f.__getitem__, g.__getitem__, n)
+    return not (lhs(0) == rhs_a and lhs(1) == rhs_b
+                and all(left == right for _, left, right in marginals))
+
+
 class TestProperties:
     @settings(max_examples=10, deadline=None)
     @given(epsilons, st.booleans())
@@ -595,7 +608,7 @@ class TestProperties:
         defined = {(ca, cb): (Fraction(ca, 6), Fraction(cb, 3),
                               (1 - eps) * Fraction(ca, 6) - Fraction(cb, 3))
                    for ca in range(7) for cb in range(4)}
-        rep = rectangle_corruption_scan(UdisjParams(3), eps, keep_records=keep)
+        rep = rectangle_corruption_scan(3, eps, keep_records=keep)
         best = max(defined[ca, cb][2] for _, _, ca, cb in rects)
         first = next((rs, cs) for rs, cs, ca, cb in rects if defined[ca, cb][2] == best)
         assert (rep.best_value, rep.best_rect) == (best, first)
@@ -618,7 +631,7 @@ class TestProperties:
                 pa, pb = Fraction(ca, 6), Fraction(cb, 3)
                 tails[ca, cb] = ",".join(rat_str(x) for x in (pa, pb, (1 - eps) * pa - pb))
             lines.append(f"r{rs:x}.c{cs:x},{tails[ca, cb]}")
-        rep = rectangle_corruption_scan(UdisjParams(3), eps, keep_records=True)
+        rep = rectangle_corruption_scan(3, eps, keep_records=True)
         # compared line by line: a failing comparison of the whole 1.4 MB
         # strings would have pytest diff them
         assert rep.csv_text().split("\n") == lines + [""]
@@ -627,15 +640,14 @@ class TestProperties:
     @given(st.sampled_from([3, 7, 11]), epsilons, st.integers(0, 10 ** 6),
            st.integers(1, 12), st.booleans())
     def test_sampled_scan_against_direct_count(self, n, eps, seed, count, keep):
-        p = UdisjParams(n)
-        A, B = enum_classes(p)
+        A, B = enum_classes(n)
         rng = random.Random(seed)
         rects = []
         for _ in range(count):
             rs = rng.getrandbits(1 << n)
             cs = rng.getrandbits(1 << n)
             rects.append((rs, cs) + _direct_probs(A, B, rs, cs))
-        rep = rectangle_corruption_scan(p, eps, mode="sample", seed=seed, count=count,
+        rep = rectangle_corruption_scan(n, eps, mode="sample", seed=seed, count=count,
                                         keep_records=keep)
         assert rep.scanned == count
         assert (rep.best_value, rep.best_rect) == _best(rects, eps)
@@ -648,7 +660,7 @@ class TestProperties:
     def test_csv_rows_match_records(self, n, eps, seed, count):
         # the CSV renders int counts with one cached tail per (ca, cb); the
         # records are the Fractions those counts define
-        rep = rectangle_corruption_scan(UdisjParams(n), eps, mode="sample", seed=seed,
+        rep = rectangle_corruption_scan(n, eps, mode="sample", seed=seed,
                                         count=count, keep_records=True)
         rows = [tuple(line.split(",")) for line in rep.csv_text().splitlines()]
         assert rows == [("rectangle-id", "p_a", "p_b", "value")] + [
@@ -660,17 +672,44 @@ class TestProperties:
     def test_razborov_against_fraction_definition(self, n, seed):
         rng = random.Random(seed)
         f, g = _fraction_table(n, rng), _fraction_table(n, rng)
-        p = UdisjParams(n)
-        A, B = enum_classes(p)
+        A, B = enum_classes(n)
         direct_a = sum((f(a) * g(b) for a, b in A), Fraction(0)) / len(A)
         direct_b = sum((f(a) * g(b) for a, b in B), Fraction(0)) / len(B)
-        assert cond_expect(f, g, p) == (direct_a, direct_b)
+        assert cond_expect(f, g) == (direct_a, direct_b)
         rhs_a, rhs_b, marginals = _direct_razborov(f, g, n)
-        rep = razborov_identities(f, g, p)
+        rep = razborov_identities(f, g)
         assert rep.expectation_a == (direct_a, rhs_a)
         assert rep.expectation_b == (direct_b, rhs_b)
         assert rep.marginals == marginals
         assert rep.ok
+
+    def test_mutated_razborov_failure_matches_reference(self, tmp_path_factory):
+        """check-cert's verdict on a razborov-failure certificate over two
+        n = 3 tables, one entry changed by a nonzero rational, is the plain
+        Fraction check's; a negative entry exits 2."""
+        d = tmp_path_factory.mktemp("razborov")
+        value = st.fractions(0, 4, max_denominator=3)
+        table = st.lists(value, min_size=8, max_size=8)
+
+        @settings(max_examples=30, deadline=None)
+        @given(table, table, st.sampled_from("fg"), st.integers(0, 7),
+               st.fractions(-3, 3, max_denominator=5).filter(bool))
+        @example([1] * 8, [1] * 8, "g", 5, Fraction(-1, 2))  # a valid table: exit 1
+        @example([1] * 8, [1] * 8, "f", 0, Fraction(-2))  # a negative entry: exit 2
+        def prop(f, g, name, k, delta):
+            cert = {"kind": "razborov-failure", "n": 3,
+                    "f": {"n": 3, "values": [str(v) for v in f]},
+                    "g": {"n": 3, "values": [str(v) for v in g]}}
+            changed = Fraction(cert[name]["values"][k]) + delta
+            cert[name]["values"][k] = str(changed)
+            (d / "c.json").write_text(json.dumps(cert))
+            rc = cli.main(["check-cert", "--cert", str(d / "c.json"),
+                           "--out", str(d / "o.json")])
+            if changed < 0:
+                assert rc == 2
+            else:
+                assert rc == (0 if _reference_razborov_failure(cert) else 1)
+        prop()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5),
